@@ -13,11 +13,10 @@
 #include "common/table.hpp"
 #include "consolidate/runner.hpp"
 #include "gpusim/engine.hpp"
-#include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
+#include "obs/registry.hpp"
 #include "power/trainer.hpp"
-#include "trace/counters.hpp"
 #include "workloads/paper_configs.hpp"
 #include "workloads/rodinia_like.hpp"
 
@@ -67,13 +66,13 @@ inline void write_observability_json(int argc, char** argv,
   const std::string path = observability_json_path(argc, argv);
   if (path.empty()) return;
 
+  const obs::RegistrySnapshot snap = obs::Registry::instance().snapshot();
   obs::json::Object counters;
-  for (const auto& [name, value] : trace::Counters::instance().snapshot()) {
+  for (const auto& [name, value] : snap.counters) {
     counters.emplace(name, value);
   }
   obs::json::Object histograms;
-  for (const auto& [name, h] : obs::HistogramRegistry::instance()
-                                   .snapshot_all()) {
+  for (const auto& [name, h] : snap.histograms) {
     obs::json::Object entry;
     entry.emplace("count", static_cast<double>(h.total));
     entry.emplace("mean", h.mean());

@@ -5,9 +5,8 @@
 
 #include "common/log.hpp"
 #include "fault/injector.hpp"
-#include "obs/histogram.hpp"
+#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-#include "trace/counters.hpp"
 
 namespace ewc::consolidate {
 
@@ -182,7 +181,7 @@ void Backend::process_batch(std::vector<LaunchRequest>& batch) {
     return;
   }
   static obs::Histogram* batch_hist =
-      obs::HistogramRegistry::instance().get("backend.batch_size");
+      obs::Registry::instance().histogram("backend.batch_size");
   batch_hist->record(static_cast<double>(batch.size()));
   obs::ScopedSpan span("backend.batch");
   if (span.active()) {
@@ -314,8 +313,8 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
     }
     if (report.degraded) {
       chosen = Alternative::kIndividualGpu;
-      static trace::Counters::Handle degraded_counter =
-          trace::Counters::instance().handle("server.degraded_decisions");
+      static obs::Counter degraded_counter =
+          obs::Registry::instance().counter("server.degraded_decisions");
       degraded_counter.inc();
       if (obs::Tracer::enabled()) {
         obs::instant("backend.degraded",
@@ -454,10 +453,10 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
     // Published as gauges so remote harnesses (loadgen) can read the
     // simulated energy/time totals over the kStats wire and compute
     // joules/request without an in-process Backend handle.
-    static trace::Counters::Handle energy_counter =
-        trace::Counters::instance().handle("backend.total_energy_joules");
-    static trace::Counters::Handle time_counter =
-        trace::Counters::instance().handle("backend.total_time_seconds");
+    static obs::Counter energy_counter =
+        obs::Registry::instance().counter("backend.total_energy_joules");
+    static obs::Counter time_counter =
+        obs::Registry::instance().counter("backend.total_time_seconds");
     energy_counter.set(total_energy_.joules());
     time_counter.set(total_time_.seconds());
   }

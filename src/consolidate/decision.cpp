@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "fault/injector.hpp"
-#include "obs/histogram.hpp"
+#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 
 namespace ewc::consolidate {
@@ -140,7 +140,7 @@ Decision DecisionEngine::decide(
   }
 
   static obs::Histogram* decide_hist =
-      obs::HistogramRegistry::instance().get("decision.decide_seconds");
+      obs::Registry::instance().histogram("decision.decide_seconds");
   const double t0_us = obs::Tracer::now_us();
   obs::ScopedSpan span("decision.decide");
 

@@ -6,9 +6,8 @@
 
 #include "common/stats.hpp"
 #include "cpusim/engine.hpp"
-#include "obs/histogram.hpp"
+#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-#include "trace/counters.hpp"
 
 namespace ewc::consolidate {
 
@@ -47,13 +46,12 @@ QueueSimResult QueueSimulator::run(
 
   // Per-batch counters bump through cached handles: one registry lookup
   // here, then a lock-free atomic add per batch inside the loop.
-  auto& counters = trace::Counters::instance();
-  auto batches_ctr = counters.handle("queue_sim.batches");
-  auto requests_ctr = counters.handle("queue_sim.requests");
-  obs::Histogram* batch_hist =
-      obs::HistogramRegistry::instance().get("queue_sim.batch_size");
-  obs::Histogram* latency_hist = obs::HistogramRegistry::instance().get(
-      "queue_sim.request_latency_seconds");
+  auto& registry = obs::Registry::instance();
+  auto batches_ctr = registry.counter("queue_sim.batches");
+  auto requests_ctr = registry.counter("queue_sim.requests");
+  obs::Histogram* batch_hist = registry.histogram("queue_sim.batch_size");
+  obs::Histogram* latency_hist =
+      registry.histogram("queue_sim.request_latency_seconds");
 
   std::size_t next = 0;
   double t_free = 0.0;
@@ -211,18 +209,18 @@ QueueSimResult QueueSimulator::run(
 
   if (run_cache_) result.run_cache_stats = run_cache_->stats();
   result.predict_cache_stats = decision_.prediction_cache_stats();
-  counters.set("queue_sim.run_cache.hits",
-               static_cast<double>(result.run_cache_stats.hits));
-  counters.set("queue_sim.run_cache.misses",
-               static_cast<double>(result.run_cache_stats.misses));
-  counters.set("queue_sim.run_cache.evictions",
-               static_cast<double>(result.run_cache_stats.evictions));
-  counters.set("queue_sim.predict_cache.hits",
-               static_cast<double>(result.predict_cache_stats.hits));
-  counters.set("queue_sim.predict_cache.misses",
-               static_cast<double>(result.predict_cache_stats.misses));
-  counters.set("queue_sim.predict_cache.evictions",
-               static_cast<double>(result.predict_cache_stats.evictions));
+  registry.counter("queue_sim.run_cache.hits").set(
+      static_cast<double>(result.run_cache_stats.hits));
+  registry.counter("queue_sim.run_cache.misses").set(
+      static_cast<double>(result.run_cache_stats.misses));
+  registry.counter("queue_sim.run_cache.evictions").set(
+      static_cast<double>(result.run_cache_stats.evictions));
+  registry.counter("queue_sim.predict_cache.hits").set(
+      static_cast<double>(result.predict_cache_stats.hits));
+  registry.counter("queue_sim.predict_cache.misses").set(
+      static_cast<double>(result.predict_cache_stats.misses));
+  registry.counter("queue_sim.predict_cache.evictions").set(
+      static_cast<double>(result.predict_cache_stats.evictions));
   return result;
 }
 

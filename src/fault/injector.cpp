@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "common/log.hpp"
-#include "trace/counters.hpp"
+#include "obs/registry.hpp"
 
 namespace ewc::fault {
 
@@ -235,7 +235,9 @@ Action Injector::hit(std::string_view site) {
       continue;
     }
     armed.fired++;
-    trace::Counters::instance().inc("fault.injected." + std::string(site));
+    obs::Registry::instance()
+        .counter("fault.injected." + std::string(site))
+        .inc();
     Action action;
     action.kind = armed.rule.kind;
     action.duration = armed.rule.duration;

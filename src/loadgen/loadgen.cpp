@@ -36,22 +36,6 @@ bool is_admission_rejection(const consolidate::CompletionReply& reply) {
   return reply.error.find("in-flight limit") != std::string::npos;
 }
 
-/// The interval distribution between two cumulative snapshots of the SAME
-/// histogram: geometry is fixed and counts only grow, so counts subtract.
-obs::HistogramSnapshot diff_hist(const obs::HistogramSnapshot& newer,
-                                 const obs::HistogramSnapshot& older) {
-  obs::HistogramSnapshot d;
-  d.params = newer.params;
-  d.counts.resize(newer.counts.size());
-  for (std::size_t i = 0; i < newer.counts.size(); ++i) {
-    const std::uint64_t prev = i < older.counts.size() ? older.counts[i] : 0;
-    d.counts[i] = newer.counts[i] >= prev ? newer.counts[i] - prev : 0;
-    d.total += d.counts[i];
-  }
-  d.sum = newer.sum - older.sum;
-  return d;
-}
-
 }  // namespace
 
 std::vector<ScheduleEntry> build_schedule(const LoadgenConfig& config) {
@@ -203,7 +187,8 @@ bool run_loadgen(const LoadgenConfig& config, LoadgenResult* result,
             tally.completed.load(std::memory_order_relaxed);
         const std::uint64_t ok_now = tally.ok.load(std::memory_order_relaxed);
         obs::HistogramSnapshot hist_now = latency_hist.snapshot();
-        const obs::HistogramSnapshot d = diff_hist(hist_now, hist_prev);
+        const obs::HistogramSnapshot d =
+            obs::diff_snapshots(hist_now, hist_prev);
         const double dt = t_now - t_prev;
         std::ostringstream os;
         os.precision(10);

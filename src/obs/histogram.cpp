@@ -6,6 +6,11 @@
 
 namespace ewc::obs {
 
+bool HistogramParams::valid() const {
+  return std::isfinite(min_value) && min_value > 0.0 &&
+         std::isfinite(growth) && growth > 1.0 && buckets >= 1;
+}
+
 double HistogramParams::bucket_lower(int i) const {
   return min_value * std::pow(growth, static_cast<double>(i));
 }
@@ -62,13 +67,12 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   sum += other.sum;
 }
 
-Histogram::Histogram(HistogramParams params)
-    : params_(params),
-      counts_(static_cast<std::size_t>(params.buckets) + 1) {
-  if (params_.min_value <= 0.0 || params_.growth <= 1.0 ||
-      params_.buckets < 1) {
+Histogram::Histogram(HistogramParams params) : params_(params) {
+  if (!params_.valid()) {
     throw std::invalid_argument("Histogram: bad bucket geometry");
   }
+  counts_ = std::vector<std::atomic<std::uint64_t>>(
+      static_cast<std::size_t>(params_.buckets) + 1);
 }
 
 void Histogram::record(double value) {
@@ -101,33 +105,23 @@ void Histogram::clear() {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
-HistogramRegistry& HistogramRegistry::instance() {
-  // Leaked: recorded-into from arbitrary threads until process exit.
-  static HistogramRegistry* r = new HistogramRegistry();
-  return *r;
-}
-
-Histogram* HistogramRegistry::get(const std::string& name,
-                                  HistogramParams params) {
-  std::lock_guard lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, std::make_unique<Histogram>(params)).first;
+HistogramSnapshot diff_snapshots(const HistogramSnapshot& newer,
+                                 const HistogramSnapshot& older) {
+  if (older.counts.size() != newer.counts.size() ||
+      !(older.params == newer.params)) {
+    return newer;
   }
-  return it->second.get();
-}
-
-std::map<std::string, HistogramSnapshot> HistogramRegistry::snapshot_all()
-    const {
-  std::lock_guard lock(mu_);
-  std::map<std::string, HistogramSnapshot> out;
-  for (const auto& [name, h] : histograms_) out.emplace(name, h->snapshot());
-  return out;
-}
-
-void HistogramRegistry::clear() {
-  std::lock_guard lock(mu_);
-  for (auto& [name, h] : histograms_) h->clear();
+  HistogramSnapshot d;
+  d.params = newer.params;
+  d.counts.resize(newer.counts.size());
+  for (std::size_t i = 0; i < newer.counts.size(); ++i) {
+    d.counts[i] = newer.counts[i] >= older.counts[i]
+                      ? newer.counts[i] - older.counts[i]
+                      : 0;
+    d.total += d.counts[i];
+  }
+  d.sum = newer.sum - older.sum;
+  return d;
 }
 
 }  // namespace ewc::obs

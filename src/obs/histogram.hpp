@@ -23,10 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 namespace ewc::obs {
@@ -39,6 +35,10 @@ struct HistogramParams {
 
   friend bool operator==(const HistogramParams&,
                          const HistogramParams&) = default;
+
+  /// Finite min_value > 0, finite growth > 1, buckets >= 1. Geometry from
+  /// outside the process (a STATS reply) is checked with this before use.
+  bool valid() const;
 
   /// Lower edge of bucket i (i may be == buckets: the overflow threshold).
   double bucket_lower(int i) const;
@@ -79,6 +79,7 @@ struct HistogramSnapshot {
 /// proceed concurrently).
 class Histogram {
  public:
+  /// @throws std::invalid_argument unless params.valid().
   explicit Histogram(HistogramParams params = {});
 
   void record(double value);
@@ -93,26 +94,11 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// The process-wide named-histogram registry, the distribution-shaped twin
-/// of trace::Counters. Names are dotted ("server.request_latency_seconds");
-/// see docs/OBSERVABILITY.md for the naming conventions.
-class HistogramRegistry {
- public:
-  static HistogramRegistry& instance();
-
-  /// Find-or-create. The returned pointer stays valid for the process
-  /// lifetime, so hot paths look it up once and keep the handle.
-  Histogram* get(const std::string& name, HistogramParams params = {});
-
-  std::map<std::string, HistogramSnapshot> snapshot_all() const;
-
-  /// Zero every histogram (tests; the CLI before a measured run). Handles
-  /// remain valid.
-  void clear();
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
+/// The interval distribution between two cumulative snapshots of one
+/// histogram: counts and totals subtract because geometry is fixed and
+/// counts only grow. A geometry change underneath is treated as a fresh
+/// start (returns `newer`).
+HistogramSnapshot diff_snapshots(const HistogramSnapshot& newer,
+                                 const HistogramSnapshot& older);
 
 }  // namespace ewc::obs

@@ -5,31 +5,6 @@
 
 namespace ewc::obs {
 
-namespace {
-
-/// The interval distribution between two cumulative snapshots: counts and
-/// totals subtract because geometry is fixed and counts only grow.
-HistogramSnapshot diff_snapshots(const HistogramSnapshot& newer,
-                                 const HistogramSnapshot& older) {
-  if (older.counts.size() != newer.counts.size() ||
-      !(older.params == newer.params)) {
-    return newer;  // geometry changed underneath us: treat as fresh
-  }
-  HistogramSnapshot d;
-  d.params = newer.params;
-  d.counts.resize(newer.counts.size());
-  for (std::size_t i = 0; i < newer.counts.size(); ++i) {
-    d.counts[i] = newer.counts[i] >= older.counts[i]
-                      ? newer.counts[i] - older.counts[i]
-                      : 0;
-    d.total += d.counts[i];
-  }
-  d.sum = newer.sum - older.sum;
-  return d;
-}
-
-}  // namespace
-
 Sampler::Sampler(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 2)),
       born_(std::chrono::steady_clock::now()) {}

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "trace/counters.hpp"
+#include "obs/registry.hpp"
 
 namespace ewc::obs {
 
@@ -18,9 +18,8 @@ thread_local Tracer::ThreadRing* t_ring = nullptr;
 
 /// Ring wrap overwrites the oldest span silently; this counter makes the
 /// truncation diagnosable from STATS without collecting the trace.
-trace::Counters::Handle dropped_spans_counter() {
-  static trace::Counters::Handle h =
-      trace::Counters::instance().handle("obs.trace.dropped_spans");
+Counter dropped_spans_counter() {
+  static Counter h = Registry::instance().counter("obs.trace.dropped_spans");
   return h;
 }
 

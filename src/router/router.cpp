@@ -9,9 +9,8 @@
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
 #include "net/wire.hpp"
-#include "obs/prometheus.hpp"
+#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-#include "trace/counters.hpp"
 
 namespace ewc::router {
 
@@ -21,20 +20,19 @@ using server::MsgType;
 using server::Reactor;
 
 struct RouterCounters {
-  trace::Counters::Handle placed, placement_failures, forwarded, returned,
-      upstream_closed, breaker_trips, poll_failures, stats_requests,
-      metrics_requests, accept_backoff, sessions_migrated, migrations_failed,
-      sessions_rehomed, sync_pulls, standby_refusals, standby_promotions;
+  obs::Counter placed, placement_failures, forwarded, returned,
+      upstream_closed, breaker_trips, poll_failures, accept_backoff,
+      sessions_migrated, migrations_failed, sessions_rehomed, sync_pulls,
+      standby_refusals, standby_promotions;
 };
 
 RouterCounters& counters() {
-  auto h = [](const char* n) { return trace::Counters::instance().handle(n); };
+  auto h = [](const char* n) { return obs::Registry::instance().counter(n); };
   static RouterCounters* s = new RouterCounters{
       h("router.sessions_placed"),    h("router.placement_failures"),
       h("router.forwarded_frames"),   h("router.returned_frames"),
       h("router.upstream_closed"),    h("router.breaker_trips"),
-      h("router.poll_failures"),      h("router.stats_requests"),
-      h("router.metrics_requests"),   h("router.accept_backoff"),
+      h("router.poll_failures"),      h("router.accept_backoff"),
       h("router.sessions_migrated"),  h("router.migrations_failed"),
       h("router.sessions_rehomed"),   h("router.sync_pulls"),
       h("router.standby_refusals"),   h("router.standby_promotions")};
@@ -43,6 +41,19 @@ RouterCounters& counters() {
 
 void sleep_for(common::Duration d) {
   std::this_thread::sleep_for(std::chrono::duration<double>(d.seconds()));
+}
+
+/// Sum `from` into `into` when their bucket geometry matches (an empty
+/// `into` adopts `from`); otherwise leave `into` as it is, because
+/// HistogramSnapshot::merge would throw.
+void merge_compatible(obs::HistogramSnapshot& into,
+                      const obs::HistogramSnapshot& from) {
+  if (into.counts.empty()) {
+    into = from;
+  } else if (into.params == from.params &&
+             into.counts.size() == from.counts.size()) {
+    into.merge(from);
+  }
 }
 
 }  // namespace
@@ -64,6 +75,33 @@ std::optional<std::size_t> pick_shard(const std::vector<ShardSnapshot>& shards,
     }
   }
   return best;
+}
+
+obs::RegistrySnapshot fold_fleet_stats(obs::RegistrySnapshot local,
+                                       const std::vector<ShardStats>& shards) {
+  obs::RegistrySnapshot out = std::move(local);
+  double alive = 0;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const ShardStats& s = shards[i];
+    const std::string prefix = "shard." + std::to_string(i) + ".";
+    for (const auto& [name, value] : s.polled.counters) {
+      out.counters[name] += value;
+      out.counters[prefix + name] = value;
+    }
+    out.counters[prefix + "router.placements"] = s.placement.sessions;
+    out.counters[prefix + "router.alive"] = s.placement.alive ? 1.0 : 0.0;
+    out.counters[prefix + "router.draining"] =
+        s.placement.draining ? 1.0 : 0.0;
+    out.counters[prefix + "router.power_watts"] = s.placement.power_watts;
+    out.counters[prefix + "router.migrated_out"] = s.migrated_out;
+    for (const auto& [name, snap] : s.polled.histograms) {
+      merge_compatible(out.histograms[name], snap);
+    }
+    if (s.placement.alive) alive += 1;
+  }
+  out.counters["router.shards"] = static_cast<double>(shards.size());
+  out.counters["router.shards_alive"] = alive;
+  return out;
 }
 
 Router::Router(RouterOptions options) : options_(std::move(options)) {
@@ -131,6 +169,7 @@ bool Router::start(std::string* error) {
 
   reactor_ = std::make_unique<Reactor>(ropts, std::move(handler));
   started_at_ = std::chrono::steady_clock::now();
+  start_telemetry();
   {
     std::lock_guard lock(stopped_mu_);
     stopped_ = false;
@@ -147,130 +186,94 @@ bool Router::start(std::string* error) {
     poller_stop_ = false;
   }
   poller_ = std::thread([this] { poll_loop(); });
-  start_sampler();
   common::log_info("router: serving ", bound_endpoint_, " fronting ",
                    shards_.size(), " shard(s)");
   return true;
 }
 
-void Router::start_sampler() {
+void Router::start_telemetry() {
+  auto& registry = obs::Registry::instance();
+  telemetry_.started_at = started_at_;
+  telemetry_.stats = [this] {
+    // A fresh pass keeps the fleet aggregate (notably the energy gauge the
+    // bench harness differences) poll-interval-independent.
+    poll_shards();
+    obs::RegistrySnapshot out =
+        fold_fleet_stats(obs::Registry::instance().snapshot(), shard_stats());
+    out.counters["router.epoch"] = static_cast<double>(epoch_.load());
+    out.counters["router.standby"] = standby_mode_.load() ? 1.0 : 0.0;
+    return out;
+  };
+  telemetry_.refresh = [this] { poll_shards(); };
+  telemetry_.stats_requests = registry.counter("router.stats_requests");
+  telemetry_.metrics_requests = registry.counter("router.metrics_requests");
+  telemetry_.interval_seconds = options_.metrics_interval;
   if (options_.metrics_interval <= 0.0) return;
-  sampler_ = std::make_unique<obs::Sampler>(options_.metrics_history);
+  auto sampler = std::make_unique<obs::Sampler>(options_.metrics_history);
   // Every provider reads the poller's shard view, so series are at most
-  // poll_interval stale — handle_metrics runs a fresh poll pass before
-  // sampling for one-shot scrapes.
-  auto shard_counter = [this](std::size_t i, const char* name) {
-    return [this, i, name] {
-      Shard& s = *shards_[i];
-      std::lock_guard lock(s.mu);
-      const auto it = s.counters.find(name);
-      return it == s.counters.end() ? 0.0 : it->second;
-    };
-  };
-  auto fleet_counter = [this](const char* name) {
-    return [this, name] {
-      double sum = 0.0;
-      for (const auto& sp : shards_) {
-        std::lock_guard lock(sp->mu);
-        const auto it = sp->counters.find(name);
-        if (it != sp->counters.end()) sum += it->second;
-      }
-      return sum;
-    };
-  };
-  auto shard_hist = [this](std::size_t i) {
-    return [this, i] {
-      Shard& s = *shards_[i];
-      std::lock_guard lock(s.mu);
-      const auto it = s.histograms.find("server.request_latency_seconds");
-      return it == s.histograms.end() ? obs::HistogramSnapshot{} : it->second;
-    };
-  };
-
-  sampler_->add_rate("rps", fleet_counter("server.replies"));
-  sampler_->add_gauge("power_watts", [this] {
-    double sum = 0.0;
-    for (const auto& sp : shards_) {
-      std::lock_guard lock(sp->mu);
-      sum += sp->power_watts;
-    }
-    return sum;
-  });
-  sampler_->add_ratio("joules_per_request",
-                      fleet_counter("backend.total_energy_joules"),
-                      fleet_counter("server.replies"));
-  sampler_->add_histogram_percentile(
-      "p95_seconds",
-      [this] {
-        obs::HistogramSnapshot merged;
-        bool have = false;
-        for (const auto& sp : shards_) {
-          std::lock_guard lock(sp->mu);
-          const auto it =
-              sp->histograms.find("server.request_latency_seconds");
-          if (it == sp->histograms.end()) continue;
-          if (!have) {
-            merged = it->second;
-            have = true;
-          } else {
-            merged.merge(it->second);
-          }
+  // poll_interval stale; a kMetrics reply runs a fresh poll pass before
+  // sampling. Scope n is the whole fleet under plain names; scope i < n is
+  // shard i under its shard.<i>. prefix. Both sum over their shards.
+  const std::size_t n = shards_.size();
+  for (std::size_t scope = 0; scope <= n; ++scope) {
+    const std::size_t first = scope == n ? 0 : scope;
+    const std::size_t last = scope == n ? n : scope + 1;
+    const std::string prefix =
+        scope == n ? "" : "shard." + std::to_string(scope) + ".";
+    auto sum = [this, first, last](auto value) {
+      return [this, first, last, value] {
+        double total = 0.0;
+        for (std::size_t i = first; i < last; ++i) {
+          const Shard& s = *shards_[i];
+          std::lock_guard lock(s.mu);
+          total += value(s);
         }
-        return merged;
-      },
-      95.0);
-  sampler_->add_gauge("inflight", [this] {
-    double sum = 0.0;
-    for (const auto& sp : shards_) {
-      std::lock_guard lock(sp->mu);
-      sum += sp->inflight;
-    }
-    return sum;
-  });
-  sampler_->add_gauge("energy_joules",
-                      fleet_counter("backend.total_energy_joules"));
-  sampler_->add_gauge("requests", fleet_counter("server.replies"));
-  sampler_->add_gauge("sessions", [this] {
-    double sum = 0.0;
-    for (const auto& sp : shards_) {
-      sum += std::max(0, sp->placements.load());
-    }
-    return sum;
-  });
-  sampler_->add_gauge("sessions_migrated", [] {
-    return counters().sessions_migrated.value();
-  });
-
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string prefix = "shard." + std::to_string(i) + ".";
-    sampler_->add_rate(prefix + "rps", shard_counter(i, "server.replies"));
-    sampler_->add_gauge(prefix + "power_watts", [this, i] {
-      Shard& s = *shards_[i];
-      std::lock_guard lock(s.mu);
-      return s.power_watts;
-    });
-    sampler_->add_ratio(prefix + "joules_per_request",
-                        shard_counter(i, "backend.total_energy_joules"),
-                        shard_counter(i, "server.replies"));
-    sampler_->add_histogram_percentile(prefix + "p95_seconds", shard_hist(i),
-                                       95.0);
-    sampler_->add_gauge(prefix + "inflight", [this, i] {
-      Shard& s = *shards_[i];
-      std::lock_guard lock(s.mu);
-      return s.inflight;
-    });
-    sampler_->add_gauge(prefix + "energy_joules",
-                        shard_counter(i, "backend.total_energy_joules"));
-    sampler_->add_gauge(prefix + "requests",
-                        shard_counter(i, "server.replies"));
-    sampler_->add_gauge(prefix + "sessions", [this, i] {
-      return static_cast<double>(std::max(0, shards_[i]->placements.load()));
-    });
-    sampler_->add_gauge(prefix + "sessions_migrated", [this, i] {
-      return static_cast<double>(shards_[i]->migrated_out.load());
-    });
+        return total;
+      };
+    };
+    auto counter = [&sum](const char* name) {
+      return sum([name](const Shard& s) {
+        const auto it = s.polled.counters.find(name);
+        return it == s.polled.counters.end() ? 0.0 : it->second;
+      });
+    };
+    sampler->add_rate(prefix + "rps", counter("server.replies"));
+    sampler->add_gauge(prefix + "power_watts",
+                       sum([](const Shard& s) { return s.power_watts; }));
+    sampler->add_ratio(prefix + "joules_per_request",
+                       counter("backend.total_energy_joules"),
+                       counter("server.replies"));
+    sampler->add_histogram_percentile(
+        prefix + "p95_seconds",
+        [this, first, last] {
+          obs::HistogramSnapshot merged;
+          for (std::size_t i = first; i < last; ++i) {
+            const Shard& s = *shards_[i];
+            std::lock_guard lock(s.mu);
+            const auto it =
+                s.polled.histograms.find("server.request_latency_seconds");
+            if (it != s.polled.histograms.end()) {
+              merge_compatible(merged, it->second);
+            }
+          }
+          return merged;
+        },
+        95.0);
+    sampler->add_gauge(prefix + "inflight",
+                       sum([](const Shard& s) { return s.inflight; }));
+    sampler->add_gauge(prefix + "energy_joules",
+                       counter("backend.total_energy_joules"));
+    sampler->add_gauge(prefix + "requests", counter("server.replies"));
+    sampler->add_gauge(prefix + "sessions", sum([](const Shard& s) {
+                         return static_cast<double>(
+                             std::max(0, s.placements.load()));
+                       }));
+    sampler->add_gauge(prefix + "sessions_migrated", sum([](const Shard& s) {
+                         return static_cast<double>(s.migrated_out.load());
+                       }));
   }
-  sampler_->start(options_.metrics_interval);
+  sampler->start(options_.metrics_interval);
+  telemetry_.sampler = std::move(sampler);
 }
 
 void Router::notify_stop() {
@@ -289,7 +292,7 @@ void Router::wait() {
   }
   poller_cv_.notify_all();
   if (poller_.joinable()) poller_.join();
-  sampler_.reset();
+  telemetry_.sampler.reset();
   {
     // Drop the poll connections outside poll_mu_-holding paths.
     std::lock_guard lock(poll_mu_);
@@ -319,6 +322,20 @@ ShardSnapshot Router::snapshot_of(const Shard& shard) const {
     s.power_watts = shard.power_watts;
   }
   return s;
+}
+
+std::vector<ShardStats> Router::shard_stats() const {
+  std::vector<ShardStats> out;
+  out.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    ShardStats s;
+    s.placement = snapshot_of(*shard);
+    s.migrated_out = static_cast<double>(shard->migrated_out.load());
+    std::lock_guard lock(shard->mu);
+    s.polled = shard->polled;
+    out.push_back(std::move(s));
+  }
+  return out;
 }
 
 std::vector<ShardSnapshot> Router::snapshots() const {
@@ -406,10 +423,8 @@ void Router::on_frame(const Reactor::ConnPtr& conn, net::Frame frame) {
 
   switch (static_cast<MsgType>(frame.type)) {
     case MsgType::kStats:
-      handle_stats(conn, frame);
-      return;
     case MsgType::kMetrics:
-      handle_metrics(conn, frame);
+      server::answer_telemetry(conn, frame, telemetry_);
       return;
     case MsgType::kFlush:
       handle_flush(conn, frame);
@@ -635,105 +650,6 @@ void Router::forward(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
   }
 }
 
-void Router::handle_stats(const Reactor::ConnPtr& conn,
-                          const net::Frame& frame) {
-  const auto stats = server::decode_stats(frame.payload);
-  if (!stats.has_value()) {
-    conn->send(static_cast<std::uint16_t>(MsgType::kError),
-               server::encode_error({"malformed stats"}));
-    conn->close_async();
-    return;
-  }
-  counters().stats_requests.inc();
-  // A fresh pass keeps the fleet aggregate (notably the energy gauge the
-  // bench harness differences) poll-interval-independent.
-  poll_shards();
-
-  server::StatsReplyMsg reply;
-  reply.token = stats->token;
-  reply.uptime_micros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count());
-  // Router-local counters (router.*, client.* from the pollers) first;
-  // then every shard summed in under its plain name — so fleet-wide
-  // "server.replies" or "backend.total_energy_joules" read exactly like a
-  // single daemon's — plus the shard.<i>.* breakdown.
-  reply.counters = trace::Counters::instance().snapshot();
-  double alive = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    std::lock_guard lock(shard.mu);
-    if (shard.alive.load()) alive += 1;
-    const std::string prefix = "shard." + std::to_string(i) + ".";
-    for (const auto& [name, value] : shard.counters) {
-      reply.counters[name] += value;
-      reply.counters[prefix + name] = value;
-    }
-    reply.counters[prefix + "router.placements"] =
-        static_cast<double>(shard.placements.load());
-    reply.counters[prefix + "router.alive"] = shard.alive.load() ? 1.0 : 0.0;
-    reply.counters[prefix + "router.draining"] =
-        shard.draining.load() ? 1.0 : 0.0;
-    reply.counters[prefix + "router.power_watts"] = shard.power_watts;
-    reply.counters[prefix + "router.migrated_out"] =
-        static_cast<double>(shard.migrated_out.load());
-    if (stats->include_histograms) {
-      for (const auto& [name, snap] : shard.histograms) {
-        auto [it, inserted] = reply.histograms.emplace(name, snap);
-        if (!inserted) it->second.merge(snap);
-      }
-    }
-  }
-  reply.counters["router.shards"] = static_cast<double>(shards_.size());
-  reply.counters["router.shards_alive"] = alive;
-  reply.counters["router.epoch"] = static_cast<double>(epoch_.load());
-  reply.counters["router.standby"] = standby_mode_.load() ? 1.0 : 0.0;
-  conn->send(static_cast<std::uint16_t>(MsgType::kStatsReply),
-             server::encode_stats_reply(reply));
-}
-
-void Router::handle_metrics(const server::Reactor::ConnPtr& conn,
-                            const net::Frame& frame) {
-  const auto metrics = server::decode_metrics(frame.payload);
-  if (!metrics.has_value()) {
-    conn->send(static_cast<std::uint16_t>(MsgType::kError),
-               server::encode_error({"malformed metrics"}));
-    conn->close_async();
-    return;
-  }
-  counters().metrics_requests.inc();
-  server::MetricsReplyMsg reply;
-  reply.token = metrics->token;
-  reply.uptime_micros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count());
-  if (sampler_ != nullptr) {
-    // Refresh the shard view, then sample it, so a one-shot scrape reads
-    // end-of-run cumulative gauges (energy, requests) as of *now* rather
-    // than up to a poll/tick stale.
-    poll_shards();
-    sampler_->sample_now();
-    reply.interval_seconds = options_.metrics_interval;
-    reply.series = sampler_->snapshot();
-  }
-  if (metrics->include_prometheus) {
-    // Router-local counters plus the sampler's newest fleet + shard.<i>.*
-    // values; the exposition folds the shard prefix into a label.
-    std::map<std::string, double> values =
-        trace::Counters::instance().snapshot();
-    if (sampler_ != nullptr) {
-      for (const auto& [name, value] : sampler_->last_values()) {
-        values[name] = value;
-      }
-    }
-    reply.prometheus_text = obs::prom::render_exposition(values);
-  }
-  conn->send(static_cast<std::uint16_t>(MsgType::kMetricsReply),
-             server::encode_metrics_reply(reply));
-}
-
 void Router::handle_flush(const server::Reactor::ConnPtr& conn,
                           const net::Frame& frame) {
   const auto flush = server::decode_flush(frame.payload);
@@ -890,7 +806,7 @@ void Router::poll_shards() {
         continue;
       }
     }
-    const auto stats =
+    auto stats =
         conn->stats(/*include_histograms=*/true, options_.dial_timeout);
     if (!stats.has_value()) {
       // One failed poll marks the shard dead for placement; the next pass
@@ -922,8 +838,8 @@ void Router::poll_shards() {
         std::max(0.0, get("server.admitted") - get("server.replies") -
                           get("server.deadline_expired") -
                           get("server.drain.failed_replies"));
-    shard.counters = stats->counters;
-    shard.histograms = stats->histograms;
+    shard.polled.counters = std::move(stats->counters);
+    shard.polled.histograms = std::move(stats->histograms);
     shard.alive.store(true);
   }
 }

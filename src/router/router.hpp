@@ -26,8 +26,9 @@
 //     draining shard stops receiving new sessions while existing ones run
 //     to completion (migration-by-attrition; see docs/SHARDING.md).
 //
-// Placement is a pure function (pick_shard) over per-shard snapshots so the
-// policy is unit-testable without sockets.
+// Placement (pick_shard) and the fleet stats fold (fold_fleet_stats) are
+// pure functions over per-shard snapshots, so both are unit-testable
+// without sockets.
 #pragma once
 
 #include <atomic>
@@ -44,11 +45,11 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "obs/histogram.hpp"
-#include "obs/timeseries.hpp"
+#include "obs/registry.hpp"
 #include "server/client.hpp"
 #include "server/protocol_wire.hpp"
 #include "server/reactor.hpp"
+#include "server/telemetry.hpp"
 
 namespace ewc::router {
 
@@ -69,6 +70,27 @@ struct ShardSnapshot {
 std::optional<std::size_t> pick_shard(const std::vector<ShardSnapshot>& shards,
                                       double load_weight,
                                       double energy_weight);
+
+/// One shard as the fleet stats fold sees it.
+struct ShardStats {
+  ShardSnapshot placement;  ///< alive, draining, sessions, power_watts
+  double migrated_out = 0;  ///< sessions live-migrated away
+  obs::RegistrySnapshot polled;  ///< the shard's last kStats reply
+};
+
+/// The router's kStats body, a pure function of its inputs: `local` (the
+/// router's own registry snapshot) plus
+///   * every shard counter summed in under its plain name, in shard-index
+///     order, so fleet-wide "server.replies" or
+///     "backend.total_energy_joules" read exactly like a single daemon's;
+///   * the shard.<i>.* breakdown: each shard's counters plus the
+///     router.{placements,alive,draining,power_watts,migrated_out} gauges;
+///   * router.shards and router.shards_alive;
+///   * every shard histogram merged in by name. One whose bucket geometry
+///     differs from the first seen under its name is skipped: a shard
+///     reporting an odd geometry must not take the router down.
+obs::RegistrySnapshot fold_fleet_stats(obs::RegistrySnapshot local,
+                                       const std::vector<ShardStats>& shards);
 
 struct RouterOptions {
   /// Endpoint to serve clients on (`unix:/path`, `tcp:host:port`, bare path).
@@ -176,8 +198,7 @@ class Router {
     double power_watts = 0;
     bool have_energy = false;
     std::chrono::steady_clock::time_point polled_at{};
-    std::map<std::string, double> counters;
-    std::map<std::string, obs::HistogramSnapshot> histograms;
+    obs::RegistrySnapshot polled;
   };
 
   /// Per-connection state, attached as Reactor::Conn ctx on both sides of
@@ -226,16 +247,13 @@ class Router {
   /// Downstream hello: place the session, dial, pair, forward.
   void handle_hello(const server::Reactor::ConnPtr& conn, const CtxPtr& ctx,
                     const net::Frame& frame);
-  /// Downstream kStats: answer with the fleet aggregate + breakdown.
-  void handle_stats(const server::Reactor::ConnPtr& conn,
-                    const net::Frame& frame);
-  /// Downstream kMetrics: answer with the fleet time-series (fleet-wide
-  /// names plus the shard.<i>.* breakdown) from the router's own sampler.
-  void handle_metrics(const server::Reactor::ConnPtr& conn,
-                      const net::Frame& frame);
-  /// Register the fleet + per-shard derived series over the poller's view
-  /// and start the sampler thread; no-op when disabled.
-  void start_sampler();
+  /// Fill telemetry_: kStats answers with the fleet fold after a fresh
+  /// poll; with metrics_interval > 0, also register the fleet-wide and
+  /// shard.<i>.* derived series over the poller's view and start the
+  /// sampler thread.
+  void start_telemetry();
+  /// The fleet fold's input: every shard's placement view and last poll.
+  std::vector<ShardStats> shard_stats() const;
   /// Downstream kFlush: fan out to every shard (a client asking "push the
   /// pending batch through" means the fleet's, not just its own shard's),
   /// then answer kFlushDone(ok = every shard flushed).
@@ -255,7 +273,7 @@ class Router {
   void record_dial_success(Shard& shard);
 
   /// One synchronous poll pass over every shard (poller thread; also run
-  /// on demand by handle_stats for a fresh aggregate).
+  /// on demand before a kStats or kMetrics reply for a fresh view).
   void poll_shards();
   void poll_loop();
 
@@ -305,8 +323,9 @@ class Router {
   std::condition_variable poller_cv_;
   bool poller_stop_ = false;
 
-  /// The kMetrics time-series rings, fed from the polled shard state.
-  std::unique_ptr<obs::Sampler> sampler_;
+  /// The kStats/kMetrics endpoint; its sampler reads the polled shard
+  /// state.
+  server::Telemetry telemetry_;
 
   /// Sticky placement: session nonce -> shard index, bounded FIFO-ish (the
   /// lowest nonce is evicted past the cap). A reconnecting session lands on

@@ -7,8 +7,8 @@
 
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
+#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-#include "trace/counters.hpp"
 
 namespace ewc::server {
 
@@ -49,7 +49,7 @@ std::uint64_t mix_trace_id(std::uint64_t session, std::uint64_t request_id) {
 }
 
 struct ClientCounters {
-  trace::Counters::Handle reconnects, replayed, breaker_trips;
+  obs::Counter reconnects, replayed, breaker_trips;
 };
 
 /// Split a comma-separated --socket spec into its endpoints. Empty segments
@@ -70,7 +70,7 @@ std::vector<std::string> split_endpoints(const std::string& spec) {
 }
 
 ClientCounters& counters() {
-  auto h = [](const char* n) { return trace::Counters::instance().handle(n); };
+  auto h = [](const char* n) { return obs::Registry::instance().counter(n); };
   static ClientCounters* s = new ClientCounters{
       h("client.reconnects"), h("client.replayed_launches"),
       h("client.breaker_trips")};

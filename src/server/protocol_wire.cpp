@@ -285,8 +285,7 @@ std::optional<StatsReplyMsg> decode_stats_reply(
     h.total = r.u64();
     h.sum = r.f64();
     const std::uint32_t ncounts = r.u32();
-    if (!r.ok() || ncounts > kMaxEntries ||
-        h.params.buckets < 0 ||
+    if (!r.ok() || ncounts > kMaxEntries || !h.params.valid() ||
         ncounts != static_cast<std::uint32_t>(h.params.buckets) + 1) {
       return std::nullopt;
     }

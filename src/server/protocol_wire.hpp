@@ -102,10 +102,11 @@ struct StatsMsg {
   bool include_histograms = true;
 };
 
-/// One coherent snapshot of the daemon's trace::Counters and obs histogram
-/// registry. Histograms travel with their full bucket geometry, so the
-/// client interpolates percentiles itself (and can merge snapshots from
-/// several daemons).
+/// One coherent snapshot of the process's obs::Registry: its counters and
+/// histograms (for a router, folded with its shards'). Histograms travel
+/// with their full bucket geometry, so the client interpolates percentiles
+/// itself (and can merge snapshots from several daemons). The decoder
+/// rejects a geometry that fails HistogramParams::valid().
 struct StatsReplyMsg {
   std::uint64_t token = 0;
   std::uint64_t uptime_micros = 0;

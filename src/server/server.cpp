@@ -7,10 +7,8 @@
 #include "common/log.hpp"
 #include "fault/injector.hpp"
 #include "net/endpoint.hpp"
-#include "obs/histogram.hpp"
-#include "obs/prometheus.hpp"
+#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-#include "trace/counters.hpp"
 
 namespace ewc::server {
 
@@ -23,25 +21,22 @@ constexpr common::Duration kTick = common::Duration::from_millis(50.0);
 /// bump these per frame, so each hit is one relaxed atomic add with no
 /// registry lock. The `server.*` namespace is documented in docs/SERVER.md.
 struct ServerCounters {
-  trace::Counters::Handle connections_accepted, connections_rejected,
+  obs::Counter connections_accepted, connections_rejected,
       connections_closed, protocol_errors, admitted, rejected, requests,
-      replies, flushes, shutdown_requests, stats_requests, metrics_requests,
-      deadline_expired, drain_failed_replies, drain_flush_timeouts,
-      replayed_requests, parked_replies, accept_backoff, migrate_exports,
-      migrate_imports, migrate_refusals;
+      replies, flushes, shutdown_requests, deadline_expired,
+      drain_failed_replies, drain_flush_timeouts, replayed_requests,
+      parked_replies, accept_backoff, migrate_exports, migrate_imports,
+      migrate_refusals;
 };
 
 ServerCounters& counters() {
-  auto h = [](const char* n) {
-    return trace::Counters::instance().handle(n);
-  };
+  auto h = [](const char* n) { return obs::Registry::instance().counter(n); };
   static ServerCounters* s = new ServerCounters{
       h("server.connections.accepted"), h("server.connections.rejected"),
       h("server.connections.closed"),   h("server.protocol_errors"),
       h("server.admitted"),             h("server.rejected"),
       h("server.requests"),             h("server.replies"),
       h("server.flushes"),              h("server.shutdown_requests"),
-      h("server.stats_requests"),       h("server.metrics_requests"),
       h("server.deadline_expired"),
       h("server.drain.failed_replies"), h("server.drain.flush_timeouts"),
       h("server.replayed_requests"),    h("server.parked_replies"),
@@ -51,8 +46,8 @@ ServerCounters& counters() {
 }
 
 obs::Histogram* request_latency_hist() {
-  static obs::Histogram* hist = obs::HistogramRegistry::instance().get(
-      "server.request_latency_seconds");
+  static obs::Histogram* hist =
+      obs::Registry::instance().histogram("server.request_latency_seconds");
   return hist;
 }
 
@@ -63,7 +58,7 @@ Server::Server(consolidate::Backend& backend, ServerOptions options)
 
 Server::~Server() {
   if (running_.load()) stop();
-  sampler_.reset();  // joins the sampler tick thread
+  telemetry_.sampler.reset();  // joins the sampler tick thread
   reactor_.reset();  // joins the event loop + pump workers
   backend_replies_->close();
   if (demux_.joinable()) demux_.join();
@@ -116,7 +111,7 @@ bool Server::start(std::string* error) {
     stopped_ = false;
   }
   running_.store(true);
-  started_at_ = std::chrono::steady_clock::now();
+  start_telemetry();
   if (!reactor_->start(std::move(*listener), error)) {
     running_.store(false);
     {
@@ -126,26 +121,31 @@ bool Server::start(std::string* error) {
     return false;
   }
   demux_ = std::thread([this] { demux_loop(); });
-  start_sampler();
   return true;
 }
 
-void Server::start_sampler() {
+void Server::start_telemetry() {
+  auto& registry = obs::Registry::instance();
+  telemetry_.started_at = std::chrono::steady_clock::now();
+  telemetry_.stats = [] { return obs::Registry::instance().snapshot(); };
+  telemetry_.stats_requests = registry.counter("server.stats_requests");
+  telemetry_.metrics_requests = registry.counter("server.metrics_requests");
+  telemetry_.interval_seconds = options_.metrics_interval;
   if (options_.metrics_interval <= 0.0) return;
-  sampler_ = std::make_unique<obs::Sampler>(options_.metrics_history);
-  auto counter = [](const char* name) {
-    trace::Counters::Handle h = trace::Counters::instance().handle(name);
-    return [h]() mutable { return h.value(); };
+  auto sampler = std::make_unique<obs::Sampler>(options_.metrics_history);
+  auto counter = [&registry](const char* name) {
+    obs::Counter h = registry.counter(name);
+    return [h] { return h.value(); };
   };
-  sampler_->add_rate("rps", counter("server.replies"));
-  sampler_->add_rate("power_watts", counter("backend.total_energy_joules"));
-  sampler_->add_ratio("joules_per_request",
-                      counter("backend.total_energy_joules"),
-                      counter("server.replies"));
-  sampler_->add_histogram_percentile(
+  sampler->add_rate("rps", counter("server.replies"));
+  sampler->add_rate("power_watts", counter("backend.total_energy_joules"));
+  sampler->add_ratio("joules_per_request",
+                     counter("backend.total_energy_joules"),
+                     counter("server.replies"));
+  sampler->add_histogram_percentile(
       "p95_seconds", [] { return request_latency_hist()->snapshot(); },
       95.0);
-  sampler_->add_gauge("inflight", [] {
+  sampler->add_gauge("inflight", [] {
     const ServerCounters& c = counters();
     return std::max(0.0, c.admitted.value() - c.replies.value() -
                              c.deadline_expired.value() -
@@ -154,9 +154,10 @@ void Server::start_sampler() {
   // Cumulative gauges alongside the derived rates: a one-shot scrape can
   // compute run-average joules/request (energy / requests) without any
   // interval sensitivity.
-  sampler_->add_gauge("energy_joules", counter("backend.total_energy_joules"));
-  sampler_->add_gauge("requests", counter("server.replies"));
-  sampler_->start(options_.metrics_interval);
+  sampler->add_gauge("energy_joules", counter("backend.total_energy_joules"));
+  sampler->add_gauge("requests", counter("server.replies"));
+  sampler->start(options_.metrics_interval);
+  telemetry_.sampler = std::move(sampler);
 }
 
 void Server::notify_stop() {
@@ -235,10 +236,10 @@ void Server::on_frame(const Reactor::ConnPtr& conn, net::Frame frame) {
       notify_stop();
       break;
     case MsgType::kStats:
-      handle_stats(conn, frame);
-      break;
     case MsgType::kMetrics:
-      handle_metrics(conn, frame);
+      if (!answer_telemetry(conn, frame, telemetry_)) {
+        counters().protocol_errors.inc();
+      }
       break;
     case MsgType::kMigrateExport:
       handle_migrate_export(conn, frame);
@@ -466,72 +467,6 @@ void Server::handle_flush(const Reactor::ConnPtr& conn,
   }
   conn->send(static_cast<std::uint16_t>(MsgType::kFlushDone),
              encode_flush_done(reply));
-}
-
-void Server::handle_stats(const Reactor::ConnPtr& conn,
-                          const net::Frame& frame) {
-  const auto stats = decode_stats(frame.payload);
-  if (!stats.has_value()) {
-    counters().protocol_errors.inc();
-    conn->send(static_cast<std::uint16_t>(MsgType::kError),
-               encode_error({"malformed stats"}));
-    conn->close_async();
-    return;
-  }
-  counters().stats_requests.inc();
-  StatsReplyMsg reply;
-  reply.token = stats->token;
-  reply.uptime_micros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count());
-  reply.counters = trace::Counters::instance().snapshot();
-  if (stats->include_histograms) {
-    reply.histograms = obs::HistogramRegistry::instance().snapshot_all();
-  }
-  conn->send(static_cast<std::uint16_t>(MsgType::kStatsReply),
-             encode_stats_reply(reply));
-}
-
-void Server::handle_metrics(const Reactor::ConnPtr& conn,
-                            const net::Frame& frame) {
-  const auto metrics = decode_metrics(frame.payload);
-  if (!metrics.has_value()) {
-    counters().protocol_errors.inc();
-    conn->send(static_cast<std::uint16_t>(MsgType::kError),
-               encode_error({"malformed metrics"}));
-    conn->close_async();
-    return;
-  }
-  counters().metrics_requests.inc();
-  MetricsReplyMsg reply;
-  reply.token = metrics->token;
-  reply.uptime_micros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count());
-  if (sampler_ != nullptr) {
-    // Take a fresh sample so a one-shot scrape reads values as of *now*,
-    // not up to one tick stale (end-of-run accounting cares).
-    sampler_->sample_now();
-    reply.interval_seconds = options_.metrics_interval;
-    reply.series = sampler_->snapshot();
-  }
-  if (metrics->include_prometheus) {
-    // Counters plus the sampler's newest derived values in one scrape; the
-    // derived names (rps, p95_seconds, ...) never collide with the dotted
-    // counter namespace.
-    std::map<std::string, double> values =
-        trace::Counters::instance().snapshot();
-    if (sampler_ != nullptr) {
-      for (const auto& [name, value] : sampler_->last_values()) {
-        values[name] = value;
-      }
-    }
-    reply.prometheus_text = obs::prom::render_exposition(values);
-  }
-  conn->send(static_cast<std::uint16_t>(MsgType::kMetricsReply),
-             encode_metrics_reply(reply));
 }
 
 void Server::handle_migrate_export(const Reactor::ConnPtr& conn,

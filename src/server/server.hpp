@@ -60,9 +60,9 @@
 #include "consolidate/backend.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "obs/timeseries.hpp"
 #include "server/protocol_wire.hpp"
 #include "server/reactor.hpp"
+#include "server/telemetry.hpp"
 
 namespace ewc::server {
 
@@ -198,8 +198,6 @@ class Server {
   void handle_launch(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
                      const net::Frame& frame);
   void handle_flush(const Reactor::ConnPtr& conn, const net::Frame& frame);
-  void handle_stats(const Reactor::ConnPtr& conn, const net::Frame& frame);
-  void handle_metrics(const Reactor::ConnPtr& conn, const net::Frame& frame);
   /// Live-migration export: snapshot (commit=false) or drop (commit=true)
   /// one replay session's completed log. A snapshot is refused while the
   /// session has in-flight launches, and refused/torn exports leave the
@@ -212,9 +210,10 @@ class Server {
   /// record_completed_locked).
   void handle_migrate_import(const Reactor::ConnPtr& conn,
                              const net::Frame& frame);
-  /// Register the daemon's derived series (rps, p95, watts, J/request,
-  /// inflight) and start the sampler thread; no-op when disabled.
-  void start_sampler();
+  /// Fill telemetry_: the kStats body is the registry snapshot; with
+  /// metrics_interval > 0, also register the daemon's derived series (rps,
+  /// p95, watts, J/request, inflight) and start the sampler thread.
+  void start_telemetry();
 
   /// Routes every backend reply to the connection currently owning its
   /// (session, owner, request_id) — which may not be the one that forwarded
@@ -273,13 +272,11 @@ class Server {
   std::map<std::uint64_t, SessionState> sessions_;
   static constexpr std::size_t kCompletedCapPerSession = 1024;
 
-  /// The kMetrics time-series rings; constructed (and its tick thread
-  /// started) by start() when metrics_interval > 0.
-  std::unique_ptr<obs::Sampler> sampler_;
+  /// The kStats/kMetrics endpoint, including the sampler's tick thread.
+  Telemetry telemetry_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  std::chrono::steady_clock::time_point started_at_{};
   std::mutex stopped_mu_;
   std::condition_variable stopped_cv_;
   bool stopped_ = true;  ///< until start()

@@ -31,11 +31,11 @@
 #include "net/frame.hpp"
 #include "net/retry.hpp"
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
 #include "power/trainer.hpp"
 #include "server/client.hpp"
 #include "server/protocol_wire.hpp"
 #include "server/server.hpp"
-#include "trace/counters.hpp"
 #include "workloads/paper_configs.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/rodinia_like.hpp"
@@ -876,8 +876,9 @@ TEST_F(FaultDaemonTest, AcceptFdExhaustionBacksOffAndRecovers) {
   const auto path = scripted_path("accept-fd");
   Daemon daemon(*engine_, *model_, path, /*threshold=*/1);
   ASSERT_TRUE(daemon.started);
-  const double backoffs_before =
-      trace::Counters::instance().value("server.accept_backoff");
+  const obs::Counter backoffs =
+      obs::Registry::instance().counter("server.accept_backoff");
+  const double backoffs_before = backoffs.value();
 
   // The first three accept readiness events mint no fd (simulated EMFILE);
   // the pending connection stays queued, so each backoff ends in another
@@ -888,9 +889,7 @@ TEST_F(FaultDaemonTest, AcceptFdExhaustionBacksOffAndRecovers) {
       path, "fd-client", Duration::from_seconds(10.0), &err);
   ASSERT_NE(conn, nullptr) << err;
   EXPECT_EQ(fault::Injector::instance().fired("net.accept"), 3u);
-  EXPECT_GE(trace::Counters::instance().value("server.accept_backoff") -
-                backoffs_before,
-            3.0);
+  EXPECT_GE(backoffs.value() - backoffs_before, 3.0);
 
   const auto reply =
       conn->launch(aes_launch("fd-a"), Duration::from_seconds(60.0));
@@ -908,8 +907,9 @@ TEST_F(FaultDaemonTest, ServerFullRecoveryRefusalsDoNotTripBreaker) {
   Daemon daemon(*engine_, *model_, path, /*threshold=*/1,
                 Duration::from_seconds(120.0), /*max_clients=*/1);
   ASSERT_TRUE(daemon.started);
-  const double trips_before =
-      trace::Counters::instance().value("client.breaker_trips");
+  const obs::Counter trips =
+      obs::Registry::instance().counter("client.breaker_trips");
+  const double trips_before = trips.value();
 
   server::ClientOptions vopts;
   vopts.auto_reconnect = true;
@@ -948,8 +948,7 @@ TEST_F(FaultDaemonTest, ServerFullRecoveryRefusalsDoNotTripBreaker) {
       victim->launch(aes_launch("victim-a"), Duration::from_seconds(60.0));
   EXPECT_TRUE(reply.ok) << reply.error;
   EXPECT_GE(victim->reconnects(), 1u);
-  EXPECT_EQ(trace::Counters::instance().value("client.breaker_trips"),
-            trips_before);
+  EXPECT_EQ(trips.value(), trips_before);
 }
 
 // Same principle at the launch level: ok=false "in-flight limit" rejections
@@ -961,8 +960,9 @@ TEST_F(FaultDaemonTest, AdmissionRejectionFloodDoesNotTripBreaker) {
                 Duration::from_seconds(120.0), /*max_clients=*/64,
                 /*inflight_limit=*/2);
   ASSERT_TRUE(daemon.started);
-  const double trips_before =
-      trace::Counters::instance().value("client.breaker_trips");
+  const obs::Counter trips =
+      obs::Registry::instance().counter("client.breaker_trips");
+  const double trips_before = trips.value();
 
   server::ClientOptions copts;
   copts.breaker_threshold = 3;
@@ -1004,8 +1004,7 @@ TEST_F(FaultDaemonTest, AdmissionRejectionFloodDoesNotTripBreaker) {
   EXPECT_GT(ok.load(), 0);
   EXPECT_EQ(breaker_failures.load(), 0);
   EXPECT_EQ(other.load(), 0);
-  EXPECT_EQ(trace::Counters::instance().value("client.breaker_trips"),
-            trips_before);
+  EXPECT_EQ(trips.value(), trips_before);
 
   const auto reply =
       conn->launch(aes_launch("flood"), Duration::from_seconds(60.0));

@@ -7,81 +7,19 @@
 // trajectory datapoints with equal config hashes comparable at all.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "ewcsim_process.hpp"
 #include "obs/json.hpp"
 
 namespace ewc {
 namespace {
-
-pid_t spawn_ewcsim(const std::vector<std::string>& args,
-                   const std::string& stdout_path) {
-  std::vector<std::string> full;
-  full.push_back(EWCSIM_PATH);
-  full.insert(full.end(), args.begin(), args.end());
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    // Child: only async-signal-safe calls until execv.
-    const int fd =
-        ::open(stdout_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      ::dup2(fd, 1);
-      ::dup2(fd, 2);
-    }
-    std::vector<char*> argv;
-    argv.reserve(full.size() + 1);
-    for (auto& a : full) argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    ::_exit(127);
-  }
-  return pid;
-}
-
-int wait_exit_code(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  return -WTERMSIG(status);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Parse the harness's "LOADGEN k1=v1 k2=v2 ..." summary line.
-std::map<std::string, std::string> parse_loadgen_line(
-    const std::string& text) {
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::istringstream words(line);
-    std::string word;
-    if (!(words >> word) || word != "LOADGEN") continue;
-    std::map<std::string, std::string> rec;
-    while (words >> word) {
-      const auto eq = word.find('=');
-      if (eq != std::string::npos) {
-        rec[word.substr(0, eq)] = word.substr(eq + 1);
-      }
-    }
-    return rec;
-  }
-  return {};
-}
 
 /// 500 sessions * (1 client fd + 1 daemon fd) needs headroom over the
 /// common 1024 soft limit; children inherit the raised limit.
@@ -120,8 +58,9 @@ TEST(LoadgenE2E, FiveHundredSessionsZeroLostZeroDuplicated) {
   const std::string load_out = read_file(dir + "/loadgen_e2e_load.log");
   EXPECT_EQ(load_exit, 0) << load_out;
 
-  const auto rec = parse_loadgen_line(load_out);
-  ASSERT_FALSE(rec.empty()) << load_out;
+  const auto recs = parse_records(load_out, "LOADGEN");
+  ASSERT_FALSE(recs.empty()) << load_out;
+  const auto& rec = recs.front();
   EXPECT_EQ(rec.at("sessions"), "500");
   EXPECT_EQ(rec.at("lost"), "0");
   EXPECT_EQ(rec.at("dup"), "0");

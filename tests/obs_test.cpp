@@ -1,11 +1,12 @@
 // Observability layer: histogram bucket math, tracer ring semantics, the
-// Chrome-trace exporter's schema, counter handles, and the STATS codec.
+// Chrome-trace exporter's schema, the metric registry, and the STATS codec.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -16,9 +17,9 @@
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
+#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "server/protocol_wire.hpp"
-#include "trace/counters.hpp"
 
 namespace ewc {
 namespace {
@@ -262,35 +263,31 @@ TEST(JsonlAppend, ReportsUnwritableTarget) {
   EXPECT_FALSE(err.empty());
 }
 
-TEST(HistogramRegistry, HandlesAreStableAcrossClear) {
-  auto& reg = obs::HistogramRegistry::instance();
-  obs::Histogram* h = reg.get("obs_test.registry_histogram");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(reg.get("obs_test.registry_histogram"), h);
-  h->record(0.5);
+TEST(Registry, HandlesSurviveClearAndSnapshotHoldsBothKinds) {
+  auto& reg = obs::Registry::instance();
+  const obs::Counter counter = reg.counter("obs_test.counter");
+  obs::Histogram* hist = reg.histogram("obs_test.histogram");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(reg.histogram("obs_test.histogram"), hist);
+  counter.add(2.0);
+  reg.counter("obs_test.counter").inc();  // a second lookup, the same cell
+  EXPECT_DOUBLE_EQ(counter.value(), 3.0);
+  hist->record(0.5);
+
   reg.clear();
-  EXPECT_TRUE(h->snapshot().empty());
-  h->record(0.25);  // the pointer still records after clear()
-  EXPECT_EQ(h->snapshot().total, 1u);
-  EXPECT_TRUE(reg.snapshot_all().contains("obs_test.registry_histogram"));
+  EXPECT_DOUBLE_EQ(counter.value(), 0.0);
+  EXPECT_TRUE(hist->snapshot().empty());
+  counter.inc();  // zeroed in place, not destroyed: handles still write
+  hist->record(0.25);
+  const obs::RegistrySnapshot snap = reg.snapshot();
+  EXPECT_DOUBLE_EQ(snap.counters.at("obs_test.counter"), 1.0);
+  EXPECT_EQ(snap.histograms.at("obs_test.histogram").total, 1u);
 }
 
-// ---- counters handles ----
-
-TEST(Counters, HandleSurvivesClearAndMatchesStringApi) {
-  auto& counters = trace::Counters::instance();
-  auto handle = counters.handle("obs_test.counter");
-  handle.add(2.0);
-  counters.inc("obs_test.counter");
-  EXPECT_DOUBLE_EQ(counters.value("obs_test.counter"), 3.0);
-  counters.clear();
-  EXPECT_DOUBLE_EQ(handle.value(), 0.0);
-  handle.inc();  // cell was zeroed in place, not destroyed
-  EXPECT_DOUBLE_EQ(counters.value("obs_test.counter"), 1.0);
-
-  trace::Counters::Handle null_handle;
-  null_handle.inc();  // default handle is a safe no-op sink
-  EXPECT_FALSE(static_cast<bool>(null_handle));
+TEST(Registry, DefaultCounterIsANoOpSink) {
+  const obs::Counter null_handle;
+  null_handle.inc();
+  null_handle.set(5.0);
   EXPECT_DOUBLE_EQ(null_handle.value(), 0.0);
 }
 
@@ -517,6 +514,25 @@ TEST(StatsCodec, RejectsMalformedReply) {
   bytes.push_back(std::byte{0});
   EXPECT_FALSE(server::decode_stats_reply(bytes).has_value());
   EXPECT_FALSE(server::decode_stats_reply({}).has_value());
+  // Bucket geometry no histogram can be built with is rejected at the
+  // wire, before HistogramSnapshot::merge could throw on it in the router.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const obs::HistogramParams p : std::vector<obs::HistogramParams>{
+           {nan, 1.19, 160}, {0.0, 1.19, 160}, {-1e-6, 1.19, 160},
+           {inf, 1.19, 160}, {1e-6, nan, 160}, {1e-6, 1.0, 160},
+           {1e-6, 0.5, 160}, {1e-6, inf, 160}, {1e-6, 1.19, 0}}) {
+    EXPECT_FALSE(p.valid());
+    EXPECT_THROW(obs::Histogram{p}, std::invalid_argument);
+    server::StatsReplyMsg odd;
+    obs::HistogramSnapshot s;
+    s.params = p;
+    s.counts.assign(static_cast<std::size_t>(p.buckets) + 1, 0);
+    odd.histograms["h"] = s;
+    EXPECT_FALSE(server::decode_stats_reply(server::encode_stats_reply(odd))
+                     .has_value())
+        << p.min_value << " " << p.growth << " " << p.buckets;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 #include "consolidate/queue_sim.hpp"
 #include "gpusim/engine.hpp"
-#include "trace/counters.hpp"
+#include "obs/registry.hpp"
 #include "perf/hong_kim.hpp"
 #include "power/trainer.hpp"
 #include "workloads/paper_configs.hpp"
@@ -223,14 +223,14 @@ TEST_F(QueueSimTest, DrainedTraceStillWaitsOutTheBatchTimeout) {
 }
 
 TEST_F(QueueSimTest, PublishesCacheCountersAfterARun) {
-  trace::Counters::instance().clear();
+  obs::Registry::instance().clear();
   consolidate::QueueSimOptions opt;
   opt.batch_threshold = 4;
   consolidate::QueueSimulator sim(*engine_, *model_, catalogue(), opt);
   auto result = sim.run(uniform_trace(12, 0.5));
-  const auto& counters = trace::Counters::instance();
-  const double hits = counters.value("queue_sim.predict_cache.hits");
-  const double misses = counters.value("queue_sim.predict_cache.misses");
+  const auto counters = obs::Registry::instance().snapshot().counters;
+  const double hits = counters.at("queue_sim.predict_cache.hits");
+  const double misses = counters.at("queue_sim.predict_cache.misses");
   EXPECT_EQ(hits, static_cast<double>(result.predict_cache_stats.hits));
   EXPECT_EQ(misses, static_cast<double>(result.predict_cache_stats.misses));
   EXPECT_GT(hits + misses, 0.0);

@@ -1,22 +1,23 @@
 // Tests for the energy-aware fleet router.
 //
-// The placement policy is a pure function (pick_shard), so its tests need
-// no sockets. The integration tests stand up two real in-process ewcd
+// The placement policy (pick_shard) and the fleet stats fold
+// (fold_fleet_stats) are pure functions, so their tests need no sockets:
+// the fold tests pin the aggregation arithmetic over synthetic shard
+// snapshots. The integration tests stand up two real in-process ewcd
 // shards on UNIX sockets behind one Router and drive them with the real
 // client, covering placement balancing, drain-based migration, flush
 // fan-out, stats aggregation, and the router.forward fault site.
 //
-// In-process caveat: trace::Counters is process-wide, so two in-process
-// shards report the *same* global counter registry and the fleet sums
-// would double count. These tests therefore assert placement state via
+// In-process caveat: the obs::Registry is process-wide, so two in-process
+// shards report the *same* registry and the fleet sums double count. The
+// integration tests therefore assert placement state via
 // Router::snapshots() and stats *structure* (shard.<i>.* breakdown keys,
-// router.* gauges); cross-process aggregation arithmetic is covered by the
-// fleet chaos test and the CI fleet-smoke job, where every shard is its
-// own process.
+// router.* gauges); the fold tests cover the arithmetic.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <array>
 #include <bit>
 #include <chrono>
 #include <future>
@@ -30,11 +31,11 @@
 #include "consolidate/backend.hpp"
 #include "fault/injector.hpp"
 #include "gpusim/engine.hpp"
+#include "obs/registry.hpp"
 #include "power/trainer.hpp"
 #include "router/router.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
-#include "trace/counters.hpp"
 #include "workloads/paper_configs.hpp"
 #include "workloads/rodinia_like.hpp"
 
@@ -102,6 +103,92 @@ TEST(PickShardTest, NoPlaceableShardIsNullopt) {
 TEST(PickShardTest, TiesAreDeterministicallyLowestIndex) {
   const std::vector<ShardSnapshot> shards = {snap(2), snap(2), snap(2)};
   EXPECT_EQ(pick_shard(shards, 1.0, 0.05), 0u);
+}
+
+// ---- fleet stats fold ----
+
+obs::HistogramSnapshot latencies(std::initializer_list<double> values,
+                                 obs::HistogramParams params = {}) {
+  obs::Histogram h(params);
+  for (const double v : values) h.record(v);
+  return h.snapshot();
+}
+
+TEST(FoldFleetStatsTest, SumsBreaksDownAndMergesPerShard) {
+  std::vector<router::ShardStats> shards(3);
+  shards[0].placement = snap(/*sessions=*/3, 0, /*power_watts=*/120.5);
+  shards[0].migrated_out = 2;
+  shards[0].polled.counters = {{"server.replies", 10},
+                               {"backend.total_energy_joules", 1e16}};
+  shards[0].polled.histograms["server.request_latency_seconds"] =
+      latencies({0.01, 0.02});
+  shards[1].placement = snap(1, 0, 80.0);
+  shards[1].placement.alive = false;
+  shards[1].polled.counters = {{"server.replies", 5},
+                               {"backend.total_energy_joules", 1.0},
+                               {"server.only_here", 7}};
+  shards[1].polled.histograms["server.request_latency_seconds"] =
+      latencies({0.5});
+  shards[2].placement = snap(0);
+  shards[2].placement.draining = true;
+  shards[2].polled.counters = {{"backend.total_energy_joules", 1.0}};
+
+  obs::RegistrySnapshot local;
+  local.counters = {{"router.sessions_placed", 4}, {"server.replies", 1}};
+  const auto out = router::fold_fleet_stats(local, shards);
+  const auto& c = out.counters;
+
+  // Plain names: the router's own value plus every shard's, summed in
+  // shard-index order. 1e16 + 1 rounds back to 1e16 twice; the reverse
+  // order would give 1e16 + 2.
+  EXPECT_EQ(c.at("server.replies"), 16.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(c.at("backend.total_energy_joules")),
+            std::bit_cast<std::uint64_t>((1e16 + 1.0) + 1.0));
+  EXPECT_NE(c.at("backend.total_energy_joules"), 1e16 + 2.0);
+  EXPECT_EQ(c.at("server.only_here"), 7.0);
+  EXPECT_EQ(c.at("router.sessions_placed"), 4.0);
+
+  // The shard.<i>.* breakdown holds each shard's own counters only.
+  EXPECT_EQ(c.at("shard.0.server.replies"), 10.0);
+  EXPECT_EQ(c.at("shard.1.server.replies"), 5.0);
+  EXPECT_EQ(c.at("shard.1.server.only_here"), 7.0);
+  EXPECT_FALSE(c.contains("shard.0.server.only_here"));
+  EXPECT_FALSE(c.contains("shard.2.server.replies"));
+  EXPECT_EQ(c.at("shard.2.backend.total_energy_joules"), 1.0);
+
+  // The router's per-shard gauges.
+  const std::vector<std::array<double, 5>> gauges = {
+      {3, 1, 0, 120.5, 2}, {1, 0, 0, 80.0, 0}, {0, 1, 1, 0, 0}};
+  for (std::size_t i = 0; i < gauges.size(); ++i) {
+    const std::string p = "shard." + std::to_string(i) + ".router.";
+    EXPECT_EQ(c.at(p + "placements"), gauges[i][0]) << p;
+    EXPECT_EQ(c.at(p + "alive"), gauges[i][1]) << p;
+    EXPECT_EQ(c.at(p + "draining"), gauges[i][2]) << p;
+    EXPECT_EQ(c.at(p + "power_watts"), gauges[i][3]) << p;
+    EXPECT_EQ(c.at(p + "migrated_out"), gauges[i][4]) << p;
+  }
+  EXPECT_EQ(c.at("router.shards"), 3.0);
+  EXPECT_EQ(c.at("router.shards_alive"), 2.0);
+
+  // Histograms merge by name across shards.
+  const auto& h = out.histograms.at("server.request_latency_seconds");
+  EXPECT_EQ(h.total, 3u);
+  EXPECT_DOUBLE_EQ(h.sum, 0.01 + 0.02 + 0.5);
+}
+
+TEST(FoldFleetStatsTest, SkipsAHistogramWithMismatchedGeometry) {
+  obs::HistogramParams odd;
+  odd.growth = 2.0;
+  std::vector<router::ShardStats> shards(3);
+  shards[0].polled.histograms["h"] = latencies({0.01});
+  shards[1].polled.histograms["h"] = latencies({0.02, 0.03}, odd);
+  shards[2].polled.histograms["h"] = latencies({0.04});
+  obs::RegistrySnapshot out;
+  ASSERT_NO_THROW(out = router::fold_fleet_stats({}, shards));
+  const auto& h = out.histograms.at("h");
+  EXPECT_EQ(h.params, obs::HistogramParams{});
+  EXPECT_EQ(h.total, 2u);
+  EXPECT_DOUBLE_EQ(h.sum, 0.01 + 0.04);
 }
 
 // ---- integration: two in-process shards behind one router ----
@@ -437,8 +524,9 @@ TEST_F(RouterFleetTest, DrainLiveMigratesIdleReplaySessions) {
   ASSERT_TRUE(original.ok) << original.error;
   ASSERT_EQ(fleet.router->snapshots()[0].sessions, 1.0);
 
-  const double migrated_before =
-      trace::Counters::instance().value("router.sessions_migrated");
+  const obs::Counter migrated =
+      obs::Registry::instance().counter("router.sessions_migrated");
+  const double migrated_before = migrated.value();
   fleet.router->set_draining(0, true);
 
   // The drain poller exports + imports + swaps the upstream underneath the
@@ -453,8 +541,7 @@ TEST_F(RouterFleetTest, DrainLiveMigratesIdleReplaySessions) {
   const auto snaps = fleet.router->snapshots();
   EXPECT_EQ(snaps[0].sessions, 0.0);
   EXPECT_EQ(snaps[1].sessions, 1.0);
-  EXPECT_GE(trace::Counters::instance().value("router.sessions_migrated"),
-            migrated_before + 1.0);
+  EXPECT_GE(migrated.value(), migrated_before + 1.0);
 
   // The client never noticed: no reconnect, and the session keeps serving.
   const auto after =
@@ -467,8 +554,9 @@ TEST_F(RouterFleetTest, DrainLiveMigratesIdleReplaySessions) {
   // re-issue the first launch.
   const std::uint64_t nonce = conn->session();
   conn.reset();
-  const double replays_before =
-      trace::Counters::instance().value("server.replayed_requests");
+  const obs::Counter replays =
+      obs::Registry::instance().counter("server.replayed_requests");
+  const double replays_before = replays.value();
   auto resumed = fleet.connect_replay("livemig-client", nonce);
   ASSERT_NE(resumed, nullptr);
   const auto replayed = resumed->launch(aes_launch("livemig-client"),
@@ -477,8 +565,7 @@ TEST_F(RouterFleetTest, DrainLiveMigratesIdleReplaySessions) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed.finish_time.seconds()),
             std::bit_cast<std::uint64_t>(original.finish_time.seconds()));
   EXPECT_EQ(replayed.where, original.where);
-  EXPECT_GE(trace::Counters::instance().value("server.replayed_requests"),
-            replays_before + 1.0);
+  EXPECT_GE(replays.value(), replays_before + 1.0);
 }
 
 TEST_F(RouterFleetTest, HandoffFaultAbortsMigrationThenRetrySucceeds) {
@@ -490,8 +577,9 @@ TEST_F(RouterFleetTest, HandoffFaultAbortsMigrationThenRetrySucceeds) {
       conn->launch(aes_launch("handoff-client"), Duration::from_seconds(60.0))
           .ok);
 
-  const double failed_before =
-      trace::Counters::instance().value("router.migrations_failed");
+  const obs::Counter failed =
+      obs::Registry::instance().counter("router.migrations_failed");
+  const double failed_before = failed.value();
   ArmGuard guard("router.handoff=fail:times=1");
   fleet.router->set_draining(0, true);
 
@@ -505,8 +593,7 @@ TEST_F(RouterFleetTest, HandoffFaultAbortsMigrationThenRetrySucceeds) {
   }
   EXPECT_EQ(fleet.router->snapshots()[0].sessions, 0.0);
   EXPECT_EQ(fault::Injector::instance().fired("router.handoff"), 1u);
-  EXPECT_GE(trace::Counters::instance().value("router.migrations_failed"),
-            failed_before + 1.0);
+  EXPECT_GE(failed.value(), failed_before + 1.0);
 
   // The aborted attempt never disturbed the client.
   const auto reply =
@@ -524,8 +611,9 @@ TEST_F(RouterFleetTest, ShardMigrateFaultLeavesSourceAuthoritative) {
       conn->launch(aes_launch("srvfault-client"), Duration::from_seconds(60.0))
           .ok);
 
-  const double failed_before =
-      trace::Counters::instance().value("router.migrations_failed");
+  const obs::Counter failed =
+      obs::Registry::instance().counter("router.migrations_failed");
+  const double failed_before = failed.value();
   // The *shard* refuses the export this time; the router must record a
   // failed migration, leave the session where it is, and retry.
   ArmGuard guard("server.migrate=fail:times=1");
@@ -539,8 +627,7 @@ TEST_F(RouterFleetTest, ShardMigrateFaultLeavesSourceAuthoritative) {
   }
   EXPECT_EQ(fleet.router->snapshots()[0].sessions, 0.0);
   EXPECT_GE(fault::Injector::instance().fired("server.migrate"), 1u);
-  EXPECT_GE(trace::Counters::instance().value("router.migrations_failed"),
-            failed_before + 1.0);
+  EXPECT_GE(failed.value(), failed_before + 1.0);
 
   const auto reply = conn->launch(aes_launch("srvfault-client"),
                                   Duration::from_seconds(60.0));
@@ -558,8 +645,9 @@ TEST_F(RouterFleetTest, ShardKillRehomesReplaySessionsInPlace) {
           .ok);
   ASSERT_EQ(fleet.router->snapshots()[0].sessions, 1.0);
 
-  const double rehomed_before =
-      trace::Counters::instance().value("router.sessions_rehomed");
+  const obs::Counter rehomed =
+      obs::Registry::instance().counter("router.sessions_rehomed");
+  const double rehomed_before = rehomed.value();
   // SIGKILL equivalent for an in-process shard: the server vanishes and the
   // router's upstream socket dies unclean. The router re-homes the session
   // onto the survivor instead of cutting the client loose.
@@ -568,14 +656,12 @@ TEST_F(RouterFleetTest, ShardKillRehomesReplaySessionsInPlace) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (trace::Counters::instance().value("router.sessions_rehomed") >=
-        rehomed_before + 1.0) {
+    if (rehomed.value() >= rehomed_before + 1.0) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_GE(trace::Counters::instance().value("router.sessions_rehomed"),
-            rehomed_before + 1.0);
+  EXPECT_GE(rehomed.value(), rehomed_before + 1.0);
 
   // Same connection keeps launching — the failover happened entirely inside
   // the router.

@@ -4,26 +4,23 @@
 // ewcsim binary (EWCSIM_PATH, injected by CMake).
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <bit>
 #include <cstdio>
-#include <fstream>
 #include <future>
 #include <map>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "consolidate/runner.hpp"
 #include "cudart/runtime.hpp"
+#include "ewcsim_process.hpp"
 #include "fault/injector.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "trace/counters.hpp"
+#include "obs/registry.hpp"
 #include "power/trainer.hpp"
 #include "server/client.hpp"
 #include "server/protocol_wire.hpp"
@@ -119,66 +116,6 @@ net::Socket raw_handshake(const std::string& path, const std::string& owner) {
       << err;
   EXPECT_EQ(frame.type, static_cast<std::uint16_t>(server::MsgType::kHelloOk));
   return std::move(*sock);
-}
-
-pid_t spawn_ewcsim(const std::vector<std::string>& args,
-                   const std::string& stdout_path) {
-  std::vector<std::string> full;
-  full.push_back(EWCSIM_PATH);
-  full.insert(full.end(), args.begin(), args.end());
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    // Child: only async-signal-safe calls until execv.
-    const int fd =
-        ::open(stdout_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      ::dup2(fd, 1);
-      ::dup2(fd, 2);
-    }
-    std::vector<char*> argv;
-    argv.reserve(full.size() + 1);
-    for (auto& a : full) argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    ::_exit(127);
-  }
-  return pid;
-}
-
-int wait_exit_code(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  return -WTERMSIG(status);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Parse "KEY k1=v1 k2=v2 ..." lines with the given leading keyword.
-std::vector<std::map<std::string, std::string>> parse_records(
-    const std::string& text, const std::string& keyword) {
-  std::vector<std::map<std::string, std::string>> records;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::istringstream words(line);
-    std::string word;
-    if (!(words >> word) || word != keyword) continue;
-    std::map<std::string, std::string> rec;
-    while (words >> word) {
-      const auto eq = word.find('=');
-      if (eq != std::string::npos) {
-        rec[word.substr(0, eq)] = word.substr(eq + 1);
-      }
-    }
-    records.push_back(std::move(rec));
-  }
-  return records;
 }
 
 // ---- the flagship: 4 client processes vs the in-process path ----
@@ -683,8 +620,9 @@ TEST(ServerTest, MigrationMovesASessionAndReplaysBitIdentically) {
 
   // Resume the session on the target: the replayed launch must hit the
   // imported dedup table and come back bit-identical, not recompute.
-  const double replays_before =
-      trace::Counters::instance().value("server.replayed_requests");
+  const obs::Counter replays =
+      obs::Registry::instance().counter("server.replayed_requests");
+  const double replays_before = replays.value();
   auto resumed = server::ClientConnection::connect(
       dst_opt.socket_path, "mig", Duration::from_seconds(5.0), copt, &error);
   ASSERT_NE(resumed, nullptr) << error;
@@ -695,8 +633,7 @@ TEST(ServerTest, MigrationMovesASessionAndReplaysBitIdentically) {
   EXPECT_EQ(replayed.where, original.where);
   EXPECT_EQ(f64_bits(replayed.finish_time.seconds()),
             f64_bits(original.finish_time.seconds()));
-  EXPECT_GE(trace::Counters::instance().value("server.replayed_requests"),
-            replays_before + 1.0);
+  EXPECT_GE(replays.value(), replays_before + 1.0);
 
   src.server->stop();
   dst.server->stop();
