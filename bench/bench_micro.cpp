@@ -23,13 +23,18 @@ namespace {
 
 using namespace ewc;
 
-gpusim::LaunchPlan make_plan(int instances) {
-  static const auto spec = workloads::encryption_12k();
+gpusim::LaunchPlan make_plan(const workloads::InstanceSpec& spec,
+                             int instances) {
   gpusim::LaunchPlan plan;
   for (int i = 0; i < instances; ++i) {
     plan.instances.push_back(gpusim::KernelInstance{spec.gpu, i, ""});
   }
   return plan;
+}
+
+gpusim::LaunchPlan make_plan(int instances) {
+  static const auto spec = workloads::encryption_12k();
+  return make_plan(spec, instances);
 }
 
 void BM_EngineRun(benchmark::State& state) {
@@ -81,14 +86,22 @@ BENCHMARK(BM_EngineAdvance)
     ->Args({64, 0})->Args({64, 1})
     ->Args({256, 0})->Args({256, 1});
 
-void BM_PerfPredict(benchmark::State& state) {
+// Arg = instances of one workload. encryption_12k (3 blocks each) stays
+// within the device's resident-block capacity up to 16 instances;
+// kmeans_256k (1024 blocks, 2 resident per SM) overflows it even alone, and
+// 16 instances is the kmeans_500 benchmark's batch.
+void BM_PerfPredict(benchmark::State& state,
+                    workloads::InstanceSpec (*workload)()) {
   perf::ConsolidationModel model;
-  const auto plan = make_plan(static_cast<int>(state.range(0)));
+  const auto plan = make_plan(workload(), static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.predict(plan));
   }
 }
-BENCHMARK(BM_PerfPredict)->Arg(2)->Arg(16)->Arg(64);
+BENCHMARK_CAPTURE(BM_PerfPredict, encryption_12k, workloads::encryption_12k)
+    ->Arg(2)->Arg(16)->Arg(64);
+BENCHMARK_CAPTURE(BM_PerfPredict, kmeans_256k, workloads::kmeans_256k)
+    ->Arg(1)->Arg(16);
 
 void BM_PowerPredict(benchmark::State& state) {
   gpusim::FluidEngine engine;

@@ -216,6 +216,19 @@ TEST(ConsolidationModel, Type2IdentifiesCriticalSm) {
   auto pred = model.predict(plan_of({kernel("a", 31, 2.0e5, 0.0)}));
   EXPECT_EQ(pred.type, ConsolidationType::kType2);
   EXPECT_EQ(pred.critical_sm_blocks.size(), 2u);
+
+  // Overflow tie rule: with one resident block per SM, `a` fills SMs 0-29
+  // and none of `b`'s blocks fits anywhere. Each goes to the lightest SM,
+  // equal loads going to the lowest index, so b's 31st block lands back on
+  // SM 0, which ends up critical with a's block and two of b's.
+  gpusim::DeviceConfig one_per_sm = gpusim::tesla_c1060();
+  one_per_sm.max_blocks_per_sm = 1;
+  const ConsolidationModel overflow(one_per_sm);
+  pred = overflow.predict(
+      plan_of({kernel("a", 30, 2.0e5, 0.0), kernel("b", 31, 2.0e5, 0.0)}));
+  EXPECT_EQ(pred.type, ConsolidationType::kType2);
+  EXPECT_EQ(pred.critical_sm, 0);
+  EXPECT_EQ(pred.critical_sm_blocks, (std::vector<int>{0, 1, 1}));
 }
 
 TEST(ConsolidationModel, SerialPredictionSumsInstances) {
