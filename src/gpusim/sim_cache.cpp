@@ -1,6 +1,7 @@
 #include "gpusim/sim_cache.hpp"
 
 #include <bit>
+#include <cstring>
 
 namespace ewc::gpusim {
 
@@ -15,25 +16,23 @@ std::uint64_t fnv1a(std::string_view s) {
 
 namespace {
 
-/// Exact, locale-independent encoding of a double: the raw IEEE-754 bit
-/// pattern in hex. Distinguishes every value (negative zero, subnormals,
-/// NaN payloads) and is an order of magnitude faster than snprintf hexfloat,
-/// which matters because signatures are rebuilt on every lookup.
-void put(std::string& key, double v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  char buf[17];
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = kHex[bits & 0xF];
-    bits >>= 4;
-  }
-  buf[16] = ',';
+/// Exact, locale-independent, fixed-width encoding: the raw 8 bytes of the
+/// value (a double's IEEE-754 bit pattern). Distinguishes every value
+/// (negative zero, subnormals, NaN payloads), needs no separator, and keeps
+/// the key short, which matters because signatures are rebuilt and hashed
+/// on every lookup.
+void put_bits(std::string& key, std::uint64_t bits) {
+  char buf[sizeof bits];
+  std::memcpy(buf, &bits, sizeof bits);
   key.append(buf, sizeof buf);
 }
 
+void put(std::string& key, double v) {
+  put_bits(key, std::bit_cast<std::uint64_t>(v));
+}
+
 void put(std::string& key, std::int64_t v) {
-  key += std::to_string(v);
-  key += ',';
+  put_bits(key, static_cast<std::uint64_t>(v));
 }
 
 void append_device_config(std::string& key, const DeviceConfig& dev) {
@@ -84,8 +83,8 @@ void append_energy_config(std::string& key, const EnergyConfig& energy) {
 }
 
 void append_kernel(std::string& key, const KernelDesc& k) {
+  put(key, static_cast<std::int64_t>(k.name.size()));
   key += k.name;
-  key += ';';
   put(key, static_cast<std::int64_t>(k.num_blocks));
   put(key, static_cast<std::int64_t>(k.threads_per_block));
   put(key, k.mix.fp_insts);
@@ -108,14 +107,14 @@ void append_kernel(std::string& key, const KernelDesc& k) {
 
 std::uint64_t device_config_hash(const DeviceConfig& dev) {
   std::string key;
-  key.reserve(512);
+  key.reserve(256);
   append_device_config(key, dev);
   return fnv1a(key);
 }
 
 std::uint64_t energy_config_hash(const EnergyConfig& energy) {
   std::string key;
-  key.reserve(256);
+  key.reserve(128);
   append_energy_config(key, energy);
   return fnv1a(key);
 }
@@ -123,7 +122,7 @@ std::uint64_t energy_config_hash(const EnergyConfig& energy) {
 std::string config_key_prefix(const DeviceConfig& dev,
                               const EnergyConfig* energy) {
   std::string prefix;
-  prefix.reserve(768);
+  prefix.reserve(384);
   append_device_config(prefix, dev);
   prefix += '|';
   if (energy != nullptr) append_energy_config(prefix, *energy);
@@ -135,7 +134,7 @@ PlanSignature plan_signature_with_prefix(const LaunchPlan& plan,
                                          std::string_view tag,
                                          bool include_instance_ids) {
   PlanSignature sig;
-  sig.key.reserve(64 + config_prefix.size() + 320 * plan.instances.size());
+  sig.key.reserve(64 + config_prefix.size() + 160 * plan.instances.size());
   sig.key += tag;
   sig.key += '|';
   sig.key += config_prefix;
@@ -148,7 +147,6 @@ PlanSignature plan_signature_with_prefix(const LaunchPlan& plan,
     }
     append_kernel(sig.key, inst.desc);
   }
-  sig.hash = fnv1a(sig.key);
   return sig;
 }
 

@@ -4,11 +4,12 @@
 // a datacenter replay: the cache maps a *canonical launch-plan signature* —
 // kernel names, grid/block dims, resource usage, instruction mix, work
 // scale, device-config hash, energy-config hash and optimization flags — to
-// previously computed results. The signature's `key` is an exact textual
-// encoding (every double as its raw IEEE-754 bit pattern in hex), so two
-// requests share an entry only if the simulator would be handed bit-identical
-// inputs; a hit is therefore bit-identical to a fresh run. Entries are LRU-bounded and the cache keeps
-// hit / miss / eviction counters for `ewcsim cache-stats` reporting.
+// previously computed results. The signature's `key` is an exact binary
+// encoding (fixed-width fields, every double as its raw IEEE-754 bit
+// pattern), so two requests share an entry only if the simulator would be
+// handed bit-identical inputs; a hit is therefore bit-identical to a fresh
+// run. Entries are LRU-bounded and the cache keeps hit / miss / eviction
+// counters for `ewcsim cache-stats` reporting.
 //
 // Invalidation is by construction: the device config and energy config are
 // part of the key, so changing either simply stops matching old entries
@@ -53,11 +54,10 @@ struct CacheStats {
 
 /// Canonical identity of one simulation/prediction request.
 struct PlanSignature {
-  std::uint64_t hash = 0;  ///< FNV-1a over `key`
-  std::string key;         ///< exact encoding; equality is collision-free
+  std::string key;  ///< exact encoding; equality is collision-free
 };
 
-/// FNV-1a, the hash the signature uses (exposed for tests).
+/// FNV-1a, the hash behind device_config_hash and energy_config_hash.
 std::uint64_t fnv1a(std::string_view s);
 
 /// Hash of every architectural field of a device config (the "device-config

@@ -127,8 +127,6 @@ TEST(PlanSignature, PrefixFormMatchesDirectForm) {
   const auto split =
       gpusim::plan_signature_with_prefix(plan, prefix, "run", true);
   EXPECT_EQ(direct.key, split.key);
-  EXPECT_EQ(direct.hash, split.hash);
-  EXPECT_EQ(direct.hash, gpusim::fnv1a(direct.key));
 }
 
 // ---------------- the cache itself ----------------
@@ -156,7 +154,6 @@ TEST(SimCache, LruEvictsTheLeastRecentlyUsedEntryAtCapacity) {
   auto key = [](const char* s) {
     gpusim::PlanSignature sig;
     sig.key = s;
-    sig.hash = gpusim::fnv1a(sig.key);
     return sig;
   };
   cache.put(key("a"), 1);
