@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace ewc::perf {
 
@@ -185,7 +187,12 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
   // SM while registers / shared memory / threads allow. Blocks that do not
   // fit anywhere are the "untouched" blocks the scheduler later redistributes
   // to whichever SM frees first — statically approximated by assigning them
-  // to the SM with the lightest solo-time load.
+  // to the SM with the lightest solo-time load (ties: lowest SM index).
+  //
+  // An overflow block adds load but no resources, so once a kernel's block
+  // fits no SM, none of that kernel's later blocks does either: the kernel
+  // stops probing, and its remaining blocks go through a min-heap keyed
+  // (solo_load, SM index) at O(log S) each.
   struct SmLoad {
     double solo_load = 0.0;  ///< solo-time load estimate, seconds
     double comp_cycles = 0.0;
@@ -194,56 +201,85 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
     int nblocks = 0;
     std::int64_t regs = 0;
     std::int64_t smem = 0;
-    std::vector<int> blocks;  ///< instance index per assigned block
+    /// Assigned blocks in assignment order as (instance index, count) runs.
+    std::vector<std::pair<int, int>> runs;
   };
-  std::vector<SmLoad> sms(static_cast<std::size_t>(dev_.num_sms));
-  auto fits = [&](const SmLoad& sm, const gpusim::KernelDesc& k) {
-    if (sm.nblocks + 1 > dev_.max_blocks_per_sm) return false;
-    if (sm.threads + k.threads_per_block > dev_.max_threads_per_sm) return false;
-    const std::int64_t regs =
-        static_cast<std::int64_t>(k.resources.registers_per_thread) *
-        k.threads_per_block;
-    if (sm.regs + regs > dev_.registers_per_sm) return false;
-    if (sm.smem + k.resources.shared_mem_per_block > dev_.shared_mem_per_sm) {
-      return false;
-    }
-    return true;
-  };
+  const int num_sms = dev_.num_sms;
+  std::vector<SmLoad> sms(static_cast<std::size_t>(num_sms));
+  using LoadKey = std::pair<double, int>;  ///< (solo_load, SM index)
+  std::vector<LoadKey> heap;
+  heap.reserve(sms.size());
   int rr = 0;
   for (std::size_t i = 0; i < plan.instances.size(); ++i) {
     const auto& k = plan.instances[i].desc;
+    if (k.num_blocks <= 0) continue;
+    const int inst = static_cast<int>(i);
     const double solo = analytic_.solo_block_time(k).seconds();
     const double warps = k.warps_per_block(dev_);
-    for (int b = 0; b < k.num_blocks; ++b) {
+    const double comp = k.warp_compute_cycles(dev_) * warps;
+    // Co-resident blocks stall concurrently; only serialized waves add.
+    const double stall =
+        k.warp_stall_cycles(dev_) / (clock * max_resident_blocks(dev_, k));
+    const std::int64_t regs =
+        static_cast<std::int64_t>(k.resources.registers_per_thread) *
+        k.threads_per_block;
+    const auto fits = [&](const SmLoad& sm) {
+      return sm.nblocks + 1 <= dev_.max_blocks_per_sm &&
+             sm.threads + k.threads_per_block <= dev_.max_threads_per_sm &&
+             sm.regs + regs <= dev_.registers_per_sm &&
+             sm.smem + k.resources.shared_mem_per_block <=
+                 dev_.shared_mem_per_sm;
+    };
+    const auto assign = [&](SmLoad& sm) {
+      sm.solo_load += solo;
+      sm.comp_cycles += comp;
+      sm.stall_seconds += stall;
+      if (!sm.runs.empty() && sm.runs.back().first == inst) {
+        ++sm.runs.back().second;
+      } else {
+        sm.runs.emplace_back(inst, 1);
+      }
+    };
+
+    int b = 0;
+    for (; b < k.num_blocks; ++b) {
       int chosen = -1;
-      for (int probe = 0; probe < dev_.num_sms; ++probe) {
-        const int s = (rr + probe) % dev_.num_sms;
-        if (fits(sms[static_cast<std::size_t>(s)], k)) {
+      for (int probe = 0; probe < num_sms; ++probe) {
+        const int s = (rr + probe) % num_sms;
+        if (fits(sms[static_cast<std::size_t>(s)])) {
           chosen = s;
           break;
         }
       }
-      SmLoad* sm;
-      if (chosen >= 0) {
-        sm = &sms[static_cast<std::size_t>(chosen)];
-        sm->threads += k.threads_per_block;
-        sm->nblocks += 1;
-        sm->regs += static_cast<std::int64_t>(k.resources.registers_per_thread) *
-                    k.threads_per_block;
-        sm->smem += k.resources.shared_mem_per_block;
-        rr = (chosen + 1) % dev_.num_sms;
-      } else {
-        sm = &*std::min_element(sms.begin(), sms.end(),
-                                [](const SmLoad& a, const SmLoad& b2) {
-                                  return a.solo_load < b2.solo_load;
-                                });
+      if (chosen < 0) break;
+      SmLoad& sm = sms[static_cast<std::size_t>(chosen)];
+      sm.threads += k.threads_per_block;
+      sm.nblocks += 1;
+      sm.regs += regs;
+      sm.smem += k.resources.shared_mem_per_block;
+      rr = (chosen + 1) % num_sms;
+      assign(sm);
+    }
+    if (b == k.num_blocks) continue;
+
+    heap.clear();
+    for (int s = 0; s < num_sms; ++s) {
+      heap.emplace_back(sms[static_cast<std::size_t>(s)].solo_load, s);
+    }
+    std::make_heap(heap.begin(), heap.end(), std::greater<>());
+    for (; b < k.num_blocks; ++b) {
+      SmLoad& sm = sms[static_cast<std::size_t>(heap.front().second)];
+      assign(sm);
+      // Only the top's key grew: sift it down to restore the min-heap.
+      const LoadKey moved{sm.solo_load, heap.front().second};
+      std::size_t pos = 0;
+      for (std::size_t child = 1; child < heap.size(); child = 2 * pos + 1) {
+        if (child + 1 < heap.size() && heap[child + 1] < heap[child]) ++child;
+        if (!(heap[child] < moved)) break;
+        heap[pos] = heap[child];
+        pos = child;
       }
-      sm->solo_load += solo;
-      sm->comp_cycles += k.warp_compute_cycles(dev_) * warps;
-      // Co-resident blocks stall concurrently; only serialized waves add.
-      sm->stall_seconds += k.warp_stall_cycles(dev_) /
-                           (clock * max_resident_blocks(dev_, k));
-      sm->blocks.push_back(static_cast<int>(i));
+      heap[pos] = moved;
     }
   }
 
@@ -271,7 +307,10 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
 
   pred.kernel_time = Duration::from_seconds(worst);
   pred.critical_sm = critical;
-  pred.critical_sm_blocks = sms[static_cast<std::size_t>(critical)].blocks;
+  for (const auto& [inst, count] :
+       sms[static_cast<std::size_t>(critical)].runs) {
+    pred.critical_sm_blocks.insert(pred.critical_sm_blocks.end(), count, inst);
+  }
   pred.h2d_time = transfer_h2d(plan);
   pred.d2h_time = transfer_d2h(plan);
   pred.total_time = pred.h2d_time + pred.kernel_time + pred.d2h_time;
