@@ -1,7 +1,7 @@
 // Golden-digest + differential harness for the FluidEngine rewrite
 // (ctest label: golden).
 //
-// Two layers of protection:
+// Four layers of protection:
 //   1. Checked-in FNV-1a digests of complete RunResults for the paper's
 //      figure/table configurations. ANY change to the simulator's numerics
 //      or event semantics — times, energies, per-SM counts, occupancy
@@ -18,6 +18,11 @@
 //      field) for named plans plus one digest over a ~1k-plan corpus, so a
 //      rewrite of the type-2 block-scheduler replay must reproduce it bit
 //      for bit.
+//   4. An id-independence digest: every fixture and corpus plan is run and
+//      predicted under ids 0..n-1 and under remapped ids, and must give
+//      bit-identical totals, per-position finish times and predictions.
+//      Instance ids only label completions, which is what lets run and
+//      prediction memos key on id-free plan signatures.
 //
 // Updating a digest is a deliberate act: rerun with EWC_GOLDEN_OUT=<file>
 // (or read the failure message), verify the numeric change is intended, and
@@ -315,6 +320,19 @@ gpusim::DeviceConfig fuzz_device(common::Rng& rng) {
   return dev;
 }
 
+/// Shrink a fuzzed kernel's blocks until one fits an empty SM of `dev`, so
+/// FluidEngine::run accepts it.
+void shrink_to_fit(gpusim::KernelDesc& k, const gpusim::DeviceConfig& dev) {
+  while (k.num_blocks > 0 && !k.block_fits_empty_sm(dev)) {
+    k.threads_per_block -= 32;
+    if (k.threads_per_block <= 0) {
+      k.threads_per_block = 32;
+      k.resources.shared_mem_per_block = 0;
+      k.resources.registers_per_thread = 8;
+    }
+  }
+}
+
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialFuzz, SimdBitIdenticalToScalar) {
@@ -335,15 +353,7 @@ TEST_P(DifferentialFuzz, SimdBitIdenticalToScalar) {
     for (int j = 0; j < n; ++j) {
       gpusim::KernelInstance inst;
       inst.desc = fuzz_kernel(rng, j);
-      while (inst.desc.num_blocks > 0 &&
-             !inst.desc.block_fits_empty_sm(dev)) {
-        inst.desc.threads_per_block -= 32;  // shrink until runnable
-        if (inst.desc.threads_per_block <= 0) {
-          inst.desc.threads_per_block = 32;
-          inst.desc.resources.shared_mem_per_block = 0;
-          inst.desc.resources.registers_per_thread = 8;
-        }
-      }
+      shrink_to_fit(inst.desc, dev);
       inst.instance_id = j;
       plan.instances.push_back(std::move(inst));
     }
@@ -376,29 +386,41 @@ void digest_prediction(Fnv1a& d, const perf::ConsolidationPrediction& p) {
   }
 }
 
-/// ~1k randomized plans on randomized devices, predicted in sequence into
-/// one digest. Unlike the engine fuzzer, kernels are NOT shrunk to fit: a
-/// tenth get a shared-memory footprint larger than any SM, so every one of
-/// their blocks takes the overflow path.
+/// One plan of the ~1k-plan corpus on its randomized device. Unlike the
+/// engine fuzzer, kernels are NOT shrunk to fit: a tenth get a shared-memory
+/// footprint larger than any SM, so every one of their blocks takes the
+/// overflow path.
+struct CorpusCase {
+  gpusim::DeviceConfig dev;
+  gpusim::LaunchPlan plan;
+};
+
+constexpr int kCorpusSize = 1000;
+
+CorpusCase corpus_case(int i) {
+  common::Rng rng(0x9e3dull + static_cast<std::uint64_t>(i));
+  CorpusCase c{fuzz_device(rng), {}};
+  c.plan.reuse_constant_data = rng.uniform(0.0, 1.0) < 0.5;
+  const int n = 1 + static_cast<int>(rng.uniform_int(0, 7));
+  for (int j = 0; j < n; ++j) {
+    gpusim::KernelInstance inst;
+    inst.desc = fuzz_kernel(rng, j);
+    if (rng.uniform(0.0, 1.0) < 0.1) {
+      inst.desc.resources.shared_mem_per_block =
+          c.dev.shared_mem_per_sm + 1024;
+    }
+    inst.instance_id = j;
+    c.plan.instances.push_back(std::move(inst));
+  }
+  return c;
+}
+
+/// The corpus predicted in sequence into one digest.
 std::uint64_t prediction_corpus_digest() {
   Fnv1a d;
-  for (int i = 0; i < 1000; ++i) {
-    common::Rng rng(0x9e3dull + static_cast<std::uint64_t>(i));
-    const gpusim::DeviceConfig dev = fuzz_device(rng);
-    const perf::ConsolidationModel model(dev);
-    gpusim::LaunchPlan plan;
-    plan.reuse_constant_data = rng.uniform(0.0, 1.0) < 0.5;
-    const int n = 1 + static_cast<int>(rng.uniform_int(0, 7));
-    for (int j = 0; j < n; ++j) {
-      gpusim::KernelInstance inst;
-      inst.desc = fuzz_kernel(rng, j);
-      if (rng.uniform(0.0, 1.0) < 0.1) {
-        inst.desc.resources.shared_mem_per_block = dev.shared_mem_per_sm + 1024;
-      }
-      inst.instance_id = j;
-      plan.instances.push_back(std::move(inst));
-    }
-    digest_prediction(d, model.predict(plan));
+  for (int i = 0; i < kCorpusSize; ++i) {
+    const CorpusCase c = corpus_case(i);
+    digest_prediction(d, perf::ConsolidationModel(c.dev).predict(c.plan));
   }
   return d.value();
 }
@@ -470,6 +492,134 @@ TEST(GoldenDigests, PredictionsReproduce) {
         << "\nIf the numeric change is intentional, update the digest in "
            "tests/golden_test.cpp.";
   }
+}
+
+// ---- instance-id independence ---------------------------------------------
+
+/// `plan` with ids `1000 + 7*(n-1-i)`: distinct, far from 0..n-1, and
+/// descending in plan order.
+gpusim::LaunchPlan remapped_ids(gpusim::LaunchPlan plan) {
+  const int n = static_cast<int>(plan.instances.size());
+  for (int i = 0; i < n; ++i) {
+    plan.instances[static_cast<std::size_t>(i)].instance_id =
+        1000 + 7 * (n - 1 - i);
+  }
+  return plan;
+}
+
+gpusim::LaunchPlan sequential_ids(gpusim::LaunchPlan plan) {
+  int id = 0;
+  for (auto& inst : plan.instances) inst.instance_id = id++;
+  return plan;
+}
+
+/// Each instance's finish time, by its position in `plan`.
+std::vector<double> finish_by_position(const gpusim::LaunchPlan& plan,
+                                       const gpusim::RunResult& run) {
+  std::vector<double> out(plan.instances.size(), -1.0);
+  for (const auto& c : run.completions) {
+    for (std::size_t i = 0; i < plan.instances.size(); ++i) {
+      if (plan.instances[i].instance_id == c.instance_id) {
+        out[i] = c.finish_time.seconds();
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// What a caller of FluidEngine::run reads back: totals and finish times by
+/// plan position.
+void digest_run_outcome(Fnv1a& d, const gpusim::LaunchPlan& plan,
+                        const gpusim::RunResult& run) {
+  d.f64(run.total_time.seconds());
+  d.f64(run.system_energy.joules());
+  const auto finish = finish_by_position(plan, run);
+  d.u64(finish.size());
+  for (double f : finish) d.f64(f);
+}
+
+/// Every ConsolidationPrediction field except the per-instance ids.
+std::uint64_t id_free_prediction_digest(const perf::ConsolidationPrediction& p) {
+  Fnv1a d;
+  d.i64(static_cast<std::int64_t>(p.type));
+  d.f64(p.kernel_time.seconds());
+  d.f64(p.h2d_time.seconds());
+  d.f64(p.d2h_time.seconds());
+  d.f64(p.total_time.seconds());
+  d.f64(p.execution_cycles);
+  d.i64(p.critical_sm);
+  d.u64(p.critical_sm_blocks.size());
+  for (int b : p.critical_sm_blocks) d.i64(b);
+  d.u64(p.per_instance.size());
+  for (const auto& inst : p.per_instance) {
+    d.str(inst.kernel_name);
+    d.f64(inst.kernel_time.seconds());
+  }
+  return d.value();
+}
+
+/// Run and predict `plan` under ids 0..n-1 and under remapped ids, expect
+/// bit-identical outcomes and predictions, and fold them into `d`.
+void check_id_independence(Fnv1a& d, const gpusim::FluidEngine& engine,
+                           const gpusim::LaunchPlan& plan,
+                           const std::string& what) {
+  const gpusim::LaunchPlan a = sequential_ids(plan);
+  const gpusim::LaunchPlan b = remapped_ids(plan);
+  const gpusim::RunResult ra = engine.run(a);
+  const gpusim::RunResult rb = engine.run(b);
+  EXPECT_EQ(ra.total_time.seconds(), rb.total_time.seconds()) << what;
+  EXPECT_EQ(ra.system_energy.joules(), rb.system_energy.joules()) << what;
+  EXPECT_EQ(finish_by_position(a, ra), finish_by_position(b, rb)) << what;
+  digest_run_outcome(d, a, ra);
+}
+
+void check_prediction_id_independence(Fnv1a& d,
+                                      const perf::ConsolidationModel& model,
+                                      const gpusim::LaunchPlan& plan,
+                                      const std::string& what) {
+  const std::uint64_t pa =
+      id_free_prediction_digest(model.predict(sequential_ids(plan)));
+  const std::uint64_t pb =
+      id_free_prediction_digest(model.predict(remapped_ids(plan)));
+  EXPECT_EQ(pa, pb) << what;
+  d.u64(pa);
+}
+
+TEST(GoldenDigests, InstanceIdsOnlyLabelCompletions) {
+  const char* out_path = std::getenv("EWC_GOLDEN_OUT");
+  std::ofstream out;
+  if (out_path != nullptr) out.open(out_path, std::ios::app);
+
+  Fnv1a d;
+  for (const auto& f : fixtures()) {
+    const auto engine = f.engine();
+    const auto plan = f.plan();
+    check_id_independence(d, engine, plan, f.name);
+    check_prediction_id_independence(
+        d, perf::ConsolidationModel(engine.device()), plan, f.name);
+  }
+  for (int i = 0; i < kCorpusSize; ++i) {
+    CorpusCase c = corpus_case(i);
+    const std::string what = "corpus plan " + std::to_string(i);
+    check_prediction_id_independence(d, perf::ConsolidationModel(c.dev),
+                                     c.plan, what);
+    for (auto& inst : c.plan.instances) shrink_to_fit(inst.desc, c.dev);
+    check_id_independence(d, gpusim::FluidEngine(c.dev), c.plan, what);
+  }
+
+  constexpr std::uint64_t kExpected = 0x22121442cdc373d3ull;
+  if (out.is_open()) {
+    char line[96];
+    std::snprintf(line, sizeof line, "id-independence 0x%016llx\n",
+                  static_cast<unsigned long long>(d.value()));
+    out << line;
+  }
+  EXPECT_EQ(d.value(), kExpected)
+      << "id-independence digest mismatch: got 0x" << std::hex << d.value()
+      << ", expected 0x" << kExpected << std::dec
+      << "\nIf the numeric change is intentional, update the digest in "
+         "tests/golden_test.cpp.";
 }
 
 }  // namespace
