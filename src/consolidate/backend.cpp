@@ -24,11 +24,13 @@ Backend::Backend(const gpusim::FluidEngine& engine,
                  power::GpuPowerModel power_model, TemplateRegistry templates,
                  BackendOptions options)
     : engine_(engine),
+      memo_(engine, kMemoCapacity),
       decision_(engine.device(), std::move(power_model), options.cpu_config,
                 options.costs),
       templates_(std::move(templates)),
       options_(options),
       context_("backend", std::size_t{4} * 1024 * 1024 * 1024) {
+  decision_.enable_prediction_cache(kMemoCapacity);
   if (options_.decision_deadline > common::Duration::zero()) {
     decision_worker_ = std::thread([this] { decision_loop(); });
   }
@@ -335,23 +337,6 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
   Energy energy = Energy::zero();
   std::vector<CompletionReply> replies(batch.size());
 
-  auto record_gpu_completions = [&](const gpusim::RunResult& run,
-                                    Duration offset,
-                                    CompletionReply::Where where,
-                                    std::size_t first_batch_index) {
-    for (const auto& c : run.completions) {
-      // instance_id is batch-relative here: map back to the request order.
-      for (std::size_t i = first_batch_index; i < plan.instances.size(); ++i) {
-        if (plan.instances[i].instance_id == c.instance_id) {
-          replies[i].ok = true;
-          replies[i].where = where;
-          replies[i].finish_time = overhead + offset + c.finish_time;
-          break;
-        }
-      }
-    }
-  };
-
   switch (chosen) {
     case Alternative::kConsolidatedGpu: {
       // Split by template capacity; splits execute back-to-back.
@@ -374,12 +359,18 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
       report.consolidated_launches = static_cast<int>(chunks.size());
 
       Duration offset = Duration::zero();
+      std::size_t first = 0;  // batch index of the chunk's first instance
       for (const auto& chunk : chunks) {
         obs::SimClockScope sim_base(sim_anchor + overhead.seconds() +
                                     offset.seconds());
-        const gpusim::RunResult run = engine_.run(chunk);
-        record_gpu_completions(run, offset,
-                               CompletionReply::Where::kConsolidatedGpu, 0);
+        const gpusim::RunOutcome run = memo_.run(chunk);
+        for (std::size_t j = 0; j < run.finish_times.size(); ++j) {
+          CompletionReply& reply = replies[first + j];
+          reply.ok = true;
+          reply.where = CompletionReply::Where::kConsolidatedGpu;
+          reply.finish_time = overhead + offset + run.finish_times[j];
+        }
+        first += chunk.instances.size();
         offset += run.total_time;
         energy += run.system_energy;
       }
@@ -388,15 +379,16 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
     }
     case Alternative::kIndividualGpu: {
       Duration offset = Duration::zero();
+      gpusim::LaunchPlan single;
+      single.instances.resize(1);
       for (std::size_t i = 0; i < plan.instances.size(); ++i) {
-        gpusim::LaunchPlan single;
-        single.instances.push_back(plan.instances[i]);
+        single.instances[0] = plan.instances[i];
         obs::SimClockScope sim_base(sim_anchor + overhead.seconds() +
                                     offset.seconds());
         obs::RequestScope req_scope(batch[i].request_id);
         obs::TraceScope trace_scope(batch[i].trace_id,
                                     batch[i].parent_span_id);
-        const gpusim::RunResult run = engine_.run(single);
+        const gpusim::RunOutcome run = memo_.run(single);
         replies[i].ok = true;
         replies[i].where = CompletionReply::Where::kIndividualGpu;
         replies[i].finish_time = overhead + offset + run.total_time;
@@ -460,6 +452,11 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
     energy_counter.set(total_energy_.joules());
     time_counter.set(total_time_.seconds());
   }
+  static const gpusim::CacheCounters run_cache_counters("backend.run_cache");
+  static const gpusim::CacheCounters predict_cache_counters(
+      "backend.predict_cache");
+  run_cache_counters.publish(memo_.stats());
+  predict_cache_counters.publish(decision_.prediction_cache_stats());
 
   const bool tracing = obs::Tracer::enabled();
   for (std::size_t i = 0; i < batch.size(); ++i) {

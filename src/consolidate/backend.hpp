@@ -29,6 +29,7 @@
 #include "cpusim/engine.hpp"
 #include "cudart/context.hpp"
 #include "gpusim/engine.hpp"
+#include "gpusim/sim_cache.hpp"
 
 namespace ewc::consolidate {
 
@@ -78,6 +79,13 @@ struct BatchReport {
 
 class Backend {
  public:
+  /// Entries in each of the backend's two memos: FluidEngine runs
+  /// (gpusim::RunMemo) and the decision engine's predictions. A batch's
+  /// repeated shapes — its single-instance plans, its consolidated chunks
+  /// and their predictions — fit many times over, while a stream of
+  /// ever-different consolidated mixes cannot grow the daemon's memory.
+  static constexpr std::size_t kMemoCapacity = 32;
+
   Backend(const gpusim::FluidEngine& engine, power::GpuPowerModel power_model,
           TemplateRegistry templates, BackendOptions options);
   ~Backend();
@@ -144,6 +152,8 @@ class Backend {
                      const ConsolidationTemplate* tmpl);
 
   const gpusim::FluidEngine& engine_;
+  /// Every GPU execution goes through here (batch thread only).
+  gpusim::RunMemo memo_;
   DecisionEngine decision_;
   TemplateRegistry templates_;
   BackendOptions options_;

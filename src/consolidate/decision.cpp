@@ -38,22 +38,17 @@ DecisionEngine::DecisionEngine(gpusim::DeviceConfig dev,
 
 void DecisionEngine::enable_prediction_cache(std::size_t capacity) {
   cache_ = std::make_unique<gpusim::SimCache<GpuPrediction>>(capacity);
-  cache_key_prefix_ = gpusim::config_key_prefix(dev_);
 }
-
-void DecisionEngine::disable_prediction_cache() { cache_.reset(); }
 
 gpusim::CacheStats DecisionEngine::prediction_cache_stats() const {
   return cache_ ? cache_->stats() : gpusim::CacheStats{};
 }
 
 DecisionEngine::GpuPrediction DecisionEngine::predict_gpu(
-    const gpusim::LaunchPlan& plan, std::string_view tag,
-    bool include_instance_ids) const {
+    const gpusim::LaunchPlan& plan) const {
   gpusim::PlanSignature sig;
   if (cache_) {
-    sig = gpusim::plan_signature_with_prefix(plan, cache_key_prefix_, tag,
-                                             include_instance_ids);
+    sig = gpusim::plan_signature(plan);
     if (auto hit = cache_->get(sig)) return *hit;
   }
   GpuPrediction p;
@@ -150,8 +145,7 @@ Decision DecisionEngine::decide(
   // (a) consolidated GPU.
   const auto eval_consolidated = [&] {
     ea.which = Alternative::kConsolidatedGpu;
-    const auto p = predict_gpu(plan, "decide-consolidated",
-                               /*include_instance_ids=*/false);
+    const auto p = predict_gpu(plan);
     ea.time = p.time + framework_overhead;
     // During the overhead window the node sits near idle (host-side copies).
     ea.energy = p.energy + power_.idle_power() * framework_overhead;
@@ -171,8 +165,7 @@ Decision DecisionEngine::decide(
     single.instances.resize(1);
     for (const auto& inst : plan.instances) {
       single.instances[0] = inst;
-      const auto p = predict_gpu(single, "decide-single",
-                                 /*include_instance_ids=*/false);
+      const auto p = predict_gpu(single);
       total += p.time;
       energy += p.energy;
     }

@@ -13,7 +13,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -78,13 +77,13 @@ class DecisionEngine {
   /// Evaluate the two GPU alternatives on `pool` (nullptr = calling thread).
   void set_pool(common::ThreadPool* pool) { pool_ = pool; }
 
-  /// Memoize GPU time/power predictions keyed by the canonical plan
-  /// signature. Framework overhead is applied *outside* the cache, and the
-  /// per-instance predictions of the serial alternative share entries across
-  /// batch positions (instance ids excluded from their keys). The power
-  /// model is fixed per engine, so it need not appear in the key.
+  /// Memoize GPU time/power predictions keyed by the id-free plan
+  /// signature, LRU-bounded at `capacity` entries. Framework overhead is
+  /// applied *outside* the cache, so the per-instance predictions of the
+  /// serial alternative share entries across batch positions and groups.
+  /// The device and power model are fixed per engine, so neither appears in
+  /// the key.
   void enable_prediction_cache(std::size_t capacity);
-  void disable_prediction_cache();
   gpusim::CacheStats prediction_cache_stats() const;
 
   const perf::ConsolidationModel& perf_model() const { return perf_; }
@@ -98,9 +97,7 @@ class DecisionEngine {
     bool type1 = false;
   };
 
-  GpuPrediction predict_gpu(const gpusim::LaunchPlan& plan,
-                            std::string_view tag,
-                            bool include_instance_ids) const;
+  GpuPrediction predict_gpu(const gpusim::LaunchPlan& plan) const;
 
   gpusim::DeviceConfig dev_;
   perf::ConsolidationModel perf_;
@@ -111,7 +108,6 @@ class DecisionEngine {
   // SimCache is internally synchronized, so the const decide() path may
   // populate it; mutable keeps that invisible to callers.
   mutable std::unique_ptr<gpusim::SimCache<GpuPrediction>> cache_;
-  std::string cache_key_prefix_;  ///< device portion, encoded once
 };
 
 }  // namespace ewc::consolidate

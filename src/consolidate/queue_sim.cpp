@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string_view>
 
 #include "common/stats.hpp"
 #include "cpusim/engine.hpp"
@@ -21,10 +20,8 @@ QueueSimulator::QueueSimulator(
       catalogue_(std::move(catalogue)),
       options_(options) {
   if (options_.enable_sim_cache) {
-    run_cache_ = std::make_unique<gpusim::RunResultCache>(
-        options_.sim_cache_capacity);
-    run_key_prefix_ = gpusim::config_key_prefix(engine_.device(),
-                                                &engine_.energy_config());
+    run_memo_ = std::make_unique<gpusim::RunMemo>(engine_,
+                                                  options_.sim_cache_capacity);
     decision_.enable_prediction_cache(options_.sim_cache_capacity);
   }
   decision_.set_pool(options_.pool);
@@ -68,6 +65,8 @@ QueueSimResult QueueSimulator::run(
   std::vector<std::size_t> staged;
   std::vector<int> messages;
   std::vector<cpusim::CpuTask> cpu_tasks;
+  gpusim::LaunchPlan single;  // the serial alternative's one-instance plan
+  single.instances.resize(1);
 
   while (next < requests.size()) {
     // ---- form one batch ----
@@ -119,20 +118,6 @@ QueueSimResult QueueSimulator::run(
         decision_.decide(plan, profiles, overhead, options_.policy);
 
     // ---- execute ----
-    // Same batch shapes recur constantly in a datacenter replay, and a cache
-    // hit is bit-identical to a fresh simulation (the key encodes every
-    // input exactly), so memoizing the FluidEngine runs only saves time.
-    const auto simulate = [&](std::string_view tag,
-                              auto&& fresh) -> gpusim::RunResult {
-      if (!run_cache_) return fresh();
-      const auto sig = gpusim::plan_signature_with_prefix(
-          plan, run_key_prefix_, tag, /*include_instance_ids=*/true);
-      if (auto hit = run_cache_->get(sig)) return *hit;
-      gpusim::RunResult fresh_run = fresh();
-      run_cache_->put(sig, fresh_run);
-      return fresh_run;
-    };
-
     const double start = std::max(ready, t_free);
 
     double exec_seconds = 0.0;
@@ -142,16 +127,37 @@ QueueSimResult QueueSimulator::run(
     obs::SimClockScope sim_base(start + overhead.seconds());
     switch (decision.chosen) {
       case Alternative::kConsolidatedGpu: {
-        const auto run = simulate("run", [&] { return engine_.run(plan); });
-        exec_seconds = run.total_time.seconds();
-        exec_joules = run.system_energy.joules();
+        if (run_memo_) {
+          const auto run = run_memo_->run(plan);
+          exec_seconds = run.total_time.seconds();
+          exec_joules = run.system_energy.joules();
+        } else {
+          const auto run = engine_.run(plan);
+          exec_seconds = run.total_time.seconds();
+          exec_joules = run.system_energy.joules();
+        }
         break;
       }
       case Alternative::kIndividualGpu: {
-        const auto run = simulate(
-            "serial", [&] { return engine_.run_serial(plan.instances); });
-        exec_seconds = run.total_time.seconds();
-        exec_joules = run.system_energy.joules();
+        common::Duration time = common::Duration::zero();
+        common::Energy energy = common::Energy::zero();
+        if (run_memo_) {
+          // One memo lookup per instance, summed in plan order: the same
+          // additions from zero that run_serial's RunResult::append makes,
+          // so the totals are bit-identical to it.
+          for (const auto& inst : plan.instances) {
+            single.instances[0] = inst;
+            const auto run = run_memo_->run(single);
+            time += run.total_time;
+            energy += run.system_energy;
+          }
+        } else {
+          const auto run = engine_.run_serial(plan.instances);
+          time = run.total_time;
+          energy = run.system_energy;
+        }
+        exec_seconds = time.seconds();
+        exec_joules = energy.joules();
         break;
       }
       case Alternative::kCpu: {
@@ -207,20 +213,11 @@ QueueSimResult QueueSimulator::run(
   result.mean_latency_seconds = common::mean(latencies);
   result.p95_latency_seconds = common::percentile(latencies, 95.0);
 
-  if (run_cache_) result.run_cache_stats = run_cache_->stats();
+  if (run_memo_) result.run_cache_stats = run_memo_->stats();
   result.predict_cache_stats = decision_.prediction_cache_stats();
-  registry.counter("queue_sim.run_cache.hits").set(
-      static_cast<double>(result.run_cache_stats.hits));
-  registry.counter("queue_sim.run_cache.misses").set(
-      static_cast<double>(result.run_cache_stats.misses));
-  registry.counter("queue_sim.run_cache.evictions").set(
-      static_cast<double>(result.run_cache_stats.evictions));
-  registry.counter("queue_sim.predict_cache.hits").set(
-      static_cast<double>(result.predict_cache_stats.hits));
-  registry.counter("queue_sim.predict_cache.misses").set(
-      static_cast<double>(result.predict_cache_stats.misses));
-  registry.counter("queue_sim.predict_cache.evictions").set(
-      static_cast<double>(result.predict_cache_stats.evictions));
+  gpusim::CacheCounters("queue_sim.run_cache").publish(result.run_cache_stats);
+  gpusim::CacheCounters("queue_sim.predict_cache")
+      .publish(result.predict_cache_stats);
   return result;
 }
 

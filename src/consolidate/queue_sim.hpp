@@ -33,9 +33,10 @@ struct QueueSimOptions {
   FrameworkCosts costs;
   Optimizations optimizations;
   cpusim::CpuConfig cpu_config;
-  /// Memoize FluidEngine runs (and the decision engine's predictions) per
-  /// batch shape. Hits are bit-identical to fresh simulations, so this only
-  /// changes wall-clock time, never results.
+  /// Memoize FluidEngine runs (gpusim::RunMemo) and the decision engine's
+  /// predictions per batch shape. Hits are bit-identical to fresh
+  /// simulations, so this only changes wall-clock time, never results; off
+  /// runs the engine directly, the reference the cache is checked against.
   bool enable_sim_cache = true;
   std::size_t sim_cache_capacity = 1024;
   /// Optional pool for evaluating the decision alternatives concurrently;
@@ -83,9 +84,8 @@ class QueueSimulator {
   DecisionEngine decision_;
   std::map<std::string, workloads::InstanceSpec> catalogue_;
   QueueSimOptions options_;
-  // const run() populates the cache; SimCache synchronizes internally.
-  mutable std::unique_ptr<gpusim::RunResultCache> run_cache_;
-  std::string run_key_prefix_;  ///< device+energy portion, encoded once
+  // const run() populates the memo; RunMemo synchronizes internally.
+  mutable std::unique_ptr<gpusim::RunMemo> run_memo_;
 };
 
 }  // namespace ewc::consolidate

@@ -1,18 +1,13 @@
 #include "gpusim/sim_cache.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 
-namespace ewc::gpusim {
+#include "obs/tracer.hpp"
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+namespace ewc::gpusim {
 
 namespace {
 
@@ -33,53 +28,6 @@ void put(std::string& key, double v) {
 
 void put(std::string& key, std::int64_t v) {
   put_bits(key, static_cast<std::uint64_t>(v));
-}
-
-void append_device_config(std::string& key, const DeviceConfig& dev) {
-  put(key, static_cast<std::int64_t>(dev.num_sms));
-  put(key, static_cast<std::int64_t>(dev.sps_per_sm));
-  put(key, static_cast<std::int64_t>(dev.warp_size));
-  put(key, dev.shader_clock.hertz());
-  put(key, static_cast<std::int64_t>(dev.max_blocks_per_sm));
-  put(key, static_cast<std::int64_t>(dev.max_threads_per_sm));
-  put(key, static_cast<std::int64_t>(dev.max_warps_per_sm));
-  put(key, dev.registers_per_sm);
-  put(key, dev.shared_mem_per_sm);
-  put(key, dev.dram_bandwidth.bytes_per_second());
-  put(key, dev.dram_latency_cycles);
-  put(key, dev.coalesced_departure_cycles);
-  put(key, dev.uncoalesced_departure_cycles);
-  put(key, dev.coalesced_tx_bytes);
-  put(key, dev.uncoalesced_tx_bytes);
-  put(key, dev.memory_level_parallelism);
-  put(key, dev.uncoalesced_dram_efficiency);
-  put(key, dev.mixing_penalty_per_kernel);
-  put(key, dev.min_mixing_efficiency);
-  put(key, dev.pcie_h2d.bytes_per_second());
-  put(key, dev.pcie_d2h.bytes_per_second());
-  put(key, dev.transfer_latency.seconds());
-  put(key, dev.cycles_per_alu_warp_inst);
-  put(key, dev.cycles_per_sfu_warp_inst);
-  put(key, dev.barrier_cost_cycles);
-  put(key, static_cast<std::int64_t>(dev.dispatch_policy));
-  put(key, static_cast<std::int64_t>(dev.dispatch_seed));
-}
-
-void append_energy_config(std::string& key, const EnergyConfig& energy) {
-  put(key, energy.system_idle_with_gpu.watts());
-  put(key, energy.host_only_idle.watts());
-  put(key, energy.transfer_active_power.watts());
-  put(key, energy.fp_energy);
-  put(key, energy.int_energy);
-  put(key, energy.sfu_energy);
-  put(key, energy.coalesced_tx_energy);
-  put(key, energy.uncoalesced_tx_energy);
-  put(key, energy.shared_access_energy);
-  put(key, energy.const_access_energy);
-  put(key, energy.register_access_energy);
-  put(key, energy.thermal_tau_seconds);
-  put(key, energy.thermal_k_ss);
-  put(key, energy.leakage_w_per_kelvin);
 }
 
 void append_kernel(std::string& key, const KernelDesc& k) {
@@ -103,58 +51,71 @@ void append_kernel(std::string& key, const KernelDesc& k) {
   put(key, k.d2h_bytes.bytes());
 }
 
+/// Project a full RunResult onto what RunMemo callers read. Completions
+/// carry instance ids; sorting (id, position) pairs maps them back to plan
+/// positions in O(n log n).
+RunOutcome outcome_of(const LaunchPlan& plan, const RunResult& run) {
+  RunOutcome out;
+  out.total_time = run.total_time;
+  out.system_energy = run.system_energy;
+  out.finish_times.assign(plan.instances.size(), Duration::zero());
+  std::vector<std::pair<int, std::size_t>> by_id;
+  by_id.reserve(plan.instances.size());
+  for (std::size_t i = 0; i < plan.instances.size(); ++i) {
+    by_id.emplace_back(plan.instances[i].instance_id, i);
+  }
+  std::sort(by_id.begin(), by_id.end());
+  for (const auto& c : run.completions) {
+    const auto it = std::lower_bound(
+        by_id.begin(), by_id.end(), std::pair<int, std::size_t>{c.instance_id, 0});
+    if (it != by_id.end() && it->first == c.instance_id) {
+      out.finish_times[it->second] = c.finish_time;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
-std::uint64_t device_config_hash(const DeviceConfig& dev) {
-  std::string key;
-  key.reserve(256);
-  append_device_config(key, dev);
-  return fnv1a(key);
+CacheCounters::CacheCounters(const std::string& prefix)
+    : hits_(obs::Registry::instance().counter(prefix + ".hits")),
+      misses_(obs::Registry::instance().counter(prefix + ".misses")),
+      evictions_(obs::Registry::instance().counter(prefix + ".evictions")) {}
+
+void CacheCounters::publish(const CacheStats& s) const {
+  hits_.set(static_cast<double>(s.hits));
+  misses_.set(static_cast<double>(s.misses));
+  evictions_.set(static_cast<double>(s.evictions));
 }
 
-std::uint64_t energy_config_hash(const EnergyConfig& energy) {
-  std::string key;
-  key.reserve(128);
-  append_energy_config(key, energy);
-  return fnv1a(key);
-}
-
-std::string config_key_prefix(const DeviceConfig& dev,
-                              const EnergyConfig* energy) {
-  std::string prefix;
-  prefix.reserve(384);
-  append_device_config(prefix, dev);
-  prefix += '|';
-  if (energy != nullptr) append_energy_config(prefix, *energy);
-  return prefix;
-}
-
-PlanSignature plan_signature_with_prefix(const LaunchPlan& plan,
-                                         std::string_view config_prefix,
-                                         std::string_view tag,
-                                         bool include_instance_ids) {
+PlanSignature plan_signature(const LaunchPlan& plan) {
   PlanSignature sig;
-  sig.key.reserve(64 + config_prefix.size() + 160 * plan.instances.size());
-  sig.key += tag;
-  sig.key += '|';
-  sig.key += config_prefix;
-  sig.key += '|';
+  sig.key.reserve(8 + 160 * plan.instances.size());
   put(sig.key, static_cast<std::int64_t>(plan.reuse_constant_data ? 1 : 0));
-  for (const auto& inst : plan.instances) {
-    sig.key += '|';
-    if (include_instance_ids) {
-      put(sig.key, static_cast<std::int64_t>(inst.instance_id));
-    }
-    append_kernel(sig.key, inst.desc);
-  }
+  for (const auto& inst : plan.instances) append_kernel(sig.key, inst.desc);
   return sig;
 }
 
-PlanSignature plan_signature(const LaunchPlan& plan, const DeviceConfig& dev,
-                             const EnergyConfig* energy, std::string_view tag,
-                             bool include_instance_ids) {
-  return plan_signature_with_prefix(plan, config_key_prefix(dev, energy), tag,
-                                    include_instance_ids);
+RunMemo::RunMemo(const FluidEngine& engine, std::size_t capacity)
+    : engine_(engine), cache_(capacity) {}
+
+RunOutcome RunMemo::run(const LaunchPlan& plan) {
+  const PlanSignature sig = plan_signature(plan);
+  if (auto hit = cache_.get(sig)) {
+    if (obs::Tracer::enabled()) {
+      // The same span FluidEngine::run closes with, marked as a replay.
+      char args[128];
+      std::snprintf(args, sizeof args,
+                    "\"instances\":%zu,\"energy_j\":%.6f,\"cached\":true",
+                    plan.instances.size(), hit->system_energy.joules());
+      obs::sim_span("gpusim.run", 0.0, hit->total_time.seconds(), 0, args,
+                    obs::Tracer::current_request_id());
+    }
+    return std::move(*hit);
+  }
+  RunOutcome fresh = outcome_of(plan, engine_.run(plan));
+  cache_.put(sig, fresh);
+  return fresh;
 }
 
 }  // namespace ewc::gpusim

@@ -1,19 +1,21 @@
 // Memoization layer for simulation and prediction results.
 //
-// The decision stack evaluates the same workload shapes millions of times in
-// a datacenter replay: the cache maps a *canonical launch-plan signature* —
-// kernel names, grid/block dims, resource usage, instruction mix, work
-// scale, device-config hash, energy-config hash and optimization flags — to
-// previously computed results. The signature's `key` is an exact binary
-// encoding (fixed-width fields, every double as its raw IEEE-754 bit
-// pattern), so two requests share an entry only if the simulator would be
-// handed bit-identical inputs; a hit is therefore bit-identical to a fresh
-// run. Entries are LRU-bounded and the cache keeps hit / miss / eviction
-// counters for `ewcsim cache-stats` reporting.
+// The decision stack and the ewcd backend evaluate the same workload shapes
+// over and over: the cache maps a *canonical launch-plan signature* — kernel
+// names, grid/block dims, resource usage, instruction mix, work scale,
+// transfers and the constant-reuse flag — to previously computed results.
+// The signature's `key` is an exact binary encoding (fixed-width fields,
+// every double as its raw IEEE-754 bit pattern), so two requests share an
+// entry only if the simulator would be handed bit-identical inputs; a hit is
+// therefore bit-identical to a fresh run. Entries are LRU-bounded and the
+// cache keeps hit / miss / eviction counters.
 //
-// Invalidation is by construction: the device config and energy config are
-// part of the key, so changing either simply stops matching old entries
-// (callers that swap configs should also clear() to release dead entries).
+// Keys carry neither instance ids nor owners: FluidEngine::run and the
+// prediction models read ids only as labels on completions (pinned by
+// GoldenDigests.InstanceIdsOnlyLabelCompletions), and RunMemo reports finish
+// times by plan position. Keys carry no device or energy config either: a
+// cache belongs to one engine (one DeviceConfig + EnergyConfig) for its
+// whole lifetime.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +26,12 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
-#include "gpusim/device_config.hpp"
+#include "gpusim/engine.hpp"
 #include "gpusim/kernel_desc.hpp"
 #include "gpusim/metrics.hpp"
+#include "obs/registry.hpp"
 
 namespace ewc::gpusim {
 
@@ -52,50 +56,29 @@ struct CacheStats {
   }
 };
 
+/// A cache's CacheStats published on obs::Registry as the gauges
+/// `<prefix>.hits`, `<prefix>.misses` and `<prefix>.evictions`. The handles
+/// are resolved once, at construction.
+class CacheCounters {
+ public:
+  explicit CacheCounters(const std::string& prefix);
+  void publish(const CacheStats& s) const;
+
+ private:
+  obs::Counter hits_;
+  obs::Counter misses_;
+  obs::Counter evictions_;
+};
+
 /// Canonical identity of one simulation/prediction request.
 struct PlanSignature {
   std::string key;  ///< exact encoding; equality is collision-free
 };
 
-/// FNV-1a, the hash behind device_config_hash and energy_config_hash.
-std::uint64_t fnv1a(std::string_view s);
-
-/// Hash of every architectural field of a device config (the "device-config
-/// hash" part of the cache key).
-std::uint64_t device_config_hash(const DeviceConfig& dev);
-
-/// Hash of every ground-truth energy/thermal parameter.
-std::uint64_t energy_config_hash(const EnergyConfig& energy);
-
-/// Build the canonical signature of `plan` on `dev` (+`energy` when the
-/// cached value depends on the energy model, i.e. for simulator results).
-///
-/// @param tag  namespaces otherwise-identical requests (e.g. "run" vs
-///             "serial" vs "predict") so their entries never alias.
-/// @param include_instance_ids  instance ids are part of RunResult
-///             (completions), so simulator results must key on them; pure
-///             per-kernel predictions that only depend on the descriptor
-///             pass false to share entries across batch positions.
-///             The `owner` string never affects results and is always
-///             excluded.
-PlanSignature plan_signature(const LaunchPlan& plan, const DeviceConfig& dev,
-                             const EnergyConfig* energy = nullptr,
-                             std::string_view tag = "run",
-                             bool include_instance_ids = true);
-
-/// The device(+energy) portion of the key, encoded once. Long-lived callers
-/// (DecisionEngine, QueueSimulator) precompute this so per-lookup signature
-/// building only encodes the plan itself.
-std::string config_key_prefix(const DeviceConfig& dev,
-                              const EnergyConfig* energy = nullptr);
-
-/// plan_signature with the static portion already encoded; identical output
-/// to plan_signature when `config_prefix` came from config_key_prefix with
-/// the same configs.
-PlanSignature plan_signature_with_prefix(const LaunchPlan& plan,
-                                         std::string_view config_prefix,
-                                         std::string_view tag,
-                                         bool include_instance_ids);
+/// The canonical, id-free signature of `plan`: every KernelDesc field of
+/// every instance, in plan order, plus the constant-reuse flag. Instance ids
+/// and owners never affect results and are excluded.
+PlanSignature plan_signature(const LaunchPlan& plan);
 
 /// Thread-safe LRU map from PlanSignature to an arbitrary result type.
 template <typename Value>
@@ -174,7 +157,37 @@ class SimCache {
   std::uint64_t evictions_ = 0;
 };
 
-/// The simulator-result cache type QueueSimulator uses.
-using RunResultCache = SimCache<RunResult>;
+/// What callers read from one FluidEngine run — not the full RunResult,
+/// whose SM stats, power segments and occupancy samples nobody on the
+/// request path looks at.
+struct RunOutcome {
+  Duration total_time = Duration::zero();
+  Energy system_energy = Energy::zero();
+  /// Each instance's finish time, relative to the run's start, by its
+  /// position in the plan.
+  std::vector<Duration> finish_times;
+};
+
+/// The memo for GPU execution: FluidEngine::run keyed by the id-free plan
+/// signature, bounded by an LRU of `capacity` entries. A hit is
+/// bit-identical to a fresh run. With tracing on, a miss records the
+/// engine's own spans and a hit records one `gpusim.run` sim span at the
+/// same anchor carrying `"cached":true`. Thread-safe.
+class RunMemo {
+ public:
+  /// `engine` must outlive the memo.
+  RunMemo(const FluidEngine& engine, std::size_t capacity);
+
+  /// The outcome of `engine.run(plan)`. Instance ids must be unique within
+  /// the plan (they map completions to positions on a miss).
+  /// @throws std::invalid_argument as FluidEngine::run does.
+  RunOutcome run(const LaunchPlan& plan);
+
+  CacheStats stats() const { return cache_.stats(); }
+
+ private:
+  const FluidEngine& engine_;
+  SimCache<RunOutcome> cache_;
+};
 
 }  // namespace ewc::gpusim
