@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/units.hpp"
 
@@ -33,6 +34,30 @@ class Channel {
     }
     cv_.notify_one();
     return true;
+  }
+
+  /// Enqueue several messages in one operation (one lock, one wake-up), in
+  /// order. Returns false, enqueuing none, if the channel is closed.
+  bool send_all(std::vector<T> values) {
+    {
+      std::lock_guard lock(mu_);
+      if (closed_) return false;
+      for (auto& v : values) queue_.push_back(std::move(v));
+    }
+    cv_.notify_one();
+    return true;
+  }
+
+  /// Block until a message is available, then take every queued message.
+  /// Empty only when the channel is closed and drained.
+  std::vector<T> receive_all() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
+    std::vector<T> out;
+    out.reserve(queue_.size());
+    for (auto& v : queue_) out.push_back(std::move(v));
+    queue_.clear();
+    return out;
   }
 
   /// Block until a message is available or the channel is closed and drained.

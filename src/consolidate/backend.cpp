@@ -18,6 +18,26 @@ common::Power gpu_idle_adder(const gpusim::EnergyConfig& e) {
   return common::Power::from_watts(e.system_idle_with_gpu.watts() -
                                    e.host_only_idle.watts());
 }
+
+/// Answer `requests` (replies[i] answers requests[i]): each reply channel
+/// gets all of its replies, in order, in one channel operation.
+void send_replies(const std::vector<LaunchRequest>& requests,
+                  std::vector<CompletionReply> replies) {
+  std::vector<std::pair<ReplyChannel*, std::vector<CompletionReply>>> by_channel;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ReplyChannel* channel = requests[i].reply.get();
+    if (channel == nullptr) continue;
+    auto it = std::find_if(by_channel.begin(), by_channel.end(),
+                           [&](const auto& c) { return c.first == channel; });
+    if (it == by_channel.end()) {
+      it = by_channel.insert(by_channel.end(), {channel, {}});
+    }
+    it->second.push_back(std::move(replies[i]));
+  }
+  for (auto& [channel, answers] : by_channel) {
+    channel->send_all(std::move(answers));
+  }
+}
 }  // namespace
 
 Backend::Backend(const gpusim::FluidEngine& engine,
@@ -107,16 +127,15 @@ void Backend::run_loop() {
 
 void Backend::fail_pending(std::vector<LaunchRequest>& pending,
                            const std::string& error) {
-  for (auto& req : pending) {
-    if (!req.reply) continue;
-    CompletionReply reply;
-    reply.ok = false;
-    reply.error = error;
-    reply.request_id = req.request_id;
-    reply.owner = req.owner;
-    reply.session = req.session;
-    req.reply->send(std::move(reply));
+  std::vector<CompletionReply> replies(pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    replies[i].ok = false;
+    replies[i].error = error;
+    replies[i].request_id = pending[i].request_id;
+    replies[i].owner = pending[i].owner;
+    replies[i].session = pending[i].session;
   }
+  send_replies(pending, std::move(replies));
   pending.clear();
 }
 
@@ -198,42 +217,19 @@ void Backend::process_batch(std::vector<LaunchRequest>& batch) {
             });
 
   // Partition into candidate groups by template coverage (paper Section
-  // VII): each request joins the first group whose (possibly upgraded)
-  // template also covers it; requests no template covers form their own
-  // "run normally" groups.
-  struct Group {
+  // VII); requests no template covers run normally, each on its own.
+  std::vector<std::string_view> names;
+  names.reserve(batch.size());
+  for (const auto& req : batch) names.push_back(req.desc.name);
+  for (const CandidateGroup& g : templates_.partition(names)) {
     std::vector<LaunchRequest> requests;
-    const ConsolidationTemplate* tmpl = nullptr;
-    std::vector<std::string> names;
-  };
-  std::vector<Group> groups;
-  for (auto& req : batch) {
-    bool placed = false;
-    for (auto& g : groups) {
-      if (g.tmpl == nullptr) continue;
-      std::vector<std::string> candidate = g.names;
-      candidate.push_back(req.desc.name);
-      if (const ConsolidationTemplate* t = templates_.find(candidate)) {
-        g.tmpl = t;
-        g.names = std::move(candidate);
-        g.requests.push_back(std::move(req));
-        placed = true;
-        break;
-      }
+    requests.reserve(g.members.size());
+    for (const std::size_t i : g.members) {
+      requests.push_back(std::move(batch[i]));
     }
-    if (!placed) {
-      Group g;
-      g.names = {req.desc.name};
-      g.tmpl = templates_.find(g.names);
-      g.requests.push_back(std::move(req));
-      groups.push_back(std::move(g));
-    }
+    process_group(requests, g.tmpl);
   }
   batch.clear();
-
-  for (auto& g : groups) {
-    process_group(g.requests, g.tmpl);
-  }
 }
 
 void Backend::process_group(std::vector<LaunchRequest>& batch,
@@ -486,8 +482,8 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
       ev.dur_us = obs::Tracer::now_us() - group_start_us;
       obs::Tracer::instance().record(std::move(ev));
     }
-    if (batch[i].reply) batch[i].reply->send(replies[i]);
   }
+  send_replies(batch, std::move(replies));
   batch.clear();
 }
 

@@ -46,6 +46,12 @@ struct FrameHeader {
 bool parse_frame_header(std::span<const std::byte> bytes, FrameHeader* out,
                         std::string* error);
 
+/// Encode one frame (header + payload) onto the end of `out`, so several
+/// frames can leave in one write. False, with nothing appended, when the
+/// payload exceeds kMaxFramePayload.
+bool append_frame(std::vector<std::byte>& out, std::uint16_t type,
+                  std::span<const std::byte> payload);
+
 /// Serialize and send one frame before the deadline.
 IoStatus write_frame(Socket& sock, std::uint16_t type,
                      std::span<const std::byte> payload,
@@ -54,5 +60,40 @@ IoStatus write_frame(Socket& sock, std::uint16_t type,
 /// Receive one frame. kEof only when the peer closed between frames.
 IoStatus read_frame(Socket& sock, Frame* out, const Deadline& deadline,
                     std::string* error);
+
+/// Bytes received from a stream, not yet parsed into frames. The reactor's
+/// per-connection input and the client's reader both read into one of
+/// these a whole burst at a time and then pop every complete frame.
+class FrameBuffer {
+ public:
+  enum class Pop { kFrame, kIncomplete, kBad };
+
+  /// Room for `n` more bytes at the end; commit() what was written there.
+  std::byte* prepare(std::size_t n);
+  void commit(std::size_t n) { end_ += n; }
+  void append(std::span<const std::byte> bytes);
+
+  /// The next complete frame, kIncomplete when only part of one is here,
+  /// or kBad (with *error) when the header is invalid — the stream cannot
+  /// be resynchronized.
+  Pop pop(Frame* out, std::string* error);
+
+  /// No buffered bytes: the stream is between frames.
+  bool empty() const { return begin_ == end_; }
+  /// Forget everything buffered (the stream it came from is gone).
+  void clear() { begin_ = end_ = 0; }
+
+ private:
+  std::vector<std::byte> buf_;
+  std::size_t begin_ = 0;  ///< first unparsed byte
+  std::size_t end_ = 0;    ///< one past the last received byte
+};
+
+/// Receive one frame through `buffer`: frames already buffered come out
+/// with no system call; otherwise one poll and one recv of up to 64 KiB,
+/// so a burst of frames costs one recv. kEof only when the peer closed
+/// between frames. The net.recv fault site fires once per recv issued.
+IoStatus read_frame(Socket& sock, FrameBuffer& buffer, Frame* out,
+                    const Deadline& deadline, std::string* error);
 
 }  // namespace ewc::net

@@ -170,13 +170,12 @@ IoStatus Socket::send_exact(const void* data, std::size_t n,
   return IoStatus::kOk;
 }
 
-IoStatus Socket::recv_exact(void* data, std::size_t n, const Deadline& deadline,
-                            std::string* error) {
+bool Socket::recv_fault(std::string* error) {
   if (auto a = fault::hit("net.recv")) {
     switch (a.kind) {
       case fault::ActionKind::kFail:
         if (error) *error = "injected recv failure";
-        return IoStatus::kError;
+        return false;
       case fault::ActionKind::kClose:
         // The kernel drains to EOF; the read below observes it.
         shutdown_rw();
@@ -189,6 +188,12 @@ IoStatus Socket::recv_exact(void* data, std::size_t n, const Deadline& deadline,
         break;
     }
   }
+  return true;
+}
+
+IoStatus Socket::recv_exact(void* data, std::size_t n, const Deadline& deadline,
+                            std::string* error) {
+  if (!recv_fault(error)) return IoStatus::kError;
   auto* p = static_cast<std::byte*>(data);
   std::size_t got = 0;
   while (got < n) {
@@ -216,6 +221,42 @@ IoStatus Socket::recv_exact(void* data, std::size_t n, const Deadline& deadline,
     return IoStatus::kError;
   }
   return IoStatus::kOk;
+}
+
+IoStatus Socket::recv_some(void* data, std::size_t cap, std::size_t* got,
+                           const Deadline& deadline, std::string* error) {
+  *got = 0;
+  if (!recv_fault(error)) return IoStatus::kError;
+  for (;;) {
+    const IoStatus w = poll_for(fd_, POLLIN, deadline, error);
+    if (w != IoStatus::kOk) return w;
+    const ssize_t rc = ::recv(fd_, data, cap, 0);
+    if (rc > 0) {
+      *got = static_cast<std::size_t>(rc);
+      return IoStatus::kOk;
+    }
+    if (rc == 0) return IoStatus::kEof;
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    set_error(error, "recv");
+    return IoStatus::kError;
+  }
+}
+
+IoStatus Socket::send_some(const void* data, std::size_t n, std::size_t* sent,
+                           std::string* error) {
+  *sent = 0;
+  for (;;) {
+    const ssize_t rc =
+        ::send(fd_, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (rc >= 0) {
+      *sent = static_cast<std::size_t>(rc);
+      return IoStatus::kOk;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kOk;
+    set_error(error, "send");
+    return IoStatus::kError;
+  }
 }
 
 IoStatus Socket::wait_readable(const Deadline& deadline, std::string* error) {

@@ -75,10 +75,24 @@ class Socket {
   IoStatus recv_exact(void* data, std::size_t n, const Deadline& deadline,
                       std::string* error);
 
+  /// Wait (up to the deadline) until readable, then one recv of at most
+  /// `cap` bytes: *got > 0 with kOk, or kEof when the peer closed. Fault
+  /// site net.recv, once per call.
+  IoStatus recv_some(void* data, std::size_t cap, std::size_t* got,
+                     const Deadline& deadline, std::string* error);
+  /// One send(2) that never waits: *sent is how much went out, 0 when the
+  /// socket buffer is full. kError when the peer is gone. No fault site:
+  /// callers that honour an armed injector use send_exact instead.
+  IoStatus send_some(const void* data, std::size_t n, std::size_t* sent,
+                     std::string* error);
+
   /// Poll for readability up to the deadline.
   IoStatus wait_readable(const Deadline& deadline, std::string* error);
 
  private:
+  /// The net.recv fault site: false (with *error) for an injected failure.
+  bool recv_fault(std::string* error);
+
   int fd_ = -1;
 };
 

@@ -14,12 +14,17 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ewc::net {
 
 class Writer {
  public:
+  /// Append to `out` (empty by default): encoders can fill one buffer back
+  /// to back.
+  explicit Writer(std::vector<std::byte> out = {}) : out_(std::move(out)) {}
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

@@ -23,7 +23,7 @@ struct RouterCounters {
   obs::Counter placed, placement_failures, forwarded, returned,
       upstream_closed, breaker_trips, poll_failures, accept_backoff,
       sessions_migrated, migrations_failed, sessions_rehomed, sync_pulls,
-      standby_refusals, standby_promotions;
+      standby_refusals, standby_promotions, forward_writes;
 };
 
 RouterCounters& counters() {
@@ -35,7 +35,8 @@ RouterCounters& counters() {
       h("router.poll_failures"),      h("router.accept_backoff"),
       h("router.sessions_migrated"),  h("router.migrations_failed"),
       h("router.sessions_rehomed"),   h("router.sync_pulls"),
-      h("router.standby_refusals"),   h("router.standby_promotions")};
+      h("router.standby_refusals"),   h("router.standby_promotions"),
+      h("router.forward_writes")};
   return *s;
 }
 
@@ -148,6 +149,7 @@ bool Router::start(std::string* error) {
   Reactor::Options ropts;
   ropts.workers = options_.workers;
   ropts.io_timeout = options_.io_timeout;
+  ropts.queued_writes = counters().forward_writes;
   Reactor::Handler handler;
   handler.on_open = [this](const Reactor::ConnPtr& c) { on_open(c); };
   handler.on_frame = [this](const Reactor::ConnPtr& c, net::Frame f) {
@@ -632,7 +634,17 @@ void Router::forward(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
       !ctx->is_upstream && obs::Tracer::enabled() &&
       static_cast<MsgType>(frame.type) == MsgType::kLaunch;
   const double start_us = trace_launch ? obs::Tracer::now_us() : 0.0;
-  if (peer->send(frame.type, frame.payload)) {
+  // Corked: every frame this pump turn forwards to the peer leaves in one
+  // write when the turn ends. With a fault scenario armed each frame is
+  // sent on its own, so net.frame.send still fires once per frame.
+  bool handed_over = true;
+  if (fault::Injector::instance().armed()) {
+    handed_over = peer->send(frame.type, frame.payload);
+    if (handed_over) counters().forward_writes.inc();
+  } else {
+    peer->cork(frame.type, frame.payload);
+  }
+  if (handed_over) {
     (ctx->is_upstream ? counters().returned : counters().forwarded).inc();
     if (trace_launch) {
       if (const auto req = server::decode_launch(frame.payload)) {

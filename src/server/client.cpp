@@ -661,6 +661,9 @@ bool ClientConnection::recover(const std::string& why) {
       {
         std::lock_guard wlock(write_mu_);
         sock_ = std::move(*sock);
+        // Whatever was buffered belongs to the dead stream — a partial
+        // frame there would corrupt the first frame of this one.
+        rx_.clear();
         settings_ = settings;
         {
           std::lock_guard lock(mu_);
@@ -700,7 +703,7 @@ void ClientConnection::reader_loop() {
     net::Frame frame;
     std::string err;
     const auto s =
-        net::read_frame(sock_, &frame, net::Deadline::never(), &err);
+        net::read_frame(sock_, rx_, &frame, net::Deadline::never(), &err);
     if (s != net::IoStatus::kOk) {
       const std::string why = s == net::IoStatus::kEof
                                   ? "server closed connection"

@@ -38,6 +38,7 @@
 #include "common/channel.hpp"
 #include "common/rng.hpp"
 #include "consolidate/protocol.hpp"
+#include "net/frame.hpp"
 #include "net/retry.hpp"
 #include "net/socket.hpp"
 #include "server/protocol_wire.hpp"
@@ -192,6 +193,9 @@ class ClientConnection {
   void record_transport_success();
 
   net::Socket sock_;
+  /// Received bytes not yet parsed into frames (reader thread only): one
+  /// recv takes a whole burst of replies.
+  net::FrameBuffer rx_;
   /// The endpoint list from the comma-separated --socket spec. endpoint_idx_
   /// is the entry currently connected (connect thread, then reader thread
   /// only — recovery rotates from it through the list).

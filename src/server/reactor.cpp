@@ -26,23 +26,120 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// The connections the current pump turn on this thread corked; nullptr
+/// off a pump turn.
+thread_local std::vector<Reactor::ConnPtr>* t_corked = nullptr;
+
 }  // namespace
+
+void Reactor::Conn::fail_locked() {
+  closing_.store(true, std::memory_order_relaxed);
+  // Shut the read side down too so the reactor notices and runs the close
+  // path for this connection.
+  sock_.shutdown_rw();
+}
+
+bool Reactor::Conn::drain_locked() {
+  for (;;) {
+    std::vector<std::byte> out;
+    {
+      std::lock_guard lock(out_mu_);
+      if (outq_.empty()) {
+        flush_posted_ = false;
+        return true;
+      }
+      out.swap(outq_);
+    }
+    reactor_->options_.queued_writes.inc();
+    if (sock_.send_exact(out.data(), out.size(),
+                         net::Deadline::after(reactor_->options_.io_timeout),
+                         nullptr) != net::IoStatus::kOk) {
+      fail_locked();
+      return false;
+    }
+  }
+}
 
 bool Reactor::Conn::send(std::uint16_t type,
                          std::span<const std::byte> payload) {
   std::lock_guard lock(write_mu_);
+  if (!drain_locked()) return false;
   std::string err;
   const auto s = net::write_frame(
       sock_, type, payload,
       net::Deadline::after(reactor_->options_.io_timeout), &err);
   if (s != net::IoStatus::kOk) {
-    closing_.store(true, std::memory_order_relaxed);
-    // Shut the read side down too so the reactor notices and runs the
-    // close path for this connection.
-    sock_.shutdown_rw();
+    fail_locked();
     return false;
   }
   return true;
+}
+
+bool Reactor::Conn::flush() {
+  std::lock_guard lock(write_mu_);
+  return drain_locked();
+}
+
+Reactor::Conn::WriteStatus Reactor::Conn::write(
+    std::vector<std::byte> frames) {
+  if (closing()) return WriteStatus::kFailed;
+  std::unique_lock wlock(write_mu_, std::defer_lock);
+  std::span<const std::byte> rest = frames;
+  {
+    std::lock_guard lock(out_mu_);
+    // Frames handed over earlier go first; and a busy mutex means some
+    // other writer (perhaps blocked on a full socket) owns the stream.
+    if (!outq_.empty() || !wlock.try_lock()) {
+      outq_.insert(outq_.end(), rest.begin(), rest.end());
+      rest = {};
+    }
+  }
+  if (wlock.owns_lock()) {
+    std::size_t sent = 0;
+    reactor_->options_.queued_writes.inc();
+    if (sock_.send_some(rest.data(), rest.size(), &sent, nullptr) !=
+        net::IoStatus::kOk) {
+      fail_locked();
+      return WriteStatus::kFailed;
+    }
+    if (sent == rest.size()) return WriteStatus::kWritten;
+    // A short write leaves a partial frame on the wire: the remainder must
+    // precede anything queued since, and every later sender drains it
+    // before writing.
+    rest = rest.subspan(sent);
+    {
+      std::lock_guard lock(out_mu_);
+      outq_.insert(outq_.begin(), rest.begin(), rest.end());
+    }
+    wlock.unlock();
+  }
+  bool post_flush = false;
+  {
+    std::lock_guard lock(out_mu_);
+    post_flush = !flush_posted_;
+    flush_posted_ = true;
+  }
+  if (post_flush && !post([self = shared_from_this()] { self->flush(); })) {
+    return WriteStatus::kFailed;
+  }
+  return WriteStatus::kQueued;
+}
+
+void Reactor::Conn::cork(std::uint16_t type,
+                         std::span<const std::byte> payload) {
+  {
+    std::lock_guard lock(out_mu_);
+    net::append_frame(outq_, type, payload);
+  }
+  if (t_corked == nullptr) {
+    flush();
+    return;
+  }
+  auto self = shared_from_this();
+  if (std::find(t_corked->begin(), t_corked->end(), self) ==
+      t_corked->end()) {
+    t_corked->push_back(std::move(self));
+  }
 }
 
 bool Reactor::Conn::post(std::function<void()> task) {
@@ -53,6 +150,11 @@ bool Reactor::Conn::post(std::function<void()> task) {
   }
   reactor_->schedule(shared_from_this());
   return true;
+}
+
+bool Reactor::Conn::read_ended() {
+  std::lock_guard lock(q_mu_);
+  return close_queued_ || close_delivered_;
 }
 
 void Reactor::Conn::close_async() {
@@ -277,7 +379,7 @@ void Reactor::do_read(const ConnPtr& conn) {
   for (;;) {
     const ssize_t rc = ::recv(conn->sock_.fd(), buf, sizeof(buf), 0);
     if (rc > 0) {
-      conn->inbuf_.insert(conn->inbuf_.end(), buf, buf + rc);
+      conn->inbuf_.append({buf, static_cast<std::size_t>(rc)});
       std::string why;
       if (!parse_frames(conn, &why)) {
         finish_read(conn, CloseReason::kProtocol, why);
@@ -306,30 +408,16 @@ void Reactor::do_read(const ConnPtr& conn) {
 }
 
 bool Reactor::parse_frames(const ConnPtr& conn, std::string* why) {
-  auto& buf = conn->inbuf_;
-  std::size_t off = 0;
   bool queued = false;
-  while (buf.size() - off >= net::kFrameHeaderSize) {
-    net::FrameHeader h;
-    if (!net::parse_frame_header(
-            std::span<const std::byte>(buf.data() + off,
-                                       net::kFrameHeaderSize),
-            &h, why)) {
-      return false;
-    }
-    if (buf.size() - off - net::kFrameHeaderSize < h.length) break;
+  for (;;) {
     net::Frame frame;
-    frame.type = h.type;
-    const std::byte* body = buf.data() + off + net::kFrameHeaderSize;
-    frame.payload.assign(body, body + h.length);
-    off += net::kFrameHeaderSize + h.length;
-    {
-      std::lock_guard lock(conn->q_mu_);
-      conn->inbox_.push_back(std::move(frame));
-    }
+    const auto got = conn->inbuf_.pop(&frame, why);
+    if (got == net::FrameBuffer::Pop::kBad) return false;
+    if (got == net::FrameBuffer::Pop::kIncomplete) break;
+    std::lock_guard lock(conn->q_mu_);
+    conn->inbox_.push_back(std::move(frame));
     queued = true;
   }
-  if (off > 0) buf.erase(buf.begin(), buf.begin() + static_cast<long>(off));
   if (queued) schedule(conn);
   return true;
 }
@@ -359,45 +447,41 @@ void Reactor::schedule(ConnPtr conn) {
 }
 
 void Reactor::pump(const ConnPtr& conn) {
+  // Frames the handlers cork during a turn leave in one write per peer at
+  // the turn's end.
+  std::vector<ConnPtr> corked;
+  t_corked = &corked;
   for (;;) {
-    std::function<void()> task;
-    net::Frame frame;
-    enum { kNone, kTask, kFrame, kClose } kind = kNone;
+    std::deque<std::function<void()>> tasks;
+    std::deque<net::Frame> frames;
+    bool close = false;
     {
       std::lock_guard lock(conn->q_mu_);
-      if (!conn->tasks_.empty()) {
-        task = std::move(conn->tasks_.front());
-        conn->tasks_.pop_front();
-        kind = kTask;
-      } else if (!conn->inbox_.empty()) {
-        frame = std::move(conn->inbox_.front());
-        conn->inbox_.pop_front();
-        kind = kFrame;
-      } else if (conn->close_queued_ && !conn->close_delivered_) {
+      tasks.swap(conn->tasks_);
+      frames.swap(conn->inbox_);
+      if (tasks.empty() && frames.empty()) {
+        if (!conn->close_queued_ || conn->close_delivered_) {
+          conn->pump_scheduled_ = false;
+          break;
+        }
         conn->close_delivered_ = true;
-        kind = kClose;
-      } else {
-        conn->pump_scheduled_ = false;
-        return;
+        close = true;
       }
     }
-    switch (kind) {
-      case kTask:
-        task();
-        break;
-      case kFrame:
-        if (handler_.on_frame) handler_.on_frame(conn, std::move(frame));
-        break;
-      case kClose:
-        if (handler_.on_close) {
-          handler_.on_close(conn, conn->close_reason_, conn->close_msg_);
-        }
-        retire(conn);
-        break;
-      case kNone:
-        return;
+    for (auto& task : tasks) task();
+    if (handler_.on_frame) {
+      for (auto& frame : frames) handler_.on_frame(conn, std::move(frame));
     }
+    if (close) {
+      if (handler_.on_close) {
+        handler_.on_close(conn, conn->close_reason_, conn->close_msg_);
+      }
+      retire(conn);
+    }
+    for (const auto& peer : corked) peer->flush();
+    corked.clear();
   }
+  t_corked = nullptr;
 }
 
 void Reactor::retire(const ConnPtr& conn) {

@@ -15,12 +15,17 @@
 //                    callbacks for one connection never run concurrently
 //                    and frames are processed in arrival order — the same
 //                    ordering contract the dedicated reader thread gave.
-//   writes:          stay blocking-style. Socket::send_exact polls POLLOUT
-//                    on EAGAIN, so the existing framed-send path (and its
-//                    fault hooks) works unchanged on the now non-blocking
-//                    fds. Handlers either send directly from a pump/task or
-//                    post() a closure onto the connection's serialized
-//                    queue.
+//                    One pump turn takes every queued task and frame.
+//   writes:          Conn::send stays blocking-style. Socket::send_exact
+//                    polls POLLOUT on EAGAIN, so the framed-send path (and
+//                    its fault hooks) works unchanged on the non-blocking
+//                    fds. Two batched paths share one per-connection queue
+//                    of encoded frames: Conn::write (any thread) tries one
+//                    non-blocking send and leaves the rest to the
+//                    connection's pump; Conn::cork (on a pump turn) holds
+//                    frames until the turn ends and sends them in one
+//                    write. Every send drains that queue first, so frames
+//                    leave in the order they were handed over.
 //
 // The reactor owns the listener and every connection fd; sockets are
 // registered and retired only on the reactor thread. Handlers own all
@@ -43,6 +48,7 @@
 #include "common/units.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
 
 namespace ewc::server {
 
@@ -67,6 +73,10 @@ class Reactor {
     /// Per-frame blocking-send budget (a stuck peer cannot wedge a worker
     /// forever).
     common::Duration io_timeout = common::Duration::from_seconds(30.0);
+    /// Bumped once per send of queued frames (Conn::write, and the flushes
+    /// that finish a write or a turn's corked frames): next to a count of
+    /// the frames, it reads as frames per write.
+    obs::Counter queued_writes;
   };
 
   struct Handler {
@@ -126,9 +136,32 @@ class Reactor {
     void set_ctx(std::shared_ptr<void> ctx) { ctx_ = std::move(ctx); }
 
     /// Blocking framed send under the connection's write mutex (bounded by
-    /// Options::io_timeout). Callable from any thread. On failure the
-    /// connection is marked closing and shut down, so the reactor notices.
+    /// Options::io_timeout), after any frames queued by write() or cork().
+    /// Callable from any thread. On failure the connection is marked
+    /// closing and shut down, so the reactor notices.
     bool send(std::uint16_t type, std::span<const std::byte> payload);
+
+    enum class WriteStatus {
+      kWritten,  ///< all of it went out in one non-blocking send
+      kQueued,   ///< the rest waits for the pump's blocking flush
+      kFailed,   ///< the connection is closing (or its pump is gone)
+    };
+    /// Send whole encoded frames (net::append_frame) without ever blocking
+    /// the caller: one non-blocking send when the write mutex is free and
+    /// nothing handed over earlier is still queued. Otherwise — the mutex
+    /// is busy, earlier frames wait, or the socket took only part — the
+    /// rest is queued and the connection's pump finishes it with a blocking
+    /// flush(). A stuck peer therefore stalls only its own pump.
+    WriteStatus write(std::vector<std::byte> frames);
+
+    /// Queue one frame to leave at the end of the calling pump turn, in one
+    /// write with everything else queued here meanwhile. Called off a pump
+    /// turn, it flushes at once.
+    void cork(std::uint16_t type, std::span<const std::byte> payload);
+
+    /// Blocking send of everything queued by write() and cork(). False
+    /// (connection marked closing) when the send fails.
+    bool flush();
 
     /// Queue a closure on this connection's serialized pump — reply
     /// deliveries, deadline errors. Returns false (closure dropped) once
@@ -141,13 +174,26 @@ class Reactor {
 
     bool closing() const { return closing_.load(std::memory_order_relaxed); }
 
+    /// The read side has ended: post() would drop its task, because the
+    /// peer is gone.
+    bool read_ended();
+
    private:
     friend class Reactor;
+    /// Under write_mu_: send the queued frames. False on failure.
+    bool drain_locked();
+    /// Under write_mu_: a send failed; mark closing and wake the reactor.
+    void fail_locked();
+
     Reactor* reactor_ = nullptr;
     std::uint64_t id_ = 0;
     net::Socket sock_;
-    std::mutex write_mu_;
+    std::mutex write_mu_;  ///< held while bytes go to the socket
     std::shared_ptr<void> ctx_;
+
+    std::mutex out_mu_;  ///< guards the two below; never held across I/O
+    std::vector<std::byte> outq_;  ///< encoded frames not yet sent
+    bool flush_posted_ = false;    ///< a flush task is on the pump
 
     std::mutex q_mu_;  ///< guards everything below
     std::deque<net::Frame> inbox_;
@@ -160,7 +206,7 @@ class Reactor {
 
     std::atomic<bool> closing_{false};
     /// Partial-frame accumulation; reactor thread only.
-    std::vector<std::byte> inbuf_;
+    net::FrameBuffer inbuf_;
   };
 
  private:

@@ -7,6 +7,7 @@
 #include "common/log.hpp"
 #include "fault/injector.hpp"
 #include "net/endpoint.hpp"
+#include "net/frame.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 
@@ -26,7 +27,7 @@ struct ServerCounters {
       replies, flushes, shutdown_requests, deadline_expired,
       drain_failed_replies, drain_flush_timeouts, replayed_requests,
       parked_replies, accept_backoff, migrate_exports, migrate_imports,
-      migrate_refusals;
+      migrate_refusals, reply_writes;
 };
 
 ServerCounters& counters() {
@@ -41,7 +42,8 @@ ServerCounters& counters() {
       h("server.drain.failed_replies"), h("server.drain.flush_timeouts"),
       h("server.replayed_requests"),    h("server.parked_replies"),
       h("server.accept_backoff"),       h("server.migrate.exports"),
-      h("server.migrate.imports"),      h("server.migrate.refusals")};
+      h("server.migrate.imports"),      h("server.migrate.refusals"),
+      h("server.reply_writes")};
   return *s;
 }
 
@@ -83,6 +85,7 @@ bool Server::start(std::string* error) {
   ropt.workers = options_.workers;
   ropt.tick = kTick;
   ropt.io_timeout = options_.io_timeout;
+  ropt.queued_writes = counters().reply_writes;
   Reactor::Handler handler;
   handler.on_open = [this](const Reactor::ConnPtr& c) { on_open(c); };
   handler.on_frame = [this](const Reactor::ConnPtr& c, net::Frame f) {
@@ -378,6 +381,7 @@ void Server::handle_launch(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
     if (conn->send(static_cast<std::uint16_t>(MsgType::kCompletion),
                    encode_completion(*cached))) {
       counters().replies.inc();
+      counters().reply_writes.inc();
     }
     obs::instant("server.replay", id,
                  "\"owner\":\"" + obs::json_escape(req_owner) +
@@ -767,76 +771,128 @@ void Server::release_session(const ConnCtx& ctx) {
 
 void Server::demux_loop() {
   for (;;) {
-    auto reply = backend_replies_->receive();
-    if (!reply.has_value()) break;  // closed and drained: shutting down
-    CtxPtr target;
-    Route route_info;
+    std::vector<consolidate::CompletionReply> replies =
+        backend_replies_->receive_all();
+    if (replies.empty()) break;  // closed and drained: shutting down
+    // Route everything this wake took under one lock hold, grouping the
+    // replies by connection in backend order.
+    std::vector<Route> routes(replies.size());
+    std::vector<std::pair<CtxPtr, std::vector<std::size_t>>> by_conn;
+    std::vector<std::size_t> parked;
     {
       std::lock_guard lock(route_mu_);
-      const auto it = routes_.find(
-          RequestKey{reply->session, reply->owner, reply->request_id});
-      if (it != routes_.end()) {
-        route_info = it->second;
-        target = route_info.ctx.lock();
+      for (std::size_t i = 0; i < replies.size(); ++i) {
+        const auto& reply = replies[i];
+        CtxPtr target;
+        const auto it = routes_.find(
+            RequestKey{reply.session, reply.owner, reply.request_id});
+        if (it != routes_.end()) {
+          routes[i] = it->second;
+          target = routes[i].ctx.lock();
+        }
+        record_completed_locked(reply);
+        if (target == nullptr) {
+          parked.push_back(i);
+          continue;
+        }
+        auto g = std::find_if(by_conn.begin(), by_conn.end(),
+                              [&](const auto& c) { return c.first == target; });
+        if (g == by_conn.end()) {
+          g = by_conn.insert(by_conn.end(), {std::move(target), {}});
+        }
+        g->second.push_back(i);
       }
-      record_completed_locked(*reply);
     }
-    bool delivered = false;
-    if (target != nullptr) {
-      // The connection's serialized pump sends the frame; if the client
-      // died in the meantime the post fails and the reply stays parked in
-      // the completed log above for a future replay.
-      if (auto conn = target->conn.lock()) {
-        delivered = conn->post(
-            [this, conn, target, r = *reply] {
-              deliver_completion(conn, target, r);
-            });
+    for (const auto& [ctx, members] : by_conn) {
+      if (!deliver_batch(ctx, replies, members)) {
+        parked.insert(parked.end(), members.begin(), members.end());
       }
     }
-    if (!delivered) {
+    for (const std::size_t i : parked) {
       counters().parked_replies.inc();
       // The connection died before its answer did (a forwarding router
       // crash is the common cause). The work still ran and the parked
       // reply will answer the client's replay, so the request-lifecycle
       // span must not vanish with the connection — emit it here from the
       // route's copy of the trace correlation.
-      if (obs::Tracer::enabled() && route_info.trace_id != 0) {
+      if (obs::Tracer::enabled() && routes[i].trace_id != 0) {
         const double now_us = obs::Tracer::now_us();
         obs::SpanEvent ev;
         ev.name = "server.request";
-        ev.ts_us = route_info.admitted_at_us;
-        ev.dur_us = now_us - route_info.admitted_at_us;
-        ev.request_id = reply->request_id;
-        ev.trace_id = route_info.trace_id;
-        ev.parent_span_id = route_info.parent_span_id;
-        ev.args = std::string("\"ok\":") + (reply->ok ? "true" : "false") +
-                  ",\"delivered\":false";
+        ev.ts_us = routes[i].admitted_at_us;
+        ev.dur_us = now_us - routes[i].admitted_at_us;
+        ev.request_id = replies[i].request_id;
+        ev.trace_id = routes[i].trace_id;
+        ev.parent_span_id = routes[i].parent_span_id;
+        ev.args = std::string("\"ok\":") +
+                  (replies[i].ok ? "true" : "false") + ",\"delivered\":false";
         obs::Tracer::instance().record(std::move(ev));
       }
     }
   }
 }
 
+bool Server::deliver_batch(
+    const CtxPtr& ctx, const std::vector<consolidate::CompletionReply>& replies,
+    const std::vector<std::size_t>& members) {
+  auto conn = ctx->conn.lock();
+  if (conn == nullptr || conn->read_ended()) return false;
+  if (fault::Injector::instance().armed()) {
+    // Fault sites stay per frame: the connection's pump sends each reply
+    // on its own, through server.reply and net.frame.send. If the client
+    // died in the meantime the post fails and the replies stay parked in
+    // the completed log for a future replay.
+    std::vector<consolidate::CompletionReply> batch;
+    batch.reserve(members.size());
+    for (const std::size_t i : members) batch.push_back(replies[i]);
+    return conn->post([this, conn, ctx, batch = std::move(batch)] {
+      for (const auto& reply : batch) deliver_completion(conn, ctx, reply);
+    });
+  }
+  // Take the still-outstanding replies (the rest already got a deadline /
+  // drain error) and encode their frames back to back.
+  std::vector<std::pair<const consolidate::CompletionReply*, Outstanding>>
+      live;
+  live.reserve(members.size());
+  {
+    std::lock_guard lock(ctx->mu);
+    for (const std::size_t i : members) {
+      const auto it = ctx->outstanding.find(replies[i].request_id);
+      if (it == ctx->outstanding.end()) continue;
+      live.emplace_back(&replies[i], std::move(it->second));
+      ctx->outstanding.erase(it);
+    }
+  }
+  if (live.empty()) return true;
+  std::vector<std::byte> frames;
+  for (const auto& [reply, entry] : live) {
+    net::append_frame(frames, static_cast<std::uint16_t>(MsgType::kCompletion),
+                      encode_completion(*reply));
+  }
+  const bool delivered =
+      conn->write(std::move(frames)) != Reactor::Conn::WriteStatus::kFailed;
+  if (delivered) counters().replies.add(static_cast<double>(live.size()));
+  for (const auto& [reply, entry] : live) {
+    finish_request(*reply, entry, delivered);
+  }
+  return true;
+}
+
 void Server::deliver_completion(const Reactor::ConnPtr& conn,
                                 const CtxPtr& ctx,
                                 const consolidate::CompletionReply& reply) {
-  bool live = false;
-  double admitted_at_us = 0.0;
-  std::uint64_t trace_id = 0, parent_span_id = 0;
+  std::optional<Outstanding> entry;
   {
     std::lock_guard lock(ctx->mu);
     auto it = ctx->outstanding.find(reply.request_id);
     if (it != ctx->outstanding.end()) {
-      live = true;
-      admitted_at_us = it->second.admitted_at_us;
-      trace_id = it->second.trace_id;
-      parent_span_id = it->second.parent_span_id;
+      entry = std::move(it->second);
       ctx->outstanding.erase(it);
     }
   }
   // A reply whose id is no longer outstanding already got a deadline /
   // drain error; dropping the late real answer keeps the stream sane.
-  if (!live) return;
+  if (!entry.has_value()) return;
   bool drop = false;
   if (auto a = fault::hit("server.reply")) {
     if (a.kind == fault::ActionKind::kDelay ||
@@ -853,10 +909,16 @@ void Server::deliver_completion(const Reactor::ConnPtr& conn,
       conn->send(static_cast<std::uint16_t>(MsgType::kCompletion),
                  encode_completion(reply))) {
     counters().replies.inc();
+    counters().reply_writes.inc();
     delivered = true;
   }
+  finish_request(reply, *entry, delivered);
+}
+
+void Server::finish_request(const consolidate::CompletionReply& reply,
+                            const Outstanding& entry, bool delivered) {
   const double now_us = obs::Tracer::now_us();
-  request_latency_hist()->record((now_us - admitted_at_us) * 1e-6);
+  request_latency_hist()->record((now_us - entry.admitted_at_us) * 1e-6);
   if (obs::Tracer::enabled()) {
     // The server-side request-lifecycle span: admission to completion,
     // correlated with the client's launch span by request_id. Emitted even
@@ -866,11 +928,11 @@ void Server::deliver_completion(const Reactor::ConnPtr& conn,
     // stitched cross-process trace.
     obs::SpanEvent ev;
     ev.name = "server.request";
-    ev.ts_us = admitted_at_us;
-    ev.dur_us = now_us - admitted_at_us;
+    ev.ts_us = entry.admitted_at_us;
+    ev.dur_us = now_us - entry.admitted_at_us;
     ev.request_id = reply.request_id;
-    ev.trace_id = trace_id;
-    ev.parent_span_id = parent_span_id;
+    ev.trace_id = entry.trace_id;
+    ev.parent_span_id = entry.parent_span_id;
     ev.args = std::string("\"ok\":") + (reply.ok ? "true" : "false") +
               ",\"delivered\":" + (delivered ? "true" : "false");
     obs::Tracer::instance().record(std::move(ev));

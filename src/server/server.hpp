@@ -220,10 +220,24 @@ class Server {
   /// it, if the client reconnected — and records it in the session's
   /// completed log when replay was negotiated.
   void demux_loop();
+  /// Deliver one connection's share of a demux wake (`members` index
+  /// `replies`), in backend order:
+  /// the still-outstanding replies' frames go out back to back in one
+  /// Conn::write (a non-blocking send on the demux thread, with the
+  /// connection's pump finishing whatever the socket did not take). With a
+  /// fault scenario armed the pump sends them one by one through
+  /// deliver_completion instead. False when the connection is gone.
+  bool deliver_batch(const CtxPtr& ctx,
+                     const std::vector<consolidate::CompletionReply>& replies,
+                     const std::vector<std::size_t>& members);
   /// On the connection's pump: drop if no longer outstanding (deadline or
   /// drain already answered it), else send + record latency/span.
   void deliver_completion(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
                           const consolidate::CompletionReply& reply);
+  /// A reply left the server (or failed to): record its residency and the
+  /// server.request span.
+  void finish_request(const consolidate::CompletionReply& reply,
+                      const Outstanding& entry, bool delivered);
   void drain();
 
   void send_completion_error(const Reactor::ConnPtr& conn,

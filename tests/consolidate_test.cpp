@@ -2,9 +2,12 @@
 // backend/frontend integration, overheads, and the experiment runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <random>
 #include <set>
+#include <string_view>
 #include <thread>
 
 #include "consolidate/backend.hpp"
@@ -70,6 +73,105 @@ TEST(TemplateRegistry, PrefersNarrowestMatch) {
   const auto* t = reg.find({"a", "a"});
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->name, "narrow");
+}
+
+/// The batch partition as the backend computed it before candidate groups
+/// carried template bitmasks, kept as the reference: every launch copies
+/// its candidate group's names and scans every template for the narrowest
+/// one covering them (first added among equals). `upgrades` and
+/// `uncovered` count what the sequence exercised.
+std::vector<std::pair<std::string, std::vector<std::size_t>>>
+reference_partition(const std::vector<ConsolidationTemplate>& templates,
+                    const std::vector<std::string>& names, int* upgrades,
+                    int* uncovered) {
+  const auto find = [&](const std::vector<std::string>& set) {
+    const ConsolidationTemplate* best = nullptr;
+    for (const auto& t : templates) {
+      const bool covers =
+          std::all_of(set.begin(), set.end(),
+                      [&](const std::string& k) { return t.kernels.count(k); });
+      if (covers &&
+          (best == nullptr || t.kernels.size() < best->kernels.size())) {
+        best = &t;
+      }
+    }
+    return best;
+  };
+  struct Group {
+    const ConsolidationTemplate* tmpl = nullptr;
+    std::vector<std::string> names;
+    std::vector<std::size_t> members;
+  };
+  std::vector<Group> groups;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    bool placed = false;
+    for (auto& g : groups) {
+      if (g.tmpl == nullptr) continue;
+      std::vector<std::string> candidate = g.names;
+      candidate.push_back(names[i]);
+      if (const ConsolidationTemplate* t = find(candidate)) {
+        if (t != g.tmpl) ++*upgrades;
+        g.tmpl = t;
+        g.names = std::move(candidate);
+        g.members.push_back(i);
+        placed = true;
+        break;
+      }
+    }
+    if (!placed) {
+      Group g;
+      g.names = {names[i]};
+      g.tmpl = find(g.names);
+      if (g.tmpl == nullptr) ++*uncovered;
+      g.members.push_back(i);
+      groups.push_back(std::move(g));
+    }
+  }
+  std::vector<std::pair<std::string, std::vector<std::size_t>>> out;
+  for (auto& g : groups) {
+    out.emplace_back(g.tmpl ? g.tmpl->name : "", std::move(g.members));
+  }
+  return out;
+}
+
+// The bitmask partition must form exactly the reference's groups, with the
+// same templates, over random template sets (past 64 templates, so masks
+// span several words) and random name sequences with uncovered names.
+TEST(TemplateRegistry, PartitionMatchesReferenceOnRandomSequences) {
+  std::mt19937_64 rng(20111);
+  const std::vector<std::string> alphabet = {"a", "b", "c", "d", "e",
+                                             "f", "g", "h", "x", "y"};
+  int upgrades = 0, uncovered = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::vector<ConsolidationTemplate> templates;
+    const int count = 1 + static_cast<int>(rng() % 80);
+    for (int t = 0; t < count; ++t) {
+      ConsolidationTemplate tmpl;
+      tmpl.name = "t" + std::to_string(t);
+      // "x" and "y" are never hosted.
+      const int width = 1 + static_cast<int>(rng() % 4);
+      for (int k = 0; k < width; ++k) tmpl.kernels.insert(alphabet[rng() % 8]);
+      templates.push_back(std::move(tmpl));
+    }
+    TemplateRegistry reg;
+    for (const auto& t : templates) reg.add(t);
+    std::vector<std::string> names(rng() % 40);
+    for (auto& n : names) n = alphabet[rng() % alphabet.size()];
+
+    const auto expected =
+        reference_partition(templates, names, &upgrades, &uncovered);
+    const std::vector<std::string_view> views(names.begin(), names.end());
+    const auto got = reg.partition(views);
+    ASSERT_EQ(got.size(), expected.size()) << "round " << round;
+    for (std::size_t g = 0; g < got.size(); ++g) {
+      EXPECT_EQ(got[g].tmpl ? got[g].tmpl->name : "", expected[g].first)
+          << "round " << round << " group " << g;
+      EXPECT_EQ(got[g].members, expected[g].second)
+          << "round " << round << " group " << g;
+    }
+  }
+  EXPECT_GT(upgrades, 0);
+  EXPECT_GT(uncovered, 0);
 }
 
 // ---------------- decision engine ----------------

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/registry.hpp"
 #include "server/reactor.hpp"
 
 namespace ewc {
@@ -260,6 +262,95 @@ TEST(ReactorTest, ProtocolGarbageClosesOnlyTheOffendingConnection) {
   }
   EXPECT_EQ(harness.closed.load(), 2);
   harness.stop();
+}
+
+// The router's forwarding pattern: every frame read from one connection
+// goes to its peer, corked until the pump turn ends, while some frames in
+// the same turn are sent to that peer directly. The peer must see every
+// frame in the order it arrived, and the corked ones must share writes.
+TEST(ReactorTest, CorkedFramesKeepOrderAroundDirectSendsToTheSamePeer) {
+  const auto path = reactor_path("cork");
+  constexpr std::uint32_t kFrames = 400;
+  std::mutex mu;
+  std::vector<Reactor::ConnPtr> opened;  // [0] receives, [1] sends
+  Reactor::Options options;
+  options.workers = 2;
+  options.queued_writes =
+      obs::Registry::instance().counter("test.reactor.cork_writes");
+  Reactor::Handler handler;
+  handler.on_open = [&](const Reactor::ConnPtr& conn) {
+    std::lock_guard lock(mu);
+    opened.push_back(conn);
+  };
+  handler.on_frame = [&](const Reactor::ConnPtr&, Frame frame) {
+    Reactor::ConnPtr peer;
+    {
+      std::lock_guard lock(mu);
+      peer = opened.front();
+    }
+    std::uint32_t seq = 0;
+    std::memcpy(&seq, frame.payload.data() + 4, 4);
+    if (seq % 4 == 3) {
+      peer->send(frame.type, frame.payload);
+    } else {
+      peer->cork(frame.type, frame.payload);
+    }
+  };
+  Reactor reactor(options, std::move(handler));
+  std::string error;
+  ::unlink(path.c_str());
+  auto listener = net::Listener::bind_unix(path, 16, &error);
+  ASSERT_TRUE(listener.has_value()) << error;
+  ASSERT_TRUE(reactor.start(std::move(*listener), &error)) << error;
+
+  auto receiver = net::connect_unix(
+      path, Deadline::after(Duration::from_seconds(5.0)), &error);
+  ASSERT_TRUE(receiver.has_value()) << error;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto opened_count = [&] {
+    std::lock_guard lock(mu);
+    return opened.size();
+  };
+  while (opened_count() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(opened_count(), 1u);
+  auto sender = net::connect_unix(
+      path, Deadline::after(Duration::from_seconds(5.0)), &error);
+  ASSERT_TRUE(sender.has_value()) << error;
+
+  // One write, so most of it lands in one read and one pump turn.
+  std::vector<std::byte> burst;
+  for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+    net::append_frame(burst, 42, tagged_payload(9, seq));
+  }
+  const double writes_before =
+      obs::Registry::instance().counter("test.reactor.cork_writes").value();
+  ASSERT_EQ(sender->send_exact(burst.data(), burst.size(), Deadline::never(),
+                               &error),
+            IoStatus::kOk)
+      << error;
+
+  net::FrameBuffer rx;
+  for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+    Frame f;
+    ASSERT_EQ(net::read_frame(*receiver, rx, &f,
+                              Deadline::after(Duration::from_seconds(10.0)),
+                              &error),
+              IoStatus::kOk)
+        << "frame " << seq << ": " << error;
+    ASSERT_EQ(f.payload, tagged_payload(9, seq)) << "out of order at " << seq;
+  }
+  const double corked_writes =
+      obs::Registry::instance().counter("test.reactor.cork_writes").value() -
+      writes_before;
+  // Three of every four frames were corked; each direct send first drains
+  // what the turn corked so far, in one write.
+  EXPECT_GE(corked_writes, 1.0);
+  EXPECT_LT(corked_writes, kFrames * 3.0 / 4.0);
+  reactor.notify_stop();
+  reactor.join();
 }
 
 }  // namespace

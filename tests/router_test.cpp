@@ -20,8 +20,11 @@
 #include <array>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -395,6 +398,57 @@ TEST_F(RouterFleetTest, DrainingShardStopsReceivingNewSessions) {
   snaps = fleet.router->snapshots();
   EXPECT_FALSE(snaps[0].draining);
   EXPECT_EQ(snaps[0].sessions, 2.0);
+}
+
+// Forwarding is corked per pump turn: a shard's reply group crosses the
+// router in one write, and every session still sees its frames in order.
+TEST_F(RouterFleetTest, CorkedForwardingKeepsEachSessionsFrameOrder) {
+  Fleet fleet("cork", /*threshold=*/16);
+  ASSERT_TRUE(fleet.started);
+  constexpr int kLaunches = 64;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<consolidate::CompletionReply> replies;  // arrival order
+  auto conn = fleet.connect("cork");
+  ASSERT_NE(conn, nullptr);
+  auto& registry = obs::Registry::instance();
+  const auto frames = [&] {
+    return registry.counter("router.forwarded_frames").value() +
+           registry.counter("router.returned_frames").value();
+  };
+  const double frames_before = frames();
+  const double writes_before =
+      registry.counter("router.forward_writes").value();
+  for (int i = 1; i <= kLaunches; ++i) {
+    // Owners sort like the request ids, so the backend runs each group in
+    // launch order and answers it in that order.
+    char owner[32];
+    std::snprintf(owner, sizeof owner, "cork#%04d", i);
+    ASSERT_NE(conn->launch_async(aes_launch(owner),
+                                 [&](const consolidate::CompletionReply& r) {
+                                   std::lock_guard lock(mu);
+                                   replies.push_back(r);
+                                   cv.notify_all();
+                                 }),
+              0u);
+  }
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60), [&] {
+      return replies.size() == static_cast<std::size_t>(kLaunches);
+    }));
+    for (int i = 0; i < kLaunches; ++i) {
+      EXPECT_TRUE(replies[i].ok) << replies[i].error;
+      EXPECT_EQ(replies[i].request_id, static_cast<std::uint64_t>(i + 1));
+    }
+  }
+  conn.reset();
+  const double forwarded = frames() - frames_before;
+  const double writes =
+      registry.counter("router.forward_writes").value() - writes_before;
+  EXPECT_EQ(forwarded, 2.0 * kLaunches);
+  EXPECT_GE(writes, 1.0);
+  EXPECT_LT(writes, forwarded);
 }
 
 TEST_F(RouterFleetTest, FlushFansOutToEveryShard) {

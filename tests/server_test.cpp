@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/ioctl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -738,6 +744,442 @@ TEST(ServerTest, MigrateFaultRefusesExportAndLeavesSourceAuthoritative) {
   ASSERT_TRUE(exported->ok) << exported->error;
   EXPECT_EQ(exported->snapshot.entries.size(), 1u);
   daemon.server->stop();
+}
+
+// ---------------- batched reply path ----------------
+
+/// Completions one client received, in arrival order.
+struct ReplyLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<CompletionReply> replies;
+
+  std::function<void(const CompletionReply&)> sink() {
+    // Notified under the lock: once a waiter sees its count, the reader
+    // thread is done with this log.
+    return [this](const CompletionReply& r) {
+      std::lock_guard lock(mu);
+      replies.push_back(r);
+      cv.notify_all();
+    };
+  }
+  bool wait_for(std::size_t n, Duration timeout) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, std::chrono::duration<double>(timeout.seconds()),
+                       [&] { return replies.size() >= n; });
+  }
+};
+
+double counter_value(const char* name) {
+  return obs::Registry::instance().counter(name).value();
+}
+
+// A flushed 16-request group on one connection leaves the daemon as one
+// write, and its replies are bit-identical to the in-process backend's, in
+// the backend's order.
+TEST(ServerTest, FlushedGroupLeavesInOneWriteInBackendOrder) {
+  const auto spec = workloads::encryption_6k();
+  constexpr int kGroup = 16;
+
+  server::ServerOptions ref_opt;
+  ref_opt.socket_path = socket_path("group_ref");
+  TestDaemon ref({{spec, 1}}, /*threshold=*/100, ref_opt);
+  ASSERT_TRUE(ref.started) << ref.start_error;
+  auto channel = std::make_shared<consolidate::ReplyChannel>();
+  for (int i = 0; i < kGroup; ++i) {
+    auto req = make_launch(spec, "group");
+    req.request_id = static_cast<std::uint64_t>(i + 1);
+    req.reply = channel;
+    ASSERT_TRUE(ref.backend->channel().send(std::move(req)));
+  }
+  ref.backend->flush();
+  const auto expected = channel->receive_all();
+  ASSERT_EQ(expected.size(), static_cast<std::size_t>(kGroup));
+
+  server::ServerOptions sopt;
+  sopt.socket_path = socket_path("group");
+  TestDaemon daemon({{spec, 1}}, /*threshold=*/100, sopt);
+  ASSERT_TRUE(daemon.started) << daemon.start_error;
+  ReplyLog log;  // outlives the connection and its reader thread
+  std::string error;
+  auto conn = server::ClientConnection::connect(
+      sopt.socket_path, "group", Duration::from_seconds(5.0), &error);
+  ASSERT_NE(conn, nullptr) << error;
+  const double writes_before = counter_value("server.reply_writes");
+  for (int i = 0; i < kGroup; ++i) {
+    ASSERT_NE(conn->launch_async(make_launch(spec, "group"), log.sink()), 0u);
+  }
+  ASSERT_TRUE(conn->flush(Duration::from_seconds(30.0)));
+  ASSERT_TRUE(log.wait_for(kGroup, Duration::from_seconds(30.0)));
+  EXPECT_EQ(counter_value("server.reply_writes") - writes_before, 1.0);
+
+  ASSERT_EQ(log.replies.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& got = log.replies[i];
+    EXPECT_EQ(got.request_id, expected[i].request_id) << i;
+    EXPECT_TRUE(got.ok) << got.error;
+    EXPECT_EQ(got.where, expected[i].where) << i;
+    EXPECT_EQ(f64_bits(got.finish_time.seconds()),
+              f64_bits(expected[i].finish_time.seconds()))
+        << i;
+  }
+  daemon.server->stop();
+  ref.server->stop();
+}
+
+// A client that stops reading until its socket buffer is full must not
+// delay any other connection: the demux never blocks on a socket, and the
+// stuck connection's pump finishes its writes once it drains — every reply
+// exactly once.
+TEST(ServerTest, StuckClientDoesNotDelayOtherConnections) {
+  const auto spec = workloads::encryption_6k();
+  // Enough replies to overfill the stuck socket's send buffer twice over.
+  std::size_t wmem = 212992;
+  if (FILE* f = std::fopen("/proc/sys/net/core/wmem_default", "r")) {
+    unsigned long v = 0;
+    if (std::fscanf(f, "%lu", &v) == 1 && v > 0) wmem = v;
+    std::fclose(f);
+  }
+  consolidate::CompletionReply probe;
+  probe.ok = true;
+  const std::size_t frame_bytes =
+      net::kFrameHeaderSize + server::encode_completion(probe).size();
+  const std::size_t stuck_n = (2 * wmem / frame_bytes + 15) / 16 * 16;
+
+  server::ServerOptions sopt;
+  sopt.socket_path = socket_path("stuck");
+  sopt.inflight_limit = 1 << 22;
+  // Longer than the bound below: a writer blocked on the stuck socket would
+  // hold the other client's replies past it.
+  sopt.io_timeout = Duration::from_seconds(120.0);
+  TestDaemon daemon({{spec, 1}}, /*threshold=*/16, sopt);
+  ASSERT_TRUE(daemon.started) << daemon.start_error;
+
+  net::Socket stuck = raw_handshake(sopt.socket_path, "stuck");
+  ASSERT_TRUE(stuck.valid());
+  std::vector<std::byte> launches;
+  for (std::size_t i = 1; i <= stuck_n; ++i) {
+    auto req = make_launch(spec, "stuck");
+    req.request_id = i;
+    net::append_frame(launches,
+                      static_cast<std::uint16_t>(server::MsgType::kLaunch),
+                      server::encode_launch(req));
+  }
+  std::string err;
+  ASSERT_EQ(stuck.send_exact(launches.data(), launches.size(),
+                             Deadline::after(Duration::from_seconds(60.0)),
+                             &err),
+            net::IoStatus::kOk)
+      << err;
+  // Wait until the daemon has filled the stuck socket: its receive queue
+  // stops growing, short of every reply.
+  int queued = -1;
+  for (int stable = 0, polls = 0; stable < 6 && polls < 1200; ++polls) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    int now = 0;
+    ASSERT_EQ(::ioctl(stuck.fd(), FIONREAD, &now), 0);
+    stable = now > 0 && now == queued ? stable + 1 : 0;
+    queued = now;
+  }
+  ASSERT_GT(queued, 0);
+  ASSERT_LT(static_cast<std::size_t>(queued), stuck_n * frame_bytes)
+      << "the stuck socket never filled";
+
+  ReplyLog log;  // outlives the connection and its reader thread
+  std::string error;
+  auto other = server::ClientConnection::connect(
+      sopt.socket_path, "other", Duration::from_seconds(5.0), &error);
+  ASSERT_NE(other, nullptr) << error;
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_NE(other->launch_async(make_launch(spec, "other"), log.sink()), 0u);
+  }
+  ASSERT_TRUE(other->flush(Duration::from_seconds(60.0)));
+  ASSERT_TRUE(log.wait_for(16, Duration::from_seconds(60.0)))
+      << "a stuck client delayed another connection's replies";
+  for (const auto& r : log.replies) EXPECT_TRUE(r.ok) << r.error;
+
+  // The stuck client has not read a byte; now it drains everything.
+  std::vector<int> seen(stuck_n + 1, 0);
+  std::size_t answered = 0;
+  net::FrameBuffer rx;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (answered < stuck_n && std::chrono::steady_clock::now() < give_up) {
+    net::Frame frame;
+    const auto s = net::read_frame(
+        stuck, rx, &frame, Deadline::after(Duration::from_seconds(0.2)), &err);
+    if (s == net::IoStatus::kTimeout) {
+      daemon.backend->flush();  // the last partial batch
+      continue;
+    }
+    ASSERT_EQ(s, net::IoStatus::kOk) << err;
+    ASSERT_EQ(frame.type,
+              static_cast<std::uint16_t>(server::MsgType::kCompletion));
+    const auto reply = server::decode_completion(frame.payload);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(reply->ok) << reply->error;
+    ASSERT_GE(reply->request_id, 1u);
+    ASSERT_LE(reply->request_id, stuck_n);
+    EXPECT_EQ(++seen[reply->request_id], 1) << reply->request_id;
+    ++answered;
+  }
+  EXPECT_EQ(answered, stuck_n);
+  stuck.close();
+  daemon.server->stop();
+}
+
+// With a fault scenario armed every reply goes through the connection's
+// pump one frame at a time, so each passes server.reply and net.frame.send
+// exactly once.
+TEST(ServerTest, ArmedFaultSitesStillFireOncePerReplyFrame) {
+  const auto spec = workloads::encryption_6k();
+  constexpr int kGroup = 16;
+  server::ServerOptions sopt;
+  sopt.socket_path = socket_path("sites");
+  TestDaemon daemon({{spec, 1}}, /*threshold=*/kGroup, sopt);
+  ASSERT_TRUE(daemon.started) << daemon.start_error;
+
+  auto& inj = fault::Injector::instance();
+  std::string err;
+  ASSERT_TRUE(inj.arm("server.reply=delay:dur=0;net.frame.send=delay:dur=0",
+                      42, &err))
+      << err;
+  ReplyLog log;  // outlives the connection and its reader thread
+  std::string error;
+  auto conn = server::ClientConnection::connect(
+      sopt.socket_path, "sites", Duration::from_seconds(5.0), &error);
+  ASSERT_NE(conn, nullptr) << error;
+  for (int i = 0; i < kGroup; ++i) {
+    ASSERT_NE(conn->launch_async(make_launch(spec, "sites"), log.sink()), 0u);
+  }
+  ASSERT_TRUE(log.wait_for(kGroup, Duration::from_seconds(30.0)));
+  const auto reply_fires = inj.fired("server.reply");
+  const auto frame_fires = inj.fired("net.frame.send");
+  inj.disarm();
+  for (const auto& r : log.replies) EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(reply_fires, static_cast<std::uint64_t>(kGroup));
+  // hello + hello_ok + 16 launches + 16 completions.
+  EXPECT_EQ(frame_fires, static_cast<std::uint64_t>(2 + 2 * kGroup));
+  daemon.server->stop();
+}
+
+/// 32 launches of a two-kernel mix through one client, on a fresh daemon.
+std::vector<CompletionReply> serve_mix(const std::string& tag) {
+  const auto enc = workloads::encryption_6k();
+  const auto sort = workloads::sorting_6k();
+  server::ServerOptions sopt;
+  sopt.socket_path = socket_path(tag);
+  TestDaemon daemon({{enc, 2}, {sort, 1}}, /*threshold=*/16, sopt);
+  EXPECT_TRUE(daemon.started) << daemon.start_error;
+  ReplyLog log;  // outlives the connection and its reader thread
+  std::string error;
+  auto conn = server::ClientConnection::connect(
+      sopt.socket_path, tag, Duration::from_seconds(5.0), &error);
+  EXPECT_NE(conn, nullptr) << error;
+  if (conn == nullptr) return {};
+  for (int i = 0; i < 32; ++i) {
+    conn->launch_async(make_launch(i % 3 == 2 ? sort : enc, tag), log.sink());
+  }
+  EXPECT_TRUE(log.wait_for(32, Duration::from_seconds(60.0)));
+  daemon.server->stop();
+  std::lock_guard lock(log.mu);
+  return log.replies;
+}
+
+// The client's buffered reader decodes the same replies whether the daemon
+// dribbles every frame out one byte per send or batches them.
+TEST(ServerTest, ClientDecodesOneBytePerSendIdentically) {
+  const auto batched = serve_mix("decode_batched");
+  std::string err;
+  ASSERT_TRUE(fault::Injector::instance().arm("net.send=short_write:bytes=1",
+                                              42, &err))
+      << err;
+  const auto dribbled = serve_mix("decode_dribbled");
+  fault::Injector::instance().disarm();
+  ASSERT_EQ(batched.size(), 32u);
+  ASSERT_EQ(dribbled.size(), batched.size());
+  const auto by_id = [](std::vector<CompletionReply> v) {
+    std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+      return a.request_id < b.request_id;
+    });
+    return v;
+  };
+  const auto a = by_id(batched);
+  const auto b = by_id(dribbled);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].request_id, b[i].request_id);
+    EXPECT_TRUE(b[i].ok) << b[i].error;
+    EXPECT_EQ(a[i].where, b[i].where);
+    EXPECT_EQ(f64_bits(a[i].finish_time.seconds()),
+              f64_bits(b[i].finish_time.seconds()))
+        << a[i].request_id;
+  }
+}
+
+/// A bare listener that runs one script per accepted connection, in order,
+/// after answering the client's hello.
+class ScriptedDaemon {
+ public:
+  using Script = std::function<void(net::Socket&)>;
+
+  ScriptedDaemon(const std::string& path, std::vector<Script> scripts) {
+    ::unlink(path.c_str());
+    std::string err;
+    listener_ = net::Listener::bind_unix(path, 4, &err);
+    EXPECT_TRUE(listener_.has_value()) << err;
+    if (!listener_.has_value()) return;
+    thread_ = std::thread([this, scripts = std::move(scripts)] {
+      for (const auto& script : scripts) {
+        net::IoStatus status;
+        std::string aerr;
+        auto sock = listener_->accept(
+            Deadline::after(Duration::from_seconds(10.0)), &status, &aerr);
+        if (!sock.has_value()) return;
+        net::Frame hello;
+        if (net::read_frame(*sock, &hello,
+                            Deadline::after(Duration::from_seconds(10.0)),
+                            &aerr) != net::IoStatus::kOk) {
+          return;
+        }
+        server::HelloOkMsg ok;
+        ok.inflight_limit = 1024;
+        (void)net::write_frame(
+            *sock, static_cast<std::uint16_t>(server::MsgType::kHelloOk),
+            server::encode_hello_ok(ok), Deadline::never(), &aerr);
+        script(*sock);
+      }
+    });
+  }
+  ~ScriptedDaemon() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::optional<net::Listener> listener_;
+  std::thread thread_;
+};
+
+/// The completion a scripted daemon sends for request `id`.
+CompletionReply scripted_reply(std::uint64_t id) {
+  CompletionReply r;
+  r.request_id = id;
+  r.ok = id % 5 != 0;
+  if (!r.ok) r.error = "scripted failure " + std::to_string(id);
+  r.finish_time = Duration::from_seconds(0.001 * static_cast<double>(id) + 1e-9);
+  r.where = static_cast<CompletionReply::Where>(id % 3);
+  return r;
+}
+
+// 256 completions arriving in one write decode exactly as sent.
+TEST(ServerTest, ClientDecodesABurstOf256FramesInOneWrite) {
+  constexpr std::size_t kBurst = 256;
+  const auto path = socket_path("burst");
+  ScriptedDaemon daemon(path, {[](net::Socket& sock) {
+    std::vector<std::byte> out;
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      net::Frame launch;
+      std::string err;
+      if (net::read_frame(sock, &launch,
+                          Deadline::after(Duration::from_seconds(10.0)),
+                          &err) != net::IoStatus::kOk) {
+        return;
+      }
+      const auto req = server::decode_launch(launch.payload);
+      if (!req.has_value()) return;
+      net::append_frame(out,
+                        static_cast<std::uint16_t>(server::MsgType::kCompletion),
+                        server::encode_completion(scripted_reply(req->request_id)));
+    }
+    std::string err;
+    (void)sock.send_exact(out.data(), out.size(), Deadline::never(), &err);
+    net::Frame eof;
+    (void)net::read_frame(sock, &eof,
+                          Deadline::after(Duration::from_seconds(10.0)), &err);
+  }});
+
+  ReplyLog log;  // outlives the connection and its reader thread
+  std::string error;
+  auto conn = server::ClientConnection::connect(
+      path, "burst", Duration::from_seconds(5.0), &error);
+  ASSERT_NE(conn, nullptr) << error;
+  const auto spec = workloads::encryption_6k();
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    ASSERT_NE(conn->launch_async(make_launch(spec, "burst"), log.sink()), 0u);
+  }
+  ASSERT_TRUE(log.wait_for(kBurst, Duration::from_seconds(30.0)));
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const auto& got = log.replies[i];
+    const auto want = scripted_reply(i + 1);
+    EXPECT_EQ(got.request_id, want.request_id);
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.where, want.where);
+    EXPECT_EQ(f64_bits(got.finish_time.seconds()),
+              f64_bits(want.finish_time.seconds()));
+  }
+  conn.reset();
+}
+
+// A stream that dies mid-frame leaves a partial frame in the client's
+// buffer; the reconnect must discard it, or the new stream's first frame
+// would parse from the wrong offset.
+TEST(ServerTest, ReconnectDiscardsAPartialFrameFromTheDeadStream) {
+  const auto path = socket_path("partial");
+  const auto read_launch = [](net::Socket& sock) -> std::uint64_t {
+    net::Frame launch;
+    std::string err;
+    if (net::read_frame(sock, &launch,
+                        Deadline::after(Duration::from_seconds(10.0)),
+                        &err) != net::IoStatus::kOk) {
+      return 0;
+    }
+    const auto req = server::decode_launch(launch.payload);
+    return req.has_value() ? req->request_id : 0;
+  };
+  ScriptedDaemon daemon(
+      path,
+      {[&](net::Socket& sock) {
+         const std::uint64_t id = read_launch(sock);
+         std::vector<std::byte> frame;
+         net::append_frame(
+             frame, static_cast<std::uint16_t>(server::MsgType::kCompletion),
+             server::encode_completion(scripted_reply(id)));
+         // Header plus half the payload, then the stream dies.
+         const std::size_t keep = net::kFrameHeaderSize + 5;
+         std::string err;
+         (void)sock.send_exact(frame.data(), keep, Deadline::never(), &err);
+         sock.shutdown_rw();
+       },
+       [&](net::Socket& sock) {
+         const std::uint64_t id = read_launch(sock);  // the replay
+         std::string err;
+         (void)net::write_frame(
+             sock, static_cast<std::uint16_t>(server::MsgType::kCompletion),
+             server::encode_completion(scripted_reply(id)), Deadline::never(),
+             &err);
+         net::Frame eof;
+         (void)net::read_frame(sock, &eof,
+                               Deadline::after(Duration::from_seconds(10.0)),
+                               &err);
+       }});
+
+  server::ClientOptions copt;
+  copt.auto_reconnect = true;
+  copt.retry.max_attempts = 3;
+  std::string error;
+  auto conn = server::ClientConnection::connect(
+      path, "partial", Duration::from_seconds(5.0), copt, &error);
+  ASSERT_NE(conn, nullptr) << error;
+  const auto reply = conn->launch(
+      make_launch(workloads::encryption_6k(), "partial"),
+      Duration::from_seconds(30.0));
+  const auto want = scripted_reply(reply.request_id);
+  EXPECT_EQ(reply.request_id, 1u);
+  EXPECT_EQ(reply.ok, want.ok) << reply.error;
+  EXPECT_EQ(f64_bits(reply.finish_time.seconds()),
+            f64_bits(want.finish_time.seconds()));
+  EXPECT_EQ(conn->reconnects(), 1u);
+  conn.reset();
 }
 
 }  // namespace
