@@ -21,6 +21,7 @@
 #include "common/table.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/histogram.hpp"
+#include "obs/shard_scope.hpp"
 #include "obs/tracer.hpp"
 #include "consolidate/queue_sim.hpp"
 #include "consolidate/runner.hpp"
@@ -970,19 +971,9 @@ int cmd_stats(const std::vector<std::string>& args, std::ostream& out) {
   std::map<int, std::map<std::string, double>> per_shard;
   common::TextTable counters({"counter", "value"});
   for (const auto& [name, value] : reply->counters) {
-    if (name.rfind("shard.", 0) == 0) {
-      const auto dot = name.find('.', 6);
-      if (dot != std::string::npos && dot > 6) {
-        bool digits = true;
-        for (std::size_t i = 6; i < dot; ++i) {
-          digits = digits && name[i] >= '0' && name[i] <= '9';
-        }
-        if (digits) {
-          per_shard[std::stoi(name.substr(6, dot - 6))]
-                   [name.substr(dot + 1)] = value;
-          continue;
-        }
-      }
+    if (auto scoped = obs::parse_shard_scope(name)) {
+      per_shard[scoped->shard][std::move(scoped->name)] = value;
+      continue;
     }
     counters.add_row({name, common::TextTable::num(value, 0)});
   }

@@ -25,6 +25,7 @@
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
 #include "common/units.hpp"
+#include "obs/shard_scope.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/tracer.hpp"
 #include "server/client.hpp"
@@ -79,16 +80,11 @@ std::vector<int> shard_indices(
     const std::map<std::string, obs::SeriesSnapshot>& series) {
   std::vector<int> out;
   for (const auto& [name, snap] : series) {
-    if (name.rfind("shard.", 0) != 0) continue;
-    const auto dot = name.find('.', 6);
-    if (dot == std::string::npos || dot == 6) continue;
-    bool digits = true;
-    for (std::size_t i = 6; i < dot; ++i) {
-      digits = digits && name[i] >= '0' && name[i] <= '9';
+    const auto scoped = obs::parse_shard_scope(name);
+    if (scoped.has_value() &&
+        std::find(out.begin(), out.end(), scoped->shard) == out.end()) {
+      out.push_back(scoped->shard);
     }
-    if (!digits) continue;
-    const int idx = std::stoi(name.substr(6, dot - 6));
-    if (std::find(out.begin(), out.end(), idx) == out.end()) out.push_back(idx);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -147,7 +143,7 @@ void render_frame(std::ostream& out, const std::string& endpoint,
   render_row(out, "fleet", reply.series, "", spark_width);
   for (const int idx : shard_indices(reply.series)) {
     render_row(out, "shard " + std::to_string(idx), reply.series,
-               "shard." + std::to_string(idx) + ".", spark_width);
+               obs::shard_prefix(static_cast<std::size_t>(idx)), spark_width);
   }
   if (reply.interval_seconds <= 0.0) {
     out << "\n(sampler disabled on the target — no series; run the daemon "

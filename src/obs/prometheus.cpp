@@ -1,11 +1,12 @@
 #include "obs/prometheus.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/shard_scope.hpp"
 
 namespace ewc::obs::prom {
 
@@ -20,27 +21,6 @@ std::string format_value(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-/// Split "shard.<digits>.rest" into (rest, shard-index); empty index when
-/// the name carries no shard scope. Mirrors the `ewcsim stats` breakdown
-/// parsing.
-std::pair<std::string, std::string> split_shard_scope(
-    const std::string& dotted) {
-  constexpr const char* kPrefix = "shard.";
-  constexpr std::size_t kPrefixLen = 6;
-  if (dotted.rfind(kPrefix, 0) != 0) return {dotted, {}};
-  const std::size_t dot = dotted.find('.', kPrefixLen);
-  if (dot == std::string::npos || dot == kPrefixLen ||
-      dot + 1 >= dotted.size()) {
-    return {dotted, {}};
-  }
-  for (std::size_t i = kPrefixLen; i < dot; ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(dotted[i]))) {
-      return {dotted, {}};
-    }
-  }
-  return {dotted.substr(dot + 1), dotted.substr(kPrefixLen, dot - kPrefixLen)};
 }
 
 }  // namespace
@@ -71,9 +51,9 @@ std::string render_exposition(const std::map<std::string, double>& values) {
   // family name -> [(shard label or empty, value)]
   std::map<std::string, std::vector<std::pair<std::string, double>>> families;
   for (const auto& [dotted, value] : values) {
-    auto [plain, shard] = split_shard_scope(dotted);
-    families[sanitize_metric_name(plain)].emplace_back(std::move(shard),
-                                                       value);
+    const auto scoped = parse_shard_scope(dotted);
+    families[sanitize_metric_name(scoped ? scoped->name : dotted)]
+        .emplace_back(scoped ? std::to_string(scoped->shard) : "", value);
   }
   std::string out;
   for (const auto& [family, samples] : families) {

@@ -31,8 +31,8 @@ std::string sanitize_metric_name(const std::string& dotted);
 std::string escape_label_value(const std::string& value);
 
 /// Render dotted-name/value pairs as exposition text. Names under a
-/// "shard.<digits>." prefix are folded into their plain family with a
-/// shard="<digits>" label; families are emitted in sorted order, each with
+/// "shard.<i>." scope (obs::parse_shard_scope) are folded into their plain
+/// family with a shard="<i>" label; families are emitted in sorted order, each with
 /// one TYPE line.
 std::string render_exposition(const std::map<std::string, double>& values);
 

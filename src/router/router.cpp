@@ -10,6 +10,7 @@
 #include "net/frame.hpp"
 #include "net/wire.hpp"
 #include "obs/registry.hpp"
+#include "obs/shard_scope.hpp"
 #include "obs/tracer.hpp"
 
 namespace ewc::router {
@@ -84,7 +85,7 @@ obs::RegistrySnapshot fold_fleet_stats(obs::RegistrySnapshot local,
   double alive = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ShardStats& s = shards[i];
-    const std::string prefix = "shard." + std::to_string(i) + ".";
+    const std::string prefix = obs::shard_prefix(i);
     for (const auto& [name, value] : s.polled.counters) {
       out.counters[name] += value;
       out.counters[prefix + name] = value;
@@ -220,8 +221,7 @@ void Router::start_telemetry() {
   for (std::size_t scope = 0; scope <= n; ++scope) {
     const std::size_t first = scope == n ? 0 : scope;
     const std::size_t last = scope == n ? n : scope + 1;
-    const std::string prefix =
-        scope == n ? "" : "shard." + std::to_string(scope) + ".";
+    const std::string prefix = scope == n ? "" : obs::shard_prefix(scope);
     auto sum = [this, first, last](auto value) {
       return [this, first, last, value] {
         double total = 0.0;
@@ -450,10 +450,7 @@ void Router::handle_hello(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
           ? server::decode_hello(frame.payload)
           : std::nullopt;
   if (!hello.has_value()) {
-    conn->send(static_cast<std::uint16_t>(MsgType::kError),
-               server::encode_error({"expected hello"}));
-    ctx->state.store(Ctx::State::kClosed);
-    conn->close_async();
+    refuse(conn, ctx, "expected hello");
     return;
   }
   if (standby_mode_.load()) {
@@ -461,10 +458,7 @@ void Router::handle_hello(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
     // endpoint rotation moves on to the primary without this counting as
     // transport death (same breaker exemption as "server full").
     counters().standby_refusals.inc();
-    conn->send(static_cast<std::uint16_t>(MsgType::kError),
-               server::encode_error({"router standby"}));
-    ctx->state.store(Ctx::State::kClosed);
-    conn->close_async();
+    refuse(conn, ctx, "router standby");
     return;
   }
   // The saved handshake is what a migration/re-home re-sends verbatim to
@@ -474,14 +468,9 @@ void Router::handle_hello(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
   ctx->replay = hello->session != 0 && hello->replay;
   ctx->hello_payload.assign(frame.payload.begin(), frame.payload.end());
 
-  // Walk shards best-score-first; the first one that answers a dial hosts
-  // the session. A refused dial consumes its whole (short) budget — the
-  // dialer deliberately rides out daemons that are still binding — so the
-  // breaker exists to keep later placements from re-paying that cost.
-  // Sticky re-placement first: a session we have seen goes back to the
-  // shard holding its replay state (even a draining one — drain excludes
-  // only *new* sessions) as long as that shard is alive.
-  auto order = placement_order();
+  // Sticky re-placement: a session we have seen goes back to the shard
+  // holding its replay state (even a draining one — drain excludes only
+  // *new* sessions) as long as that shard is alive.
   std::optional<std::size_t> sticky;
   if (hello->session != 0) {
     std::lock_guard lock(place_mu_);
@@ -490,6 +479,45 @@ void Router::handle_hello(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
       sticky = it->second;
     }
   }
+  auto dialed = dial(sticky, std::nullopt, nullptr);
+  if (!dialed.has_value()) {
+    counters().placement_failures.inc();
+    refuse(conn, ctx, "no shard available");
+    return;
+  }
+  const std::size_t idx = dialed->shard;
+  const auto up = attach(conn, ctx, std::move(*dialed));
+  if (up == nullptr) {
+    ctx->state.store(Ctx::State::kClosed);
+    conn->close_async();
+    return;
+  }
+  // Forward the hello verbatim: kHelloOk (limits, batching flags) or a
+  // "server full" refusal flows back through the pairing, so the shard
+  // keeps authority over admission and protocol versioning.
+  if (!up->send(static_cast<std::uint16_t>(MsgType::kHello), frame.payload)) {
+    // Send failure already marked the upstream closing; its close event
+    // unwinds the pairing and the client retries.
+    return;
+  }
+  counters().placed.inc();
+  obs::instant("router.place", hello->session,
+               "\"shard\":" + std::to_string(idx) + ",\"owner\":\"" +
+                   obs::json_escape(hello->owner) + "\"");
+}
+
+void Router::refuse(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
+                    const std::string& msg) {
+  conn->send(static_cast<std::uint16_t>(MsgType::kError),
+             server::encode_error({msg}));
+  ctx->state.store(Ctx::State::kClosed);
+  conn->close_async();
+}
+
+std::optional<Router::Dialed> Router::dial(
+    std::optional<std::size_t> sticky, std::optional<std::size_t> skip,
+    const std::function<Handshake(net::Socket&)>& handshake) {
+  auto order = placement_order();
   if (sticky.has_value()) {
     const auto snap = snapshot_of(*shards_[*sticky]);
     if (snap.alive && !snap.breaker_open) {
@@ -498,7 +526,13 @@ void Router::handle_hello(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
       order.insert(order.begin(), *sticky);
     }
   }
+  // Walk shards best-score-first; the first one that answers a dial (and
+  // the handshake) takes the session. A refused dial consumes its whole
+  // (short) budget — the dialer deliberately rides out daemons that are
+  // still binding — so the breaker exists to keep later walks from
+  // re-paying that cost.
   for (const std::size_t idx : order) {
+    if (idx == skip) continue;
     Shard& shard = *shards_[idx];
     std::string err;
     auto sock = net::connect_endpoint(
@@ -509,49 +543,141 @@ void Router::handle_hello(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
                        "): ", err);
       continue;
     }
+    const Handshake h = handshake ? handshake(*sock) : Handshake::kOk;
+    if (h == Handshake::kUnreachable) record_dial_failure(shard);
+    if (h != Handshake::kOk) continue;
     record_dial_success(shard);
+    return Dialed{std::move(*sock), idx};
+  }
+  return std::nullopt;
+}
 
-    auto up_ctx = std::make_shared<Ctx>();
-    up_ctx->is_upstream = true;
-    up_ctx->shard = static_cast<int>(idx);
-    up_ctx->state.store(Ctx::State::kServing);
-    up_ctx->peer = conn;
-    auto up = reactor_->adopt(std::move(*sock), up_ctx);
-    if (up == nullptr) {  // router stopping
-      ctx->state.store(Ctx::State::kClosed);
-      conn->close_async();
-      return;
+Reactor::ConnPtr Router::attach(const Reactor::ConnPtr& conn,
+                                const CtxPtr& ctx, Dialed dialed,
+                                const char** why) {
+  auto failed = [why](const char* reason) -> Reactor::ConnPtr {
+    if (why != nullptr) *why = reason;
+    return nullptr;
+  };
+  auto up_ctx = std::make_shared<Ctx>();
+  up_ctx->is_upstream = true;
+  up_ctx->shard = static_cast<int>(dialed.shard);
+  up_ctx->state.store(Ctx::State::kServing);
+  up_ctx->peer = conn;
+  auto up = reactor_->adopt(std::move(dialed.sock), up_ctx);
+  if (up == nullptr) return failed("router stopping");
+
+  // Swap the pairing. Parked frames flush to the new upstream in arrival
+  // order under the same lock that parked them, so nothing can interleave
+  // or reorder.
+  Reactor::ConnPtr old_up;
+  std::optional<std::size_t> from;
+  bool attached = false;
+  {
+    std::lock_guard lock(ctx->mu);
+    const auto state = ctx->state.load();
+    attached = state != Ctx::State::kClosed;
+    if (attached) {
+      old_up = std::exchange(ctx->peer, up);
+      if (ctx->shard >= 0) from = static_cast<std::size_t>(ctx->shard);
+      ctx->shard = static_cast<int>(dialed.shard);
+      ctx->unpark_to(*up);
+      // A placed session starts serving once its shard is set: the drain
+      // sweep reads the shard of serving sessions without this lock.
+      if (state == Ctx::State::kAwaitHello) {
+        ctx->state.store(Ctx::State::kServing);
+      }
     }
+  }
+  if (!attached) {
+    // Client vanished meanwhile: sever the fresh upstream quietly. A
+    // migration's uncommitted export means the source copy simply ages out.
     {
-      std::lock_guard lock(ctx->mu);
-      ctx->peer = up;
+      std::lock_guard lock(up_ctx->mu);
+      up_ctx->peer = nullptr;
     }
-    ctx->shard = static_cast<int>(idx);
-    ctx->state.store(Ctx::State::kServing);
-    shard.placements.fetch_add(1);
-    // Forward the hello verbatim: kHelloOk (limits, batching flags) or a
-    // "server full" refusal flows back through the pairing, so the shard
-    // keeps authority over admission and protocol versioning.
-    if (!up->send(static_cast<std::uint16_t>(MsgType::kHello),
-                  frame.payload)) {
-      // Send failure already marked the upstream closing; its close event
-      // unwinds the pairing and the client retries.
-      return;
+    up_ctx->state.store(Ctx::State::kClosed);
+    up->close_async();
+    return failed("client closed during swap");
+  }
+  if (old_up != nullptr) {
+    // Sever the old upstream silently: detach its peer first so its close
+    // event can't touch (or re-home) the just-moved session.
+    if (auto old_ctx = std::static_pointer_cast<Ctx>(old_up->ctx())) {
+      std::lock_guard lock(old_ctx->mu);
+      old_ctx->peer = nullptr;
+      old_ctx->state.store(Ctx::State::kClosed);
     }
-    counters().placed.inc();
-    if (hello->session != 0) record_placement(hello->session, idx);
-    epoch_.fetch_add(1);
-    obs::instant("router.place", hello->session,
-                 "\"shard\":" + std::to_string(idx) + ",\"owner\":\"" +
-                     obs::json_escape(hello->owner) + "\"");
-    return;
+    old_up->close_async();
   }
 
-  counters().placement_failures.inc();
-  conn->send(static_cast<std::uint16_t>(MsgType::kError),
-             server::encode_error({"no shard available"}));
-  ctx->state.store(Ctx::State::kClosed);
-  conn->close_async();
+  // Bookkeeping. The session counts on the shard in ctx->shard: a move
+  // takes it off the old one (a dead shard's upstream close never gives it
+  // back). Sticky placement remembers it, bounded FIFO-ish, and the fleet
+  // epoch moves.
+  if (from.has_value()) shards_[*from]->placements.fetch_sub(1);
+  shards_[dialed.shard]->placements.fetch_add(1);
+  if (ctx->session != 0) {
+    std::lock_guard lock(place_mu_);
+    if (placement_table_.size() >= kPlacementTableCap &&
+        !placement_table_.contains(ctx->session)) {
+      placement_table_.erase(placement_table_.begin());
+    }
+    placement_table_[ctx->session] = static_cast<std::uint32_t>(dialed.shard);
+  }
+  epoch_.fetch_add(1);
+  return up;
+}
+
+std::optional<std::size_t> Router::move_session(
+    const Reactor::ConnPtr& conn, const CtxPtr& ctx,
+    std::optional<std::size_t> from, const Resume& resume, const char** why) {
+  auto dialed = dial(std::nullopt, from, [&](net::Socket& sock) {
+    const auto deadline = net::Deadline::after(options_.io_timeout);
+    std::string err;
+    if (net::write_frame(sock, static_cast<std::uint16_t>(MsgType::kHello),
+                         ctx->hello_payload, deadline,
+                         &err) != net::IoStatus::kOk) {
+      return Handshake::kUnreachable;
+    }
+    net::Frame reply;
+    if (net::read_frame(sock, &reply, deadline, &err) != net::IoStatus::kOk ||
+        static_cast<MsgType>(reply.type) != MsgType::kHelloOk) {
+      return Handshake::kRefused;  // alive but refusing ("server full")
+    }
+    return resume(sock, deadline) ? Handshake::kOk : Handshake::kRefused;
+  });
+  if (!dialed.has_value()) {
+    if (why != nullptr) *why = "no target shard available";
+    return std::nullopt;
+  }
+  const std::size_t target = dialed->shard;
+  if (attach(conn, ctx, std::move(*dialed), why) == nullptr) {
+    return std::nullopt;
+  }
+  return target;
+}
+
+void Router::Ctx::track_launch(const net::Frame& frame) {
+  if (!replay || static_cast<MsgType>(frame.type) != MsgType::kLaunch) {
+    return;
+  }
+  // The request id is the payload's leading u64. A shard death replays
+  // these onto the survivor during the re-home.
+  net::Reader r(frame.payload);
+  const std::uint64_t id = r.u64();
+  if (r.ok()) inflight[id] = frame.payload;
+}
+
+void Router::Ctx::unpark_to(Reactor::Conn& to) {
+  for (const auto& frame : parked) {
+    track_launch(frame);
+    // A failed send marks `to` closing; its close event then queues a
+    // re-home which replays from `inflight`.
+    to.send(frame.type, frame.payload);
+  }
+  parked.clear();
+  migrating = false;
 }
 
 void Router::forward(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
@@ -586,15 +712,7 @@ void Router::forward(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
           return;
         }
       } else {
-        if (ctx->replay &&
-            static_cast<MsgType>(frame.type) == MsgType::kLaunch) {
-          // Remember the launch payload (request id is the leading u64)
-          // until the shard answers: a shard SIGKILL replays these onto
-          // the survivor during the re-home.
-          net::Reader r(frame.payload);
-          const std::uint64_t id = r.u64();
-          if (r.ok()) ctx->inflight[id] = frame.payload;
-        }
+        ctx->track_launch(frame);
         peer = ctx->peer;
       }
     }
@@ -893,15 +1011,6 @@ void Router::poll_loop() {
   }
 }
 
-void Router::record_placement(std::uint64_t session, std::size_t shard) {
-  std::lock_guard lock(place_mu_);
-  if (placement_table_.size() >= kPlacementTableCap &&
-      placement_table_.count(session) == 0) {
-    placement_table_.erase(placement_table_.begin());
-  }
-  placement_table_[session] = static_cast<std::uint32_t>(shard);
-}
-
 void Router::migrate_draining() {
   for (std::size_t idx = 0; idx < shards_.size(); ++idx) {
     Shard& shard = *shards_[idx];
@@ -968,125 +1077,44 @@ bool Router::migrate_session(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
   if (!exported.has_value()) return fail("export transport failed");
   if (!exported->ok) return fail(exported->error.c_str());
 
-  // 2. Pick a target: re-send the client's hello verbatim, then import the
-  //    snapshot, both on the socket that will become the new upstream.
-  std::optional<net::Socket> sock;
-  std::size_t target = 0;
-  for (const std::size_t idx : placement_order()) {
-    if (idx == from) continue;
-    Shard& cand = *shards_[idx];
-    auto s = net::connect_endpoint(
-        cand.endpoint, net::Deadline::after(options_.dial_timeout), &err);
-    if (!s.has_value()) {
-      record_dial_failure(cand);
-      continue;
-    }
-    const auto deadline = net::Deadline::after(options_.io_timeout);
-    if (net::write_frame(*s, static_cast<std::uint16_t>(MsgType::kHello),
-                         ctx->hello_payload, deadline,
-                         &err) != net::IoStatus::kOk) {
-      record_dial_failure(cand);
-      continue;
-    }
-    net::Frame reply;
-    if (net::read_frame(*s, &reply, deadline, &err) != net::IoStatus::kOk ||
-        static_cast<MsgType>(reply.type) != MsgType::kHelloOk) {
-      continue;  // alive but refusing ("server full"): try the next shard
-    }
-    server::MigrateImportMsg import;
-    import.token = ctx->session;
-    import.snapshot = exported->snapshot;
-    if (net::write_frame(*s,
-                         static_cast<std::uint16_t>(MsgType::kMigrateImport),
-                         server::encode_migrate_import(import), deadline,
-                         &err) != net::IoStatus::kOk) {
-      continue;
-    }
-    if (net::read_frame(*s, &reply, deadline, &err) != net::IoStatus::kOk ||
-        static_cast<MsgType>(reply.type) != MsgType::kMigrateImportReply) {
-      continue;
-    }
-    const auto imported =
-        server::decode_migrate_import_reply(reply.payload);
-    if (!imported.has_value() || !imported->ok) continue;
-    record_dial_success(cand);
-    sock = std::move(s);
-    target = idx;
-    break;
-  }
-  if (!sock.has_value()) return fail("no import target available");
-
-  // 3. Adopt the socket as the new upstream and swap the pairing. Parked
-  //    frames flush to the target in arrival order under the same lock
-  //    that parked them, so nothing can interleave or reorder.
-  auto up_ctx = std::make_shared<Ctx>();
-  up_ctx->is_upstream = true;
-  up_ctx->shard = static_cast<int>(target);
-  up_ctx->state.store(Ctx::State::kServing);
-  up_ctx->peer = conn;
-  auto up = reactor_->adopt(std::move(*sock), up_ctx);
-  if (up == nullptr) return fail("router stopping");
-
-  Reactor::ConnPtr old_up;
-  bool swapped = false;
-  {
-    std::lock_guard lock(ctx->mu);
-    if (ctx->state.load() == Ctx::State::kServing) {
-      old_up = std::move(ctx->peer);
-      ctx->peer = up;
-      ctx->shard = static_cast<int>(target);
-      for (const auto& parked : ctx->parked) {
-        if (static_cast<MsgType>(parked.type) == MsgType::kLaunch) {
-          net::Reader r(parked.payload);
-          const std::uint64_t id = r.u64();
-          if (r.ok()) ctx->inflight[id] = parked.payload;
+  // 2. Move: the target gets the client's hello verbatim, then the
+  //    snapshot import, both on the socket that becomes the new upstream.
+  const char* why = "";
+  const auto target = move_session(
+      conn, ctx, from,
+      [&](net::Socket& sock, const net::Deadline& deadline) {
+        server::MigrateImportMsg import;
+        import.token = ctx->session;
+        import.snapshot = exported->snapshot;
+        net::Frame reply;
+        if (net::write_frame(
+                sock, static_cast<std::uint16_t>(MsgType::kMigrateImport),
+                server::encode_migrate_import(import), deadline,
+                &err) != net::IoStatus::kOk ||
+            net::read_frame(sock, &reply, deadline, &err) !=
+                net::IoStatus::kOk ||
+            static_cast<MsgType>(reply.type) !=
+                MsgType::kMigrateImportReply) {
+          return false;
         }
-        // A failed send marks the upstream closing; its close event then
-        // queues a re-home which replays from ctx->inflight.
-        up->send(parked.type, parked.payload);
-      }
-      ctx->parked.clear();
-      ctx->migrating = false;
-      swapped = true;
-    }
-  }
-  if (!swapped) {
-    // Client vanished mid-swap: sever the fresh upstream quietly. The
-    // uncommitted export means the source copy simply ages out.
-    {
-      std::lock_guard lock(up_ctx->mu);
-      up_ctx->peer = nullptr;
-    }
-    up_ctx->state.store(Ctx::State::kClosed);
-    up->close_async();
-    return fail("client closed during swap");
-  }
-  if (old_up != nullptr) {
-    // Sever the old upstream silently: detach its peer first so its close
-    // event can't touch (or re-home) the just-moved session.
-    if (auto old_ctx = std::static_pointer_cast<Ctx>(old_up->ctx())) {
-      std::lock_guard lock(old_ctx->mu);
-      old_ctx->peer = nullptr;
-      old_ctx->state.store(Ctx::State::kClosed);
-    }
-    old_up->close_async();
-  }
-
-  shards_[from]->placements.fetch_sub(1);
+        const auto imported =
+            server::decode_migrate_import_reply(reply.payload);
+        return imported.has_value() && imported->ok;
+      },
+      &why);
+  if (!target.has_value()) return fail(why);
   shards_[from]->migrated_out.fetch_add(1);
-  shards_[target]->placements.fetch_add(1);
-  // 4. Commit: tell the source to drop its copy. Best-effort — a lost
+  counters().sessions_migrated.inc();
+
+  // 3. Commit: tell the source to drop its copy. Best-effort — a lost
   //    commit leaves an orphan the idle sweep evicts after the grace
   //    window; authority already moved with the swap.
   src->migrate_export(ctx->session, /*commit=*/true, options_.io_timeout);
-  record_placement(ctx->session, target);
-  epoch_.fetch_add(1);
-  counters().sessions_migrated.inc();
   obs::instant("router.handoff", ctx->session,
                "\"from\":" + std::to_string(from) +
-                   ",\"to\":" + std::to_string(target));
+                   ",\"to\":" + std::to_string(*target));
   common::log_info("router: live-migrated session ", ctx->session,
-                   " shard ", from, " -> ", target);
+                   " shard ", from, " -> ", *target);
   return true;
 }
 
@@ -1096,17 +1124,7 @@ void Router::abort_migration(const CtxPtr& ctx) {
     if (ctx->peer != nullptr && !ctx->peer->closing()) {
       // The source is still authoritative: flush the parked frames to it
       // in arrival order and resume normal forwarding.
-      for (const auto& frame : ctx->parked) {
-        if (ctx->replay &&
-            static_cast<MsgType>(frame.type) == MsgType::kLaunch) {
-          net::Reader r(frame.payload);
-          const std::uint64_t id = r.u64();
-          if (r.ok()) ctx->inflight[id] = frame.payload;
-        }
-        ctx->peer->send(frame.type, frame.payload);
-      }
-      ctx->parked.clear();
-      ctx->migrating = false;
+      ctx->unpark_to(*ctx->peer);
       return;
     }
     ctx->parked.clear();
@@ -1138,117 +1156,48 @@ bool Router::rehome_session(const CtxPtr& ctx) {
   if (conn == nullptr || ctx->state.load() != Ctx::State::kServing) {
     return false;
   }
-  std::size_t from = 0;
-  bool have_from = false;
+  std::optional<std::size_t> from;  // it just died; don't redial it
   std::map<std::uint64_t, std::vector<std::byte>> inflight;
   {
     std::lock_guard lock(ctx->mu);
-    if (ctx->shard >= 0) {
-      from = static_cast<std::size_t>(ctx->shard);
-      have_from = true;
-    }
+    if (ctx->shard >= 0) from = static_cast<std::size_t>(ctx->shard);
     inflight = ctx->inflight;
   }
-  std::string err;
-  for (const std::size_t idx : placement_order()) {
-    if (have_from && idx == from) continue;  // it just died; don't redial
-    Shard& cand = *shards_[idx];
-    auto s = net::connect_endpoint(
-        cand.endpoint, net::Deadline::after(options_.dial_timeout), &err);
-    if (!s.has_value()) {
-      record_dial_failure(cand);
-      continue;
-    }
-    const auto deadline = net::Deadline::after(options_.io_timeout);
-    if (net::write_frame(*s, static_cast<std::uint16_t>(MsgType::kHello),
-                         ctx->hello_payload, deadline,
-                         &err) != net::IoStatus::kOk) {
-      record_dial_failure(cand);
-      continue;
-    }
-    net::Frame reply;
-    if (net::read_frame(*s, &reply, deadline, &err) != net::IoStatus::kOk ||
-        static_cast<MsgType>(reply.type) != MsgType::kHelloOk) {
-      continue;
-    }
-    // Replay the unanswered launches (request-id order) before any parked
-    // frames: the shard's (owner, request_id) dedup makes a duplicate
-    // delivery idempotent, so at-least-once here still executes once.
-    bool replayed = true;
-    for (const auto& [id, payload] : inflight) {
-      if (net::write_frame(*s, static_cast<std::uint16_t>(MsgType::kLaunch),
-                           payload, deadline, &err) != net::IoStatus::kOk) {
-        replayed = false;
-        break;
-      }
-    }
-    if (!replayed) continue;
-    record_dial_success(cand);
-
-    auto up_ctx = std::make_shared<Ctx>();
-    up_ctx->is_upstream = true;
-    up_ctx->shard = static_cast<int>(idx);
-    up_ctx->state.store(Ctx::State::kServing);
-    up_ctx->peer = conn;
-    auto up = reactor_->adopt(std::move(*s), up_ctx);
-    if (up == nullptr) return false;  // router stopping
-
-    bool swapped = false;
-    {
-      std::lock_guard lock(ctx->mu);
-      if (ctx->state.load() == Ctx::State::kServing) {
-        ctx->peer = up;  // old peer was cleared when the shard died
-        ctx->shard = static_cast<int>(idx);
-        for (const auto& parked : ctx->parked) {
-          if (static_cast<MsgType>(parked.type) == MsgType::kLaunch) {
-            net::Reader r(parked.payload);
-            const std::uint64_t id = r.u64();
-            if (r.ok()) ctx->inflight[id] = parked.payload;
+  // Replay the unanswered launches (request-id order) after the hello and
+  // before any parked frames: the shard's (owner, request_id) dedup makes a
+  // duplicate delivery idempotent, so at-least-once here still executes
+  // once.
+  const auto target = move_session(
+      conn, ctx, from, [&](net::Socket& sock, const net::Deadline& deadline) {
+        std::string err;
+        for (const auto& [id, payload] : inflight) {
+          if (net::write_frame(sock,
+                               static_cast<std::uint16_t>(MsgType::kLaunch),
+                               payload, deadline,
+                               &err) != net::IoStatus::kOk) {
+            return false;
           }
-          up->send(parked.type, parked.payload);
         }
-        ctx->parked.clear();
-        ctx->migrating = false;
-        swapped = true;
-      }
-    }
-    if (!swapped) {
-      {
-        std::lock_guard lock(up_ctx->mu);
-        up_ctx->peer = nullptr;
-      }
-      up_ctx->state.store(Ctx::State::kClosed);
-      up->close_async();
-      return false;
-    }
-    // The dead shard never gave back its placement (upstream closes don't
-    // decrement), so move the count across here.
-    if (have_from) shards_[from]->placements.fetch_sub(1);
-    shards_[idx]->placements.fetch_add(1);
-    record_placement(ctx->session, idx);
-    epoch_.fetch_add(1);
-    counters().sessions_rehomed.inc();
-    obs::instant("router.rehome", ctx->session,
-                 "\"from\":" + (have_from ? std::to_string(from)
-                                          : std::string("-1")) +
-                     ",\"to\":" + std::to_string(idx) + ",\"replayed\":" +
-                     std::to_string(inflight.size()));
-    common::log_info("router: re-homed session ", ctx->session, " shard ",
-                     have_from ? static_cast<int>(from) : -1, " -> ", idx,
-                     " (", inflight.size(), " launches replayed)");
-    return true;
-  }
-  return false;
+        return true;
+      });
+  if (!target.has_value()) return false;
+  const int from_idx = from.has_value() ? static_cast<int>(*from) : -1;
+  counters().sessions_rehomed.inc();
+  obs::instant("router.rehome", ctx->session,
+               "\"from\":" + std::to_string(from_idx) +
+                   ",\"to\":" + std::to_string(*target) + ",\"replayed\":" +
+                   std::to_string(inflight.size()));
+  common::log_info("router: re-homed session ", ctx->session, " shard ",
+                   from_idx, " -> ", *target, " (", inflight.size(),
+                   " launches replayed)");
+  return true;
 }
 
 void Router::handle_sync_pull(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
                               const net::Frame& frame) {
   const auto pull = server::decode_sync_pull(frame.payload);
   if (!pull.has_value()) {
-    conn->send(static_cast<std::uint16_t>(MsgType::kError),
-               server::encode_error({"malformed sync_pull"}));
-    ctx->state.store(Ctx::State::kClosed);
-    conn->close_async();
+    refuse(conn, ctx, "malformed sync_pull");
     return;
   }
   counters().sync_pulls.inc();

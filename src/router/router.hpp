@@ -17,14 +17,15 @@
 //     kShutdown are the two exceptions: stats are answered by the router
 //     with a fleet-wide aggregate (plus a shard.<i>.* breakdown), and
 //     shutdown fans out to every shard before stopping the router;
-//   * a shard death closes the affected downstream connections; clients
-//     with auto_reconnect redial the router, get re-placed on a healthy
-//     shard, and replay their inflight launches — the same at-least-once /
-//     exactly-once contract as a single-daemon restart;
+//   * a session moves only through one transaction: walk the placement
+//     order and dial, hand the new upstream the client's saved hello, swap
+//     the pairing and replay parked frames. A draining shard's idle replay
+//     sessions live-migrate this way, and a replay session whose shard
+//     dies is re-homed in place with its unanswered launches replayed. A
+//     non-replay session on a dead shard is closed; its client reconnects;
 //   * per-shard circuit breakers (dial failures) and liveness from the
 //     stats poller keep placement away from dead or refusing shards, and a
-//     draining shard stops receiving new sessions while existing ones run
-//     to completion (migration-by-attrition; see docs/SHARDING.md).
+//     draining shard stops receiving new sessions (see docs/SHARDING.md).
 //
 // Placement (pick_shard) and the fleet stats fold (fold_fleet_stats) are
 // pure functions over per-shard snapshots, so both are unit-testable
@@ -36,6 +37,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -234,6 +236,13 @@ class Router {
     std::deque<net::Frame> parked;
     /// Back-reference for the tick sweep (set in on_open; downstream only).
     std::weak_ptr<server::Reactor::Conn> self;
+
+    /// Under mu: remember a replay session's kLaunch in `inflight` until
+    /// the shard answers it.
+    void track_launch(const net::Frame& frame);
+    /// Under mu: send the parked frames to `to` in arrival order and
+    /// resume forwarding.
+    void unpark_to(server::Reactor::Conn& to);
   };
   using CtxPtr = std::shared_ptr<Ctx>;
 
@@ -247,6 +256,9 @@ class Router {
   /// Downstream hello: place the session, dial, pair, forward.
   void handle_hello(const server::Reactor::ConnPtr& conn, const CtxPtr& ctx,
                     const net::Frame& frame);
+  /// Answer a downstream with kError(msg) and close it.
+  static void refuse(const server::Reactor::ConnPtr& conn, const CtxPtr& ctx,
+                     const std::string& msg);
   /// Fill telemetry_: kStats answers with the fleet fold after a fresh
   /// poll; with metrics_interval > 0, also register the fleet-wide and
   /// shard.<i>.* derived series over the poller's view and start the
@@ -277,23 +289,55 @@ class Router {
   void poll_shards();
   void poll_loop();
 
-  // -- Live migration (poller thread) --------------------------------------
-  /// Sweep draining shards and live-migrate their idle replay sessions.
+  // -- Session moves: placement, drain migration, re-home ------------------
+  /// How a handshake on a freshly dialed shard ended. kUnreachable counts
+  /// against the breaker like a failed dial; kRefused (alive, said no) not.
+  enum class Handshake { kOk, kUnreachable, kRefused };
+  /// A move's step after hello -> kHelloOk on the new socket: the
+  /// migration's import or the re-home's launch replay. False refuses.
+  using Resume = std::function<bool(net::Socket&, const net::Deadline&)>;
+  struct Dialed {
+    net::Socket sock;
+    std::size_t shard = 0;
+  };
+  /// The dial walk over the placement order, `sticky` first (when alive and
+  /// breaker-closed) and `skip` left out, keeping each shard's breaker. The
+  /// first shard whose dial and `handshake` (if any) succeed wins.
+  std::optional<Dialed> dial(std::optional<std::size_t> sticky,
+                             std::optional<std::size_t> skip,
+                             const std::function<Handshake(net::Socket&)>&
+                                 handshake);
+  /// Adopt `dialed` as the session's upstream: swap the pairing and replay
+  /// parked frames under ctx->mu, sever the old upstream, then the
+  /// bookkeeping (placement counts, sticky table, epoch). nullptr (with
+  /// *why) when the router is stopping or the client has closed.
+  server::Reactor::ConnPtr attach(const server::Reactor::ConnPtr& conn,
+                                  const CtxPtr& ctx, Dialed dialed,
+                                  const char** why = nullptr);
+  /// Drain migration's and re-home's move: dial off `from`, re-send the
+  /// saved hello, await kHelloOk, run `resume`, attach. The new shard, or
+  /// nullopt (with *why).
+  std::optional<std::size_t> move_session(const server::Reactor::ConnPtr& conn,
+                                          const CtxPtr& ctx,
+                                          std::optional<std::size_t> from,
+                                          const Resume& resume,
+                                          const char** why = nullptr);
+
+  /// Sweep draining shards and live-migrate their idle replay sessions
+  /// (poller thread).
   void migrate_draining();
-  /// Move one idle session off `from`: export snapshot -> hello + import on
-  /// a fresh upstream -> swap the pairing -> commit the export. Returns
-  /// false (source untouched, frames unparked) on any failure.
+  /// Move one idle session off `from`: export snapshot -> move with the
+  /// snapshot import as its resume step -> commit the export. Returns false
+  /// (source untouched, frames unparked) on any failure.
   bool migrate_session(const server::Reactor::ConnPtr& conn,
                        const CtxPtr& ctx, std::size_t from);
   /// Unwind a failed migration: unpark onto the surviving peer, or close
   /// the downstream when no peer is left (client reconnect recovers).
   void abort_migration(const CtxPtr& ctx);
-  /// Re-home sessions whose shard died mid-run: fresh placement + verbatim
-  /// hello + inflight launch replay onto the survivor.
+  /// Re-home sessions whose shard died mid-run: a move with the inflight
+  /// launch replay as its resume step (poller thread).
   void process_rehomes();
   bool rehome_session(const CtxPtr& ctx);
-  /// Remember (and bound) a session's shard for sticky re-placement.
-  void record_placement(std::uint64_t session, std::size_t shard);
 
   // -- Active/standby replication ------------------------------------------
   /// Primary side: answer a standby's kSyncPull with the fleet state.

@@ -238,12 +238,14 @@ void Reactor::wake() {
   }
 }
 
-void Reactor::post_op(std::function<void()> op) {
+bool Reactor::post_op(std::function<void()> op) {
   {
     std::lock_guard lock(ops_mu_);
+    if (ops_closed_) return false;
     ops_.push_back(std::move(op));
   }
   wake();
+  return true;
 }
 
 Reactor::ConnPtr Reactor::adopt(net::Socket sock, std::shared_ptr<void> ctx) {
@@ -254,7 +256,7 @@ Reactor::ConnPtr Reactor::adopt(net::Socket sock, std::shared_ptr<void> ctx) {
   conn->sock_ = std::move(sock);
   conn->ctx_ = std::move(ctx);
   set_nonblocking(conn->sock_.fd());
-  post_op([this, conn] { register_conn(conn); });
+  if (!post_op([this, conn] { register_conn(conn); })) return nullptr;
   return conn;
 }
 
@@ -507,11 +509,37 @@ void Reactor::teardown() {
   }
   // ...then drain the pump queue and join the workers.
   pool_.reset();
-  conns_.clear();
+  // Register the connections adopted since the last loop turn and take no
+  // more, so every connection that got on_open or adopt is in conns_ or
+  // already closed.
+  std::vector<std::function<void()>> ops;
   {
     std::lock_guard lock(ops_mu_);
-    ops_.clear();
+    ops_closed_ = true;
+    ops.swap(ops_);
   }
+  for (auto& op : ops) op();
+  // A connection still open never saw its read side end: close it here,
+  // once, so handler state tied to it (the router's paired contexts, which
+  // hold each other through their peers) is released. Frames and tasks it
+  // never pumped are dropped with it.
+  for (const auto& conn : conns_) {
+    std::deque<net::Frame> frames;
+    std::deque<std::function<void()>> tasks;
+    bool deliver = false;
+    {
+      std::lock_guard lock(conn->q_mu_);
+      frames.swap(conn->inbox_);
+      tasks.swap(conn->tasks_);
+      deliver = !conn->close_delivered_;
+      conn->close_queued_ = true;
+      conn->close_delivered_ = true;
+    }
+    if (deliver && handler_.on_close) {
+      handler_.on_close(conn, CloseReason::kLocal, "");
+    }
+  }
+  conns_.clear();
   if (handler_.on_stopped) handler_.on_stopped();
 }
 

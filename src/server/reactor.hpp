@@ -87,7 +87,9 @@ class Reactor {
     std::function<void(const ConnPtr&, net::Frame)> on_frame;
     /// Read side ended and every queued frame/task was pumped (worker
     /// pool, serialized per conn; exactly once per connection that got
-    /// on_open or adopt). Not guaranteed during reactor teardown.
+    /// on_open or adopt). Reactor teardown closes every connection still
+    /// open with kLocal, on the reactor thread after the pump pool has
+    /// drained, dropping frames and tasks it never pumped.
     std::function<void(const ConnPtr&, CloseReason, const std::string&)>
         on_close;
     /// Transient accept failure (fd exhaustion): the listener is paused on
@@ -221,7 +223,8 @@ class Reactor {
   void schedule(ConnPtr conn);
   void pump(const ConnPtr& conn);
   void retire(const ConnPtr& conn);
-  void post_op(std::function<void()> op);
+  /// Run `op` on the reactor thread; false (dropped) after teardown.
+  bool post_op(std::function<void()> op);
   void wake();
   void teardown();
 
@@ -242,6 +245,7 @@ class Reactor {
   /// Cross-thread operations executed on the reactor thread.
   std::mutex ops_mu_;
   std::vector<std::function<void()>> ops_;
+  bool ops_closed_ = false;  ///< teardown took the last ops
 
   /// Pump pool; guarded so schedule() after teardown is a safe no-op.
   std::mutex pool_mu_;

@@ -17,7 +17,9 @@
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/jsonl.hpp"
+#include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
+#include "obs/shard_scope.hpp"
 #include "obs/tracer.hpp"
 #include "server/protocol_wire.hpp"
 
@@ -468,6 +470,47 @@ TEST_F(TracerTest, TopSpansReportGroupsByName) {
 }
 
 // ---- STATS codec ----
+
+// ---- shard scope ----
+
+TEST(ShardScope, ParsesWhatShardPrefixWrites) {
+  EXPECT_EQ(obs::shard_prefix(0), "shard.0.");
+  EXPECT_EQ(obs::shard_prefix(12), "shard.12.");
+  const auto scoped = obs::parse_shard_scope(obs::shard_prefix(12) + "rps");
+  ASSERT_TRUE(scoped.has_value());
+  EXPECT_EQ(scoped->shard, 12);
+  EXPECT_EQ(scoped->name, "rps");
+  const auto nested = obs::parse_shard_scope("shard.3.server.replies");
+  ASSERT_TRUE(nested.has_value());
+  EXPECT_EQ(nested->shard, 3);
+  EXPECT_EQ(nested->name, "server.replies");
+  const auto max = obs::parse_shard_scope("shard.2147483647.x");
+  ASSERT_TRUE(max.has_value());
+  EXPECT_EQ(max->shard, 2147483647);
+}
+
+TEST(ShardScope, AnythingElseIsAPlainName) {
+  for (const char* name :
+       {"server.replies", "shard.", "shard.3", "shard.3.", "shard..rps",
+        "shard.x.rps", "shard.3x.rps", "shard.-1.rps", "shard.+1.rps",
+        "shard.07.rps", "shard.2147483648.rps",
+        "shard.99999999999.server.replies", "shards.1.rps"}) {
+    EXPECT_FALSE(obs::parse_shard_scope(name).has_value()) << name;
+  }
+}
+
+TEST(ShardScope, PrometheusLabelsOnlyAParsedScope) {
+  const std::string text = obs::prom::render_exposition({
+      {"shard.99999999999.server.replies", 1.0},
+      {"shard.0.server.replies", 2.0},
+  });
+  EXPECT_NE(text.find("ewc_server_replies{shard=\"0\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("ewc_shard_99999999999_server_replies 1\n"),
+            std::string::npos)
+      << text;
+}
 
 TEST(StatsCodec, RoundTrip) {
   server::StatsMsg req{77, false};

@@ -68,6 +68,7 @@ struct EchoHarness {
   Reactor::Options options;
   std::atomic<int> opened{0};
   std::atomic<int> closed{0};
+  std::atomic<int> local_closes{0};  ///< closed with CloseReason::kLocal
   std::atomic<int> frames{0};
   std::unique_ptr<Reactor> reactor;
 
@@ -78,8 +79,11 @@ struct EchoHarness {
       frames.fetch_add(1);
       conn->send(frame.type, frame.payload);
     };
-    handler.on_close = [this](const Reactor::ConnPtr&, CloseReason,
-                              const std::string&) { closed.fetch_add(1); };
+    handler.on_close = [this](const Reactor::ConnPtr&, CloseReason reason,
+                              const std::string&) {
+      closed.fetch_add(1);
+      if (reason == CloseReason::kLocal) local_closes.fetch_add(1);
+    };
     reactor = std::make_unique<Reactor>(options, std::move(handler));
     ::unlink(path.c_str());
     auto listener = net::Listener::bind_unix(path, 1024, error);
@@ -262,6 +266,34 @@ TEST(ReactorTest, ProtocolGarbageClosesOnlyTheOffendingConnection) {
   }
   EXPECT_EQ(harness.closed.load(), 2);
   harness.stop();
+}
+
+// Stopping the reactor under open connections still closes each one, once,
+// with kLocal, so handlers can release what they tie to a connection.
+TEST(ReactorTest, TeardownClosesEveryOpenConnectionOnce) {
+  constexpr int kConns = 5;
+  const auto path = reactor_path("teardown");
+  EchoHarness harness;
+  harness.options.workers = 2;
+  std::string error;
+  ASSERT_TRUE(harness.start(path, &error)) << error;
+  std::vector<Socket> clients;
+  for (int i = 0; i < kConns; ++i) {
+    auto sock = net::connect_unix(
+        path, Deadline::after(Duration::from_seconds(5.0)), &error);
+    ASSERT_TRUE(sock.has_value()) << error;
+    clients.push_back(std::move(*sock));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (harness.opened.load() < kConns &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(harness.opened.load(), kConns);
+  harness.stop();
+  EXPECT_EQ(harness.closed.load(), kConns);
+  EXPECT_EQ(harness.local_closes.load(), kConns);
 }
 
 // The router's forwarding pattern: every frame read from one connection

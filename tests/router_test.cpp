@@ -22,10 +22,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -722,6 +724,122 @@ TEST_F(RouterFleetTest, ShardKillRehomesReplaySessionsInPlace) {
   const auto reply =
       conn->launch(aes_launch("rehome-client"), Duration::from_seconds(60.0));
   EXPECT_TRUE(reply.ok) << reply.error;
+  EXPECT_EQ(conn->reconnects(), 0u);
+}
+
+/// Collects launch_async replies in arrival order.
+struct ReplyLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<consolidate::CompletionReply> replies;
+
+  std::function<void(const consolidate::CompletionReply&)> callback() {
+    return [this](const consolidate::CompletionReply& r) {
+      std::lock_guard lock(mu);
+      replies.push_back(r);
+      cv.notify_all();
+    };
+  }
+  bool wait_for(std::size_t n, std::chrono::seconds timeout) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, timeout, [&] { return replies.size() >= n; });
+  }
+};
+
+/// Requests the shard's backend has executed.
+int executed(const consolidate::Backend& backend) {
+  int n = 0;
+  for (const auto& report : backend.reports()) n += report.num_instances;
+  return n;
+}
+
+// Launches sent while a drain migration holds the session parked (the
+// handoff delay keeps the window open) are replayed onto the target shard
+// by the swap: all complete, in launch order, and none reaches the source.
+TEST_F(RouterFleetTest, LaunchesParkedDuringMigrationCompleteOnTheTarget) {
+  Fleet fleet("park-mig", /*threshold=*/1);
+  ASSERT_TRUE(fleet.started);
+  ReplyLog log;  // outlives the connection that calls into it
+  auto conn = fleet.connect_replay("park-mig");
+  ASSERT_NE(conn, nullptr);
+  ASSERT_TRUE(
+      conn->launch(aes_launch("park-mig"), Duration::from_seconds(60.0)).ok);
+  ASSERT_EQ(fleet.router->snapshots()[0].sessions, 1.0);
+  const int source_before = executed(*fleet.shards[0]->backend);
+  const int target_before = executed(*fleet.shards[1]->backend);
+
+  const obs::Counter migrated =
+      obs::Registry::instance().counter("router.sessions_migrated");
+  const double migrated_before = migrated.value();
+  ArmGuard guard("router.handoff=delay:dur=0.3");
+  fleet.router->set_draining(0, true);
+  auto& injector = fault::Injector::instance();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (injector.fired("router.handoff") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(injector.fired("router.handoff"), 1u);
+
+  // The session is latched for the move: these park in the router.
+  constexpr std::size_t kLaunches = 8;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < kLaunches; ++i) {
+    ids.push_back(conn->launch_async(aes_launch("park-mig"), log.callback()));
+    ASSERT_NE(ids.back(), 0u);
+  }
+  ASSERT_TRUE(log.wait_for(kLaunches, std::chrono::seconds(60)));
+  {
+    std::lock_guard lock(log.mu);
+    ASSERT_EQ(log.replies.size(), kLaunches);
+    for (std::size_t i = 0; i < kLaunches; ++i) {
+      EXPECT_TRUE(log.replies[i].ok) << log.replies[i].error;
+      EXPECT_EQ(log.replies[i].request_id, ids[i]) << "reply " << i;
+    }
+  }
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (migrated.value() < migrated_before + 1.0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(migrated.value(), migrated_before + 1.0);
+  EXPECT_EQ(executed(*fleet.shards[0]->backend), source_before);
+  EXPECT_EQ(executed(*fleet.shards[1]->backend),
+            target_before + static_cast<int>(kLaunches));
+  EXPECT_EQ(conn->reconnects(), 0u);
+}
+
+// Launches sent right after the session's shard dies either reach the dead
+// upstream (and come back through the re-home's inflight replay) or park
+// until the re-home lands. Each completes exactly once, in place.
+TEST_F(RouterFleetTest, LaunchesRacingAShardDeathCompleteExactlyOnce) {
+  Fleet fleet("park-rehome", /*threshold=*/1);
+  ASSERT_TRUE(fleet.started);
+  ReplyLog log;  // outlives the connection that calls into it
+  auto conn = fleet.connect_replay("park-rehome");
+  ASSERT_NE(conn, nullptr);
+  ASSERT_TRUE(
+      conn->launch(aes_launch("park-rehome"), Duration::from_seconds(60.0))
+          .ok);
+  ASSERT_EQ(fleet.router->snapshots()[0].sessions, 1.0);
+
+  fleet.shards[0]->server->stop();
+  constexpr std::size_t kLaunches = 8;
+  for (std::size_t i = 0; i < kLaunches; ++i) {
+    ASSERT_NE(conn->launch_async(aes_launch("park-rehome"), log.callback()),
+              0u);
+  }
+  ASSERT_TRUE(log.wait_for(kLaunches, std::chrono::seconds(60)));
+  // A duplicate would land after the last first answer; give it the time.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::lock_guard lock(log.mu);
+  EXPECT_EQ(log.replies.size(), kLaunches);
+  std::set<std::uint64_t> seen;
+  for (const auto& r : log.replies) {
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(seen.insert(r.request_id).second)
+        << "request " << r.request_id << " answered twice";
+  }
   EXPECT_EQ(conn->reconnects(), 0u);
 }
 
