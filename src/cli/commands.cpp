@@ -185,7 +185,8 @@ std::string main_usage() {
       "               hit/miss/eviction counts, speedup and output parity\n"
       "  serve      run one consolidation daemon shard (ewcd) on a UNIX\n"
       "             or TCP endpoint\n"
-      "  route      front N ewcd shards with energy-aware session placement\n"
+      "  route      front N ewcd shards, packing sessions onto the fewest\n"
+      "             shards with headroom so batches fill fast\n"
       "  client     launch workloads against a running daemon or router\n"
       "  stats      print a live counter/histogram snapshot from a daemon\n"
       "             or router (per-shard breakdown)\n"
@@ -644,10 +645,6 @@ int cmd_route(const std::vector<std::string>& args, std::ostream& out) {
       {"poll", "stats-poll interval, s (default 0.5)", false, false},
       {"dial-timeout", "per-shard placement dial budget, s (default 1)",
        false, false},
-      {"load-weight", "placement weight on sessions+inflight (default 1)",
-       false, false},
-      {"energy-weight", "placement weight on shard watts (default 0.05)",
-       false, false},
       {"breaker",
        "consecutive dial failures opening a shard's breaker "
        "(default 2; 0 disables)",
@@ -707,8 +704,6 @@ int cmd_route(const std::vector<std::string>& args, std::ostream& out) {
       flags.get_double_in("poll", 0.5, 0.05, 3600.0));
   ropt.dial_timeout = common::Duration::from_seconds(
       flags.get_double_in("dial-timeout", 1.0, 0.05, 600.0));
-  ropt.load_weight = flags.get_double_in("load-weight", 1.0, 0.0, 1e9);
-  ropt.energy_weight = flags.get_double_in("energy-weight", 0.05, 0.0, 1e9);
   ropt.breaker_threshold = flags.get_int_in("breaker", 2, 0, 1000);
   ropt.breaker_cooldown = common::Duration::from_seconds(
       flags.get_double_in("breaker-cooldown", 3.0, 0.01, 3600.0));

@@ -60,23 +60,31 @@ void merge_compatible(obs::HistogramSnapshot& into,
 
 }  // namespace
 
-std::optional<std::size_t> pick_shard(const std::vector<ShardSnapshot>& shards,
-                                      double load_weight,
-                                      double energy_weight) {
-  std::optional<std::size_t> best;
-  double best_score = 0.0;
+bool has_headroom(const ShardSnapshot& shard) {
+  return !shard.refused && (shard.max_clients <= 0 ||
+                            shard.sessions + shard.other_clients <
+                                shard.max_clients);
+}
+
+std::optional<std::size_t> pick_shard(
+    const std::vector<ShardSnapshot>& shards) {
+  std::optional<std::size_t> fullest, least_loaded;
+  const auto load = [&](std::size_t i) {
+    return shards[i].sessions + shards[i].inflight;
+  };
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const auto& s = shards[i];
     if (!s.alive || s.draining || s.breaker_open) continue;
-    const double score = load_weight * (s.sessions + s.inflight) +
-                         energy_weight * s.power_watts;
-    // Strict '<': equal scores keep the earlier index (deterministic).
-    if (!best.has_value() || score < best_score) {
-      best = i;
-      best_score = score;
+    // Strict comparisons: equal keys keep the earlier index (deterministic).
+    if (has_headroom(s) &&
+        (!fullest.has_value() || s.sessions > shards[*fullest].sessions)) {
+      fullest = i;
+    }
+    if (!least_loaded.has_value() || load(i) < load(*least_loaded)) {
+      least_loaded = i;
     }
   }
-  return best;
+  return fullest.has_value() ? fullest : least_loaded;
 }
 
 obs::RegistrySnapshot fold_fleet_stats(obs::RegistrySnapshot local,
@@ -315,14 +323,18 @@ ShardSnapshot Router::snapshot_of(const Shard& shard) const {
   ShardSnapshot s;
   s.alive = shard.alive.load();
   s.draining = shard.draining.load();
-  s.sessions = static_cast<double>(shard.placements.load());
+  s.sessions =
+      static_cast<double>(shard.placements.load() + shard.dialing.load());
   {
     std::lock_guard lock(shard.mu);
     s.breaker_open =
         std::chrono::steady_clock::now() < shard.breaker_open_until;
     s.inflight = shard.inflight;
     s.power_watts = shard.power_watts;
+    s.max_clients = shard.max_clients;
+    s.other_clients = shard.other_clients;
   }
+  s.refused = shard.refused.load();
   return s;
 }
 
@@ -354,8 +366,7 @@ std::vector<std::size_t> Router::placement_order() const {
   // the order is exactly "pick_shard, then pick_shard without the first
   // choice, ...". Dial-time fallback walks this list.
   for (;;) {
-    const auto best =
-        pick_shard(snaps, options_.load_weight, options_.energy_weight);
+    const auto best = pick_shard(snaps);
     if (!best.has_value()) break;
     order.push_back(*best);
     snaps[*best].alive = false;
@@ -517,23 +528,32 @@ void Router::refuse(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
 std::optional<Router::Dialed> Router::dial(
     std::optional<std::size_t> sticky, std::optional<std::size_t> skip,
     const std::function<Handshake(net::Socket&)>& handshake) {
-  auto order = placement_order();
-  if (sticky.has_value()) {
-    const auto snap = snapshot_of(*shards_[*sticky]);
-    if (snap.alive && !snap.breaker_open) {
-      order.erase(std::remove(order.begin(), order.end(), *sticky),
-                  order.end());
-      order.insert(order.begin(), *sticky);
+  std::vector<std::size_t> order;
+  Reservation first;
+  {
+    std::lock_guard lock(pick_mu_);
+    order = placement_order();
+    if (sticky.has_value()) {
+      const auto snap = snapshot_of(*shards_[*sticky]);
+      if (snap.alive && !snap.breaker_open) {
+        std::erase(order, *sticky);
+        order.insert(order.begin(), *sticky);
+      }
     }
+    if (skip.has_value()) std::erase(order, *skip);
+    if (!order.empty()) first = Reservation(shards_[order.front()]->dialing);
   }
-  // Walk shards best-score-first; the first one that answers a dial (and
+  // Walk shards in placement order; the first one that answers a dial (and
   // the handshake) takes the session. A refused dial consumes its whole
   // (short) budget — the dialer deliberately rides out daemons that are
   // still binding — so the breaker exists to keep later walks from
   // re-paying that cost.
   for (const std::size_t idx : order) {
-    if (idx == skip) continue;
     Shard& shard = *shards_[idx];
+    // The first choice's slot was reserved with the choice; a fallback
+    // reserves its own.
+    Reservation held = idx == order.front() ? std::move(first)
+                                            : Reservation(shard.dialing);
     std::string err;
     auto sock = net::connect_endpoint(
         shard.endpoint, net::Deadline::after(options_.dial_timeout), &err);
@@ -547,7 +567,7 @@ std::optional<Router::Dialed> Router::dial(
     if (h == Handshake::kUnreachable) record_dial_failure(shard);
     if (h != Handshake::kOk) continue;
     record_dial_success(shard);
-    return Dialed{std::move(*sock), idx};
+    return Dialed{std::move(*sock), idx, std::move(held)};
   }
   return std::nullopt;
 }
@@ -725,6 +745,16 @@ void Router::forward(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
     {
       std::lock_guard lock(ctx->mu);
       peer = ctx->peer;
+    }
+    if (static_cast<MsgType>(frame.type) == MsgType::kError &&
+        ctx->shard >= 0) {
+      // A hello refused for a slot the poll did not show taken (a client
+      // that dialed the shard directly since): keep placement off the
+      // shard until the next poll, so the client's retry spills.
+      const auto err = server::decode_error(frame.payload);
+      if (err.has_value() && err->message == "server full") {
+        shards_[static_cast<std::size_t>(ctx->shard)]->refused.store(true);
+      }
     }
     if (peer != nullptr &&
         static_cast<MsgType>(frame.type) == MsgType::kCompletion) {
@@ -948,7 +978,7 @@ void Router::poll_shards() {
     }
     const auto now = std::chrono::steady_clock::now();
     std::lock_guard lock(shard.mu);
-    const auto get = [&](const char* name) {
+    const auto get = [&](const std::string& name) {
       const auto it = stats->counters.find(name);
       return it == stats->counters.end() ? 0.0 : it->second;
     };
@@ -964,10 +994,14 @@ void Router::poll_shards() {
     shard.energy_joules = energy;
     shard.have_energy = true;
     shard.polled_at = now;
-    shard.inflight =
-        std::max(0.0, get("server.admitted") - get("server.replies") -
-                          get("server.deadline_expired") -
-                          get("server.drain.failed_replies"));
+    shard.inflight = server::inflight(get);
+    shard.max_clients = get("server.max_clients");
+    // The shard admits by its live connection count; the ones this router
+    // did not place hold slots its placements alone would not show.
+    shard.other_clients =
+        std::max(1.0, get("server.connections.live") -
+                          static_cast<double>(shard.placements.load()));
+    shard.refused.store(false);
     shard.polled.counters = std::move(stats->counters);
     shard.polled.histograms = std::move(stats->histograms);
     shard.alive.store(true);

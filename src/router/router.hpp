@@ -1,4 +1,4 @@
-// Energy-aware fleet router: one process fronting N ewcd shards.
+// Fill-aware fleet router: one process fronting N ewcd shards.
 //
 // The paper consolidates workloads onto one GPU; the fleet generalizes that
 // to N single-GPU shards behind one endpoint. The router terminates the
@@ -6,11 +6,13 @@
 // everything else is frame forwarding:
 //
 //   * a new downstream connection's kHello triggers placement: the router
-//     scores every shard by reported load and power draw (polled over the
-//     existing kStats frame) and dials the cheapest healthy one, then
-//     forwards the hello verbatim. The shard answers kHelloOk (or "server
-//     full") straight through, so admission control, replay dedup, and
-//     protocol versioning stay shard-owned;
+//     packs sessions onto the fewest shards, so each shard's batches fill
+//     at the fleet's arrival rate. It dials the healthy shard with a free
+//     client slot (limit and live connections polled over the existing
+//     kStats frame) that already holds the most sessions, then forwards
+//     the hello verbatim. The shard answers kHelloOk (or "server full")
+//     straight through, so admission control, replay dedup, and protocol
+//     versioning stay shard-owned;
 //   * after placement every downstream frame is forwarded to the paired
 //     upstream connection and vice versa, 1:1, in order (both directions
 //     ride the same epoll reactor that serves ewcd itself). kStats and
@@ -44,6 +46,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -60,18 +63,30 @@ struct ShardSnapshot {
   bool alive = true;          ///< last stats poll answered
   bool draining = false;      ///< operator is migrating sessions away
   bool breaker_open = false;  ///< recent dial failures; in cooldown
-  double sessions = 0;        ///< router-placed live sessions
+  /// Router-placed live sessions, placements still dialing included.
+  double sessions = 0;
   double inflight = 0;        ///< shard-reported unanswered launches
   double power_watts = 0;     ///< d(energy)/dt between the last two polls
+  double max_clients = 0;     ///< advertised client limit; 0 = not polled
+  /// Live connections on the shard that this router did not place: its own
+  /// poll connection, a standby router's poller, clients that dialed the
+  /// shard directly. At least 1 (the poll connection).
+  double other_clients = 1;
+  bool refused = false;  ///< answered a hello "server full" since the poll
 };
 
-/// The placement policy: minimize
-///   load_weight * (sessions + inflight) + energy_weight * power_watts
-/// over shards that are alive, not draining, and not breaker-open; lowest
-/// index wins ties (deterministic). nullopt when no shard is placeable.
-std::optional<std::size_t> pick_shard(const std::vector<ShardSnapshot>& shards,
-                                      double load_weight,
-                                      double energy_weight);
+/// True while a shard can admit one more session: its router-placed
+/// sessions plus its other live connections are below its client limit, and
+/// it has not refused a hello since the last poll. A shard not polled yet
+/// has headroom.
+bool has_headroom(const ShardSnapshot& shard);
+
+/// The placement policy, fill-aware packing: among shards that are alive,
+/// not draining and not breaker-open, the one with headroom that holds the
+/// most sessions; when none has headroom, the least sessions + inflight.
+/// Lowest index wins ties (deterministic). nullopt when no shard is
+/// placeable.
+std::optional<std::size_t> pick_shard(const std::vector<ShardSnapshot>& shards);
 
 /// One shard as the fleet stats fold sees it.
 struct ShardStats {
@@ -99,7 +114,8 @@ struct RouterOptions {
   std::string listen;
   /// Shard endpoints, in index order (index is the stats-breakdown key).
   std::vector<std::string> shards;
-  /// Stats-poll cadence; also bounds how stale placement's energy view is.
+  /// Stats-poll cadence; also bounds how stale placement's view of each
+  /// shard's connections is.
   common::Duration poll_interval = common::Duration::from_millis(500.0);
   /// Per-attempt budget for dialing a shard at placement time. Kept short:
   /// a refused dial burns the whole budget (the dialer rides out daemons
@@ -109,9 +125,6 @@ struct RouterOptions {
   common::Duration io_timeout = common::Duration::from_seconds(30.0);
   /// A downstream connection that sends no hello within this is closed.
   common::Duration hello_timeout = common::Duration::from_seconds(10.0);
-  /// Placement score weights (see pick_shard).
-  double load_weight = 1.0;
-  double energy_weight = 0.05;
   /// Consecutive dial failures that open a shard's breaker; <=0 disables.
   int breaker_threshold = 2;
   /// How long an open breaker keeps placement away before a half-open probe.
@@ -189,7 +202,11 @@ class Router {
     std::atomic<bool> alive{true};
     std::atomic<bool> draining{false};
     std::atomic<int> placements{0};   ///< live router-placed sessions
+    std::atomic<int> dialing{0};  ///< placements dialing it (Reservation)
     std::atomic<int> migrated_out{0};  ///< sessions live-migrated away
+    /// Set when the shard answers a hello "server full"; the next
+    /// successful poll clears it.
+    std::atomic<bool> refused{false};
 
     mutable std::mutex mu;  ///< guards everything below
     int dial_failures = 0;  ///< consecutive; resets on success
@@ -198,6 +215,8 @@ class Router {
     double inflight = 0;
     double energy_joules = 0;
     double power_watts = 0;
+    double max_clients = 0;
+    double other_clients = 1;
     bool have_energy = false;
     std::chrono::steady_clock::time_point polled_at{};
     obs::RegistrySnapshot polled;
@@ -278,7 +297,7 @@ class Router {
   void forward(const server::Reactor::ConnPtr& conn, const CtxPtr& ctx,
                const net::Frame& frame);
 
-  /// Candidate order for one placement: best score first.
+  /// Candidate order for one placement: pick_shard's choice first.
   std::vector<std::size_t> placement_order() const;
   ShardSnapshot snapshot_of(const Shard& shard) const;
   void record_dial_failure(Shard& shard);
@@ -296,9 +315,32 @@ class Router {
   /// A move's step after hello -> kHelloOk on the new socket: the
   /// migration's import or the re-home's launch replay. False refuses.
   using Resume = std::function<bool(net::Socket&, const net::Deadline&)>;
+  /// One move in flight onto a shard: counts in its `dialing` from before
+  /// the dial until attach() has counted the session (or the move fails),
+  /// so concurrent placements see the slot taken.
+  class Reservation {
+   public:
+    Reservation() = default;
+    explicit Reservation(std::atomic<int>& dialing) : dialing_(&dialing) {
+      dialing_->fetch_add(1);
+    }
+    Reservation(Reservation&& other) noexcept
+        : dialing_(std::exchange(other.dialing_, nullptr)) {}
+    Reservation& operator=(Reservation&& other) noexcept {
+      std::swap(dialing_, other.dialing_);
+      return *this;
+    }
+    ~Reservation() {
+      if (dialing_ != nullptr) dialing_->fetch_sub(1);
+    }
+
+   private:
+    std::atomic<int>* dialing_ = nullptr;
+  };
   struct Dialed {
     net::Socket sock;
     std::size_t shard = 0;
+    Reservation reservation;
   };
   /// The dial walk over the placement order, `sticky` first (when alive and
   /// breaker-closed) and `skip` left out, keeping each shard's breaker. The
@@ -370,6 +412,10 @@ class Router {
   /// The kStats/kMetrics endpoint; its sampler reads the polled shard
   /// state.
   server::Telemetry telemetry_;
+
+  /// Makes choosing a dial's first shard and reserving a slot on it one
+  /// step, so concurrent hellos cannot all take a shard's last slot.
+  std::mutex pick_mu_;
 
   /// Sticky placement: session nonce -> shard index, bounded FIFO-ish (the
   /// lowest nonce is evicted past the cap). A reconnecting session lands on

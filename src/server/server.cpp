@@ -134,6 +134,12 @@ void Server::start_telemetry() {
   telemetry_.stats_requests = registry.counter("server.stats_requests");
   telemetry_.metrics_requests = registry.counter("server.metrics_requests");
   telemetry_.interval_seconds = options_.metrics_interval;
+  telemetry_.gauges = [this] {
+    return std::map<std::string, double>{
+        {"server.max_clients", static_cast<double>(options_.max_clients)},
+        {"server.connections.live",
+         static_cast<double>(active_connections())}};
+  };
   if (options_.metrics_interval <= 0.0) return;
   auto sampler = std::make_unique<obs::Sampler>(options_.metrics_history);
   auto counter = [&registry](const char* name) {
@@ -149,10 +155,9 @@ void Server::start_telemetry() {
       "p95_seconds", [] { return request_latency_hist()->snapshot(); },
       95.0);
   sampler->add_gauge("inflight", [] {
-    const ServerCounters& c = counters();
-    return std::max(0.0, c.admitted.value() - c.replies.value() -
-                             c.deadline_expired.value() -
-                             c.drain_failed_replies.value());
+    return inflight([](const std::string& name) {
+      return obs::Registry::instance().counter(name).value();
+    });
   });
   // Cumulative gauges alongside the derived rates: a one-shot scrape can
   // compute run-average joules/request (energy / requests) without any

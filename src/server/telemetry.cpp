@@ -1,9 +1,17 @@
 #include "server/telemetry.hpp"
 
+#include <algorithm>
+
 #include "obs/prometheus.hpp"
 #include "server/protocol_wire.hpp"
 
 namespace ewc::server {
+
+double inflight(const std::function<double(const std::string&)>& counter) {
+  return std::max(0.0, counter("server.admitted") - counter("server.replies") -
+                           counter("server.deadline_expired") -
+                           counter("server.drain.failed_replies"));
+}
 
 bool answer_telemetry(const Reactor::ConnPtr& conn, const net::Frame& frame,
                       const Telemetry& telemetry) {
@@ -19,6 +27,11 @@ bool answer_telemetry(const Reactor::ConnPtr& conn, const net::Frame& frame,
     if (const auto req = decode_stats(frame.payload)) {
       telemetry.stats_requests.inc();
       obs::RegistrySnapshot snap = telemetry.stats();
+      if (telemetry.gauges) {
+        for (const auto& [name, value] : telemetry.gauges()) {
+          snap.counters[name] = value;
+        }
+      }
       StatsReplyMsg reply;
       reply.token = req->token;
       reply.uptime_micros = uptime_micros();
@@ -46,6 +59,7 @@ bool answer_telemetry(const Reactor::ConnPtr& conn, const net::Frame& frame,
       // collide with the dotted counter namespace.
       std::map<std::string, double> values =
           obs::Registry::instance().snapshot().counters;
+      if (telemetry.gauges) values.merge(telemetry.gauges());
       if (telemetry.sampler != nullptr) {
         for (const auto& [name, value] : telemetry.sampler->last_values()) {
           values[name] = value;

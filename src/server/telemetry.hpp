@@ -10,7 +10,9 @@
 
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "net/frame.hpp"
 #include "obs/registry.hpp"
@@ -33,7 +35,19 @@ struct Telemetry {
   std::unique_ptr<obs::Sampler> sampler;
   double interval_seconds = 0.0;  ///< sampler tick, reported in kMetrics
   obs::Counter stats_requests, metrics_requests;
+  /// Gauges the serving object reports itself (ewcd: server.max_clients
+  /// and server.connections.live, which the router's placement reads),
+  /// served in kStats and in the Prometheus exposition. They belong to the
+  /// server object rather than the process-wide registry, so two servers in
+  /// one process each report their own. Unset: none.
+  std::function<std::map<std::string, double>()> gauges;
 };
+
+/// A shard's unanswered launches: server.admitted - server.replies -
+/// server.deadline_expired - server.drain.failed_replies, floored at 0.
+/// `counter` reads one counter by name (ewcd: its registry; the router: a
+/// shard's polled kStats reply).
+double inflight(const std::function<double(const std::string&)>& counter);
 
 /// Answer one kStats or kMetrics frame from `telemetry`. A malformed
 /// request is answered with kError and the connection is closed; returns

@@ -275,8 +275,9 @@ TEST(FleetChaosTest, KillOneShardMidRunLosesAndDuplicatesNothing) {
       load_log);
   ASSERT_GT(load_pid, 0);
 
-  // Mid-run, with both shards carrying placed sessions, one shard dies
-  // without a goodbye.
+  // Mid-run, shard 0 dies without a goodbye. Placement packs sessions
+  // onto the lowest-index shard with headroom, so it carries all 40 (and
+  // the loadgen's control connection).
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
   ASSERT_EQ(::kill(shard_pids[0], SIGKILL), 0);
   EXPECT_EQ(wait_exit_code(shard_pids[0]), -SIGKILL);

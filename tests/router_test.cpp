@@ -1,11 +1,11 @@
-// Tests for the energy-aware fleet router.
+// Tests for the fill-aware fleet router.
 //
 // The placement policy (pick_shard) and the fleet stats fold
 // (fold_fleet_stats) are pure functions, so their tests need no sockets:
 // the fold tests pin the aggregation arithmetic over synthetic shard
 // snapshots. The integration tests stand up two real in-process ewcd
 // shards on UNIX sockets behind one Router and drive them with the real
-// client, covering placement balancing, drain-based migration, flush
+// client, covering placement packing and spill, drain-based migration, flush
 // fan-out, stats aggregation, and the router.forward fault site.
 //
 // In-process caveat: the obs::Registry is process-wide, so two in-process
@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <chrono>
@@ -62,52 +63,82 @@ ShardSnapshot snap(double sessions, double inflight = 0,
   return s;
 }
 
+/// A polled shard advertising a client limit; the router's poll connection
+/// is its only other client unless `others` says more.
+ShardSnapshot polled(double sessions, double max_clients,
+                     double inflight = 0, double others = 1) {
+  ShardSnapshot s = snap(sessions, inflight);
+  s.max_clients = max_clients;
+  s.other_clients = others;
+  return s;
+}
+
 // ---- placement policy ----
 
-TEST(PickShardTest, PrefersLeastLoadedShard) {
-  const std::vector<ShardSnapshot> shards = {snap(3), snap(1), snap(2)};
-  EXPECT_EQ(pick_shard(shards, 1.0, 0.0), 1u);
-}
-
-TEST(PickShardTest, InflightCountsTowardLoad) {
-  // Shard 0 has fewer sessions but a deep unanswered-launch backlog.
-  const std::vector<ShardSnapshot> shards = {snap(1, 5), snap(2, 0)};
-  EXPECT_EQ(pick_shard(shards, 1.0, 0.0), 1u);
-}
-
-TEST(PickShardTest, EnergyWeightSteersAwayFromHotShards) {
-  // Equal load: the cooler shard wins once energy has any weight.
-  const std::vector<ShardSnapshot> equal_load = {snap(2, 0, 90.0),
-                                                 snap(2, 0, 30.0)};
-  EXPECT_EQ(pick_shard(equal_load, 1.0, 0.05), 1u);
-  // With energy ignored, the tie goes to the lower index.
-  EXPECT_EQ(pick_shard(equal_load, 1.0, 0.0), 0u);
-  // A big enough energy weight outvotes a one-session load difference.
-  const std::vector<ShardSnapshot> hot_but_idle = {snap(1, 0, 90.0),
-                                                   snap(2, 0, 30.0)};
-  EXPECT_EQ(pick_shard(hot_but_idle, 1.0, 0.05), 1u);
-  EXPECT_EQ(pick_shard(hot_but_idle, 1.0, 0.0), 0u);
+TEST(PickShardTest, MostSessionsWinsLowestIndexOnTies) {
+  EXPECT_EQ(pick_shard({polled(1, 64), polled(3, 64), polled(2, 64)}), 1u);
+  EXPECT_EQ(pick_shard({polled(2, 64), polled(2, 64), polled(2, 64)}), 0u);
+  EXPECT_EQ(pick_shard({polled(0, 64), polled(0, 64)}), 0u);
+  // Power draw is telemetry only: it never steers placement.
+  EXPECT_EQ(pick_shard({snap(2, 0, 90.0), snap(2, 0, 30.0)}), 0u);
 }
 
 TEST(PickShardTest, SkipsDeadDrainingAndBreakerOpenShards) {
-  std::vector<ShardSnapshot> shards = {snap(0), snap(1), snap(2), snap(3)};
+  std::vector<ShardSnapshot> shards = {polled(5, 64), polled(4, 64),
+                                       polled(3, 64), polled(0, 64)};
   shards[0].alive = false;
   shards[1].draining = true;
   shards[2].breaker_open = true;
-  EXPECT_EQ(pick_shard(shards, 1.0, 0.0), 3u);
+  EXPECT_EQ(pick_shard(shards), 3u);
+}
+
+TEST(PickShardTest, ShardAtItsClientLimitIsSkipped) {
+  // The router's poll connection holds one of the shard's slots: 6
+  // sessions + 1 poll < 8 leaves room for one more, 7 + 1 does not.
+  EXPECT_TRUE(router::has_headroom(polled(6, 8)));
+  EXPECT_FALSE(router::has_headroom(polled(7, 8)));
+  EXPECT_EQ(pick_shard({polled(6, 8), polled(1, 8)}), 0u);
+  EXPECT_EQ(pick_shard({polled(7, 8), polled(1, 8)}), 1u);
+}
+
+TEST(PickShardTest, ConnectionsTheRouterDidNotPlaceTakeSlots) {
+  // A standby router's poller and a directly connected client hold two
+  // more of the shard's slots: 4 sessions + 3 others fill 7 of 8.
+  EXPECT_TRUE(router::has_headroom(polled(4, 8, 0, 3)));
+  EXPECT_FALSE(router::has_headroom(polled(5, 8, 0, 3)));
+  EXPECT_EQ(pick_shard({polled(5, 8, 0, 3), polled(1, 8)}), 1u);
+}
+
+TEST(PickShardTest, ShardThatRefusedAHelloIsSkippedUntilThePoll) {
+  ShardSnapshot refused = polled(2, 64);
+  refused.refused = true;
+  EXPECT_FALSE(router::has_headroom(refused));
+  EXPECT_EQ(pick_shard({refused, polled(1, 64)}), 1u);
+}
+
+TEST(PickShardTest, UnpolledShardHasHeadroom) {
+  // No advertised limit yet: any session count and backlog still fits.
+  EXPECT_TRUE(router::has_headroom(snap(500, 500)));
+  EXPECT_EQ(pick_shard({snap(500, 500), polled(1, 64)}), 0u);
+}
+
+TEST(PickShardTest, WithoutHeadroomTheLeastLoadedShardWins) {
+  // Neither shard has room: fall back to the least sessions + inflight.
+  EXPECT_EQ(pick_shard({polled(7, 8, 0), polled(5, 6, 4)}), 0u);
+  EXPECT_EQ(pick_shard({polled(7, 8, 3), polled(5, 6, 4)}), 1u);
+  // A shard with a free slot beats a less loaded full one, however deep
+  // its backlog: the client limit is hard, the backlog is not.
+  EXPECT_EQ(pick_shard({polled(299, 300, 0), polled(200, 300, 150)}), 1u);
+  EXPECT_EQ(pick_shard({polled(7, 8), polled(5, 64)}), 1u);
 }
 
 TEST(PickShardTest, NoPlaceableShardIsNullopt) {
-  EXPECT_EQ(pick_shard({}, 1.0, 0.0), std::nullopt);
-  std::vector<ShardSnapshot> shards = {snap(0), snap(0)};
+  EXPECT_EQ(pick_shard({}), std::nullopt);
+  std::vector<ShardSnapshot> shards = {snap(0), snap(0), snap(0)};
   shards[0].alive = false;
   shards[1].draining = true;
-  EXPECT_EQ(pick_shard(shards, 1.0, 0.0), std::nullopt);
-}
-
-TEST(PickShardTest, TiesAreDeterministicallyLowestIndex) {
-  const std::vector<ShardSnapshot> shards = {snap(2), snap(2), snap(2)};
-  EXPECT_EQ(pick_shard(shards, 1.0, 0.05), 0u);
+  shards[2].breaker_open = true;
+  EXPECT_EQ(pick_shard(shards), std::nullopt);
 }
 
 // ---- fleet stats fold ----
@@ -230,7 +261,7 @@ class RouterFleetTest : public ::testing::Test {
   }
 
   struct Shard {
-    Shard(const std::string& path, int threshold) {
+    Shard(const std::string& path, int threshold, int max_clients) {
       consolidate::BackendOptions options;
       options.batch_threshold = threshold;
       backend = std::make_unique<consolidate::Backend>(
@@ -241,6 +272,7 @@ class RouterFleetTest : public ::testing::Test {
       ::unlink(path.c_str());
       server::ServerOptions sopt;
       sopt.socket_path = path;
+      sopt.max_clients = max_clients;
       server = std::make_unique<server::Server>(*backend, sopt);
       std::string error;
       started = server->start(&error);
@@ -254,15 +286,21 @@ class RouterFleetTest : public ::testing::Test {
     bool started = false;
   };
 
+  static constexpr int kMaxClients = server::ServerOptions{}.max_clients;
+
   /// Two shards + a router on UNIX sockets, torn down in reverse order.
+  /// Placement packs sessions onto the shard that holds the most, so a test
+  /// that needs sessions on both shards gives one a small client limit
+  /// (the router's poll connection takes one of its slots).
   struct Fleet {
     Fleet(const std::string& tag, int threshold,
-          double energy_weight = 0.0) {
+          std::array<int, 2> max_clients = {kMaxClients, kMaxClients}) {
       const std::string dir = ::testing::TempDir();
       for (int i = 0; i < 2; ++i) {
         const auto path =
             dir + "ewc_router_" + tag + "_s" + std::to_string(i) + ".sock";
-        shards.push_back(std::make_unique<Shard>(path, threshold));
+        shards.push_back(
+            std::make_unique<Shard>(path, threshold, max_clients[i]));
         shard_paths.push_back(path);
       }
       RouterOptions ropt;
@@ -271,13 +309,23 @@ class RouterFleetTest : public ::testing::Test {
       for (const auto& p : shard_paths) ropt.shards.push_back("unix:" + p);
       ropt.poll_interval = Duration::from_millis(100.0);
       ropt.dial_timeout = Duration::from_seconds(2.0);
-      // Placement determinism for the tests: score by load only, unless a
-      // test opts back into the energy term.
-      ropt.energy_weight = energy_weight;
       router = std::make_unique<Router>(ropt);
       std::string error;
       started = router->start(&error);
       EXPECT_TRUE(started) << error;
+      // Placement reads each shard's advertised client limit from the
+      // poller; wait for the first pass so every test places on it.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started && std::chrono::steady_clock::now() < deadline) {
+        const auto snaps = router->snapshots();
+        if (std::all_of(snaps.begin(), snaps.end(), [](const auto& s) {
+              return s.max_clients > 0;
+            })) {
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
     }
     ~Fleet() {
       if (router && router->running()) router->stop();
@@ -339,20 +387,31 @@ TEST_F(RouterFleetTest, LaunchRoundTripsThroughTheRouter) {
   EXPECT_GT(reply.finish_time.seconds(), 0.0);
 }
 
-TEST_F(RouterFleetTest, SessionsBalanceAcrossShards) {
-  Fleet fleet("balance", /*threshold=*/1);
+// Sessions pack onto shard 0 until its client limit (the router's poll
+// connection counted) leaves no room; the next one spills to shard 1, and
+// no client is ever answered "server full".
+TEST_F(RouterFleetTest, SessionsSpillToTheNextShardAtTheClientLimit) {
+  Fleet fleet("spill", /*threshold=*/1, /*max_clients=*/{4, kMaxClients});
   ASSERT_TRUE(fleet.started);
+  const obs::Counter rejected =
+      obs::Registry::instance().counter("server.connections.rejected");
+  const double rejected_before = rejected.value();
   std::vector<std::unique_ptr<server::ClientConnection>> conns;
-  for (int i = 0; i < 4; ++i) {
-    conns.push_back(fleet.connect("bal-" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) {
+    conns.push_back(fleet.connect("spill-" + std::to_string(i)));
     ASSERT_NE(conns.back(), nullptr);
+    const auto reply = conns.back()->launch(
+        aes_launch("spill-" + std::to_string(i)), Duration::from_seconds(60.0));
+    EXPECT_TRUE(reply.ok) << reply.error;
   }
-  // Score = live sessions (energy weight zeroed), so four sequential
-  // hellos must alternate 0,1,0,1.
+  // 3 sessions + the poll connection fill shard 0's 4 slots.
   const auto snaps = fleet.router->snapshots();
   ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[0].sessions, 2.0);
+  EXPECT_EQ(snaps[0].max_clients, 4.0);
+  EXPECT_EQ(snaps[0].sessions, 3.0);
   EXPECT_EQ(snaps[1].sessions, 2.0);
+  EXPECT_EQ(rejected.value(), rejected_before);
+
   // Disconnects release the placement.
   conns.clear();
   const auto deadline =
@@ -367,8 +426,76 @@ TEST_F(RouterFleetTest, SessionsBalanceAcrossShards) {
   EXPECT_EQ(after[1].sessions, 0.0);
 }
 
+// A slot held by a connection the router did not place (another poller, a
+// client that dialed the shard directly) still counts: the router reads the
+// shard's live connection count and spills one session earlier, so again
+// no client is answered "server full".
+TEST_F(RouterFleetTest, SpillCountsConnectionsTheRouterDidNotPlace) {
+  Fleet fleet("spill_other", /*threshold=*/1,
+              /*max_clients=*/{4, kMaxClients});
+  ASSERT_TRUE(fleet.started);
+  std::string error;
+  auto direct = server::ClientConnection::connect(
+      "unix:" + fleet.shard_paths[0], "direct-poller",
+      Duration::from_seconds(10.0), &error);
+  ASSERT_NE(direct, nullptr) << error;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline &&
+         fleet.router->snapshots()[0].other_clients < 2.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(fleet.router->snapshots()[0].other_clients, 2.0);
+
+  const obs::Counter rejected =
+      obs::Registry::instance().counter("server.connections.rejected");
+  const double rejected_before = rejected.value();
+  std::vector<std::unique_ptr<server::ClientConnection>> conns;
+  for (int i = 0; i < 4; ++i) {
+    conns.push_back(fleet.connect("other-" + std::to_string(i)));
+    ASSERT_NE(conns.back(), nullptr);
+    const auto reply = conns.back()->launch(
+        aes_launch("other-" + std::to_string(i)), Duration::from_seconds(60.0));
+    EXPECT_TRUE(reply.ok) << reply.error;
+  }
+  // 2 sessions + the router's poll + the direct client fill shard 0.
+  const auto snaps = fleet.router->snapshots();
+  EXPECT_EQ(snaps[0].sessions, 2.0);
+  EXPECT_EQ(snaps[1].sessions, 2.0);
+  EXPECT_EQ(rejected.value(), rejected_before);
+}
+
+// Hellos that arrive together are placed together: each placement reserves
+// its slot when it picks the shard, so they cannot all take shard 0's last
+// slot and meet "server full".
+TEST_F(RouterFleetTest, ConcurrentHellosNeverOverfillAShard) {
+  Fleet fleet("concurrent", /*threshold=*/1,
+              /*max_clients=*/{6, kMaxClients});
+  ASSERT_TRUE(fleet.started);
+  const obs::Counter rejected =
+      obs::Registry::instance().counter("server.connections.rejected");
+  const double rejected_before = rejected.value();
+  constexpr int kClients = 12;
+  std::vector<std::unique_ptr<server::ClientConnection>> conns(kClients);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&fleet, &conns, i] {
+      conns[i] = fleet.connect("burst-" + std::to_string(i));
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& conn : conns) ASSERT_NE(conn, nullptr);
+  // At most 5 sessions + the poll connection on shard 0; the rest spill.
+  const auto snaps = fleet.router->snapshots();
+  EXPECT_LE(snaps[0].sessions, 5.0);
+  EXPECT_EQ(snaps[0].sessions + snaps[1].sessions, kClients);
+  EXPECT_EQ(rejected.value(), rejected_before);
+}
+
 TEST_F(RouterFleetTest, DrainingShardStopsReceivingNewSessions) {
-  Fleet fleet("drain", /*threshold=*/1);
+  // Shard 1 fits three sessions, so the session placed after the undrain
+  // goes back to shard 0.
+  Fleet fleet("drain", /*threshold=*/1, /*max_clients=*/{kMaxClients, 4});
   ASSERT_TRUE(fleet.started);
 
   // One session lands on shard 0, then the operator drains it.
@@ -456,7 +583,8 @@ TEST_F(RouterFleetTest, CorkedForwardingKeepsEachSessionsFrameOrder) {
 TEST_F(RouterFleetTest, FlushFansOutToEveryShard) {
   // Threshold 4 so nothing executes on its own: a single client's flush
   // must push the *other* shard's pending batch through too.
-  Fleet fleet("flush", /*threshold=*/4);
+  // Shard 0 fits one session (plus the router's poll connection).
+  Fleet fleet("flush", /*threshold=*/4, /*max_clients=*/{2, kMaxClients});
   ASSERT_TRUE(fleet.started);
 
   auto a = fleet.connect("flush-a");  // placed on shard 0
@@ -486,7 +614,8 @@ TEST_F(RouterFleetTest, FlushFansOutToEveryShard) {
 }
 
 TEST_F(RouterFleetTest, StatsAggregateCarriesPerShardBreakdown) {
-  Fleet fleet("stats", /*threshold=*/1);
+  // Shard 0 fits one session, so the two sessions land on both shards.
+  Fleet fleet("stats", /*threshold=*/1, /*max_clients=*/{2, kMaxClients});
   ASSERT_TRUE(fleet.started);
   auto a = fleet.connect("stats-a");
   auto b = fleet.connect("stats-b");
@@ -854,7 +983,6 @@ TEST_F(RouterFleetTest, StandbyRefusesHellosAndPromotesWhenPrimaryDies) {
   for (const auto& p : fleet.shard_paths) sopt.shards.push_back("unix:" + p);
   sopt.poll_interval = Duration::from_millis(100.0);
   sopt.dial_timeout = Duration::from_seconds(2.0);
-  sopt.energy_weight = 0.0;
   sopt.standby_of = fleet.router->endpoint();
   sopt.standby_failures = 2;
   auto standby = std::make_unique<Router>(sopt);
