@@ -11,12 +11,16 @@
 namespace ewc::consolidate {
 
 namespace {
-/// Extra wall power the idle GPU adds to the node when the framework routes
-/// a batch to the CPU (the GPU stays installed, unlike the paper's
-/// disconnected-GPU baseline measurements).
-common::Power gpu_idle_adder(const gpusim::EnergyConfig& e) {
-  return common::Power::from_watts(e.system_idle_with_gpu.watts() -
-                                   e.host_only_idle.watts());
+CompletionReply::Where where_of(Alternative a) {
+  switch (a) {
+    case Alternative::kConsolidatedGpu:
+      return CompletionReply::Where::kConsolidatedGpu;
+    case Alternative::kIndividualGpu:
+      return CompletionReply::Where::kIndividualGpu;
+    case Alternative::kCpu:
+      return CompletionReply::Where::kCpu;
+  }
+  return CompletionReply::Where::kIndividualGpu;
 }
 
 /// Answer `requests` (replies[i] answers requests[i]): each reply channel
@@ -45,6 +49,7 @@ Backend::Backend(const gpusim::FluidEngine& engine,
                  BackendOptions options)
     : engine_(engine),
       memo_(engine, kMemoCapacity),
+      executor_(engine, &memo_, options.cpu_config),
       decision_(engine.device(), std::move(power_model), options.cpu_config,
                 options.costs),
       templates_(std::move(templates)),
@@ -235,7 +240,6 @@ void Backend::process_batch(std::vector<LaunchRequest>& batch) {
 void Backend::process_group(std::vector<LaunchRequest>& batch,
                             const ConsolidationTemplate* tmpl) {
   using common::Duration;
-  using common::Energy;
 
   obs::ScopedSpan span("backend.group");
   // Wall-clock start of this group's processing: every request in the batch
@@ -263,6 +267,7 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
   std::vector<std::size_t> staged;
   std::vector<int> messages;
   std::vector<std::optional<cpusim::CpuTask>> profiles;
+  std::vector<RequestContext> contexts;
   {
     std::lock_guard lock(state_mutex_);
     for (auto& req : batch) {
@@ -273,6 +278,7 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
       plan.instances.push_back(std::move(inst));
       staged.push_back(req.staged_bytes);
       messages.push_back(req.api_messages);
+      contexts.push_back({req.request_id, req.trace_id, req.parent_span_id});
       report.kernel_names.push_back(req.desc.name);
       auto it = cpu_profiles_.find(req.desc.name);
       if (it != cpu_profiles_.end()) {
@@ -329,99 +335,18 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
   report.executed = chosen;
 
   // ---- execute the chosen alternative ----
-  Duration exec_time = Duration::zero();
-  Energy energy = Energy::zero();
-  std::vector<CompletionReply> replies(batch.size());
-
-  switch (chosen) {
-    case Alternative::kConsolidatedGpu: {
-      // Split by template capacity; splits execute back-to-back.
-      std::vector<gpusim::LaunchPlan> chunks;
-      gpusim::LaunchPlan current;
-      current.reuse_constant_data = plan.reuse_constant_data;
-      int blocks = 0;
-      const int cap = tmpl ? tmpl->max_total_blocks : 240;
-      for (auto& inst : plan.instances) {
-        if (blocks > 0 && blocks + inst.desc.num_blocks > cap) {
-          chunks.push_back(std::move(current));
-          current = gpusim::LaunchPlan{};
-          current.reuse_constant_data = plan.reuse_constant_data;
-          blocks = 0;
-        }
-        blocks += inst.desc.num_blocks;
-        current.instances.push_back(inst);
-      }
-      if (!current.instances.empty()) chunks.push_back(std::move(current));
-      report.consolidated_launches = static_cast<int>(chunks.size());
-
-      Duration offset = Duration::zero();
-      std::size_t first = 0;  // batch index of the chunk's first instance
-      for (const auto& chunk : chunks) {
-        obs::SimClockScope sim_base(sim_anchor + overhead.seconds() +
-                                    offset.seconds());
-        const gpusim::RunOutcome run = memo_.run(chunk);
-        for (std::size_t j = 0; j < run.finish_times.size(); ++j) {
-          CompletionReply& reply = replies[first + j];
-          reply.ok = true;
-          reply.where = CompletionReply::Where::kConsolidatedGpu;
-          reply.finish_time = overhead + offset + run.finish_times[j];
-        }
-        first += chunk.instances.size();
-        offset += run.total_time;
-        energy += run.system_energy;
-      }
-      exec_time = offset;
-      break;
-    }
-    case Alternative::kIndividualGpu: {
-      Duration offset = Duration::zero();
-      gpusim::LaunchPlan single;
-      single.instances.resize(1);
-      for (std::size_t i = 0; i < plan.instances.size(); ++i) {
-        single.instances[0] = plan.instances[i];
-        obs::SimClockScope sim_base(sim_anchor + overhead.seconds() +
-                                    offset.seconds());
-        obs::RequestScope req_scope(batch[i].request_id);
-        obs::TraceScope trace_scope(batch[i].trace_id,
-                                    batch[i].parent_span_id);
-        const gpusim::RunOutcome run = memo_.run(single);
-        replies[i].ok = true;
-        replies[i].where = CompletionReply::Where::kIndividualGpu;
-        replies[i].finish_time = overhead + offset + run.total_time;
-        offset += run.total_time;
-        energy += run.system_energy;
-      }
-      exec_time = offset;
-      break;
-    }
-    case Alternative::kCpu: {
-      std::vector<cpusim::CpuTask> tasks;
-      for (auto& p : profiles) tasks.push_back(*p);  // feasibility checked
-      cpusim::CpuEngine cpu(options_.cpu_config);
-      const cpusim::CpuRunResult run = cpu.run(tasks);
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        for (const auto& c : run.completions) {
-          if (c.instance_id == tasks[i].instance_id) {
-            replies[i].ok = true;
-            replies[i].where = CompletionReply::Where::kCpu;
-            replies[i].finish_time = overhead + c.finish_time;
-            break;
-          }
-        }
-      }
-      exec_time = run.makespan;
-      energy = run.system_energy +
-               gpu_idle_adder(engine_.energy_config()) * run.makespan;
-      break;
-    }
-  }
-
+  // Only a template-covered group can be consolidated.
+  const GroupExecution exec = executor_.run(
+      chosen, plan, profiles,
+      tmpl != nullptr ? tmpl->max_total_blocks
+                      : GroupExecutor::kUnlimitedBlocks,
+      overhead, sim_anchor, contexts);
+  report.consolidated_launches = exec.launches;
+  report.execution_time = exec.time;
+  report.total_time = overhead + exec.time;
   // The node sits near idle through the overhead window.
-  energy += engine_.energy_config().system_idle_with_gpu * overhead;
-
-  report.execution_time = exec_time;
-  report.total_time = overhead + exec_time;
-  report.energy = energy;
+  report.energy =
+      exec.energy + engine_.energy_config().system_idle_with_gpu * overhead;
 
   if (span.active()) {
     std::string args = "\"instances\":" + std::to_string(batch.size()) +
@@ -455,11 +380,11 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
   predict_cache_counters.publish(decision_.prediction_cache_stats());
 
   const bool tracing = obs::Tracer::enabled();
+  std::vector<CompletionReply> replies(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!replies[i].ok) {
-      replies[i].ok = false;
-      replies[i].error = "instance completion not recorded";
-    }
+    replies[i].ok = true;
+    replies[i].where = where_of(chosen);
+    replies[i].finish_time = exec.finish_times[i];
     replies[i].request_id = batch[i].request_id;
     replies[i].owner = batch[i].owner;
     replies[i].session = batch[i].session;

@@ -24,6 +24,7 @@
 #include "common/channel.hpp"
 #include "consolidate/costs.hpp"
 #include "consolidate/decision.hpp"
+#include "consolidate/executor.hpp"
 #include "consolidate/protocol.hpp"
 #include "consolidate/template_registry.hpp"
 #include "cpusim/engine.hpp"
@@ -154,6 +155,7 @@ class Backend {
   const gpusim::FluidEngine& engine_;
   /// Every GPU execution goes through here (batch thread only).
   gpusim::RunMemo memo_;
+  GroupExecutor executor_;
   DecisionEngine decision_;
   TemplateRegistry templates_;
   BackendOptions options_;

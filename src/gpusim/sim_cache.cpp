@@ -51,9 +51,10 @@ void append_kernel(std::string& key, const KernelDesc& k) {
   put(key, k.d2h_bytes.bytes());
 }
 
-/// Project a full RunResult onto what RunMemo callers read. Completions
-/// carry instance ids; sorting (id, position) pairs maps them back to plan
-/// positions in O(n log n).
+}  // namespace
+
+// Completions carry instance ids; sorting (id, position) pairs maps them
+// back to plan positions in O(n log n).
 RunOutcome outcome_of(const LaunchPlan& plan, const RunResult& run) {
   RunOutcome out;
   out.total_time = run.total_time;
@@ -74,8 +75,6 @@ RunOutcome outcome_of(const LaunchPlan& plan, const RunResult& run) {
   }
   return out;
 }
-
-}  // namespace
 
 CacheCounters::CacheCounters(const std::string& prefix)
     : hits_(obs::Registry::instance().counter(prefix + ".hits")),

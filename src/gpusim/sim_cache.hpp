@@ -168,6 +168,9 @@ struct RunOutcome {
   std::vector<Duration> finish_times;
 };
 
+/// Project a full RunResult of `plan` onto what RunMemo callers read.
+RunOutcome outcome_of(const LaunchPlan& plan, const RunResult& run);
+
 /// The memo for GPU execution: FluidEngine::run keyed by the id-free plan
 /// signature, bounded by an LRU of `capacity` entries. A hit is
 /// bit-identical to a fresh run. With tracing on, a miss records the
