@@ -9,7 +9,7 @@
 
 #include "common/thread_pool.hpp"
 #include "consolidate/queue_sim.hpp"
-#include "trace/trace.hpp"
+#include "loadgen/loadgen.hpp"
 
 int main(int argc, char** argv) {
   using namespace ewc;
@@ -23,11 +23,9 @@ int main(int argc, char** argv) {
                     workloads::t56_blackscholes()}) {
     catalogue.emplace(spec.name, std::move(spec));
   }
-  trace::PoissonTraceGenerator gen({{"encryption_12k", 4.0},
-                                    {"sorting_6k", 2.0},
-                                    {"blackscholes", 1.0}},
-                                   /*rate=*/1.5, /*seed=*/7);
-  const auto requests = gen.generate(90);
+  const auto requests = loadgen::poisson_requests(
+      {{"encryption_12k", 4.0}, {"sorting_6k", 2.0}, {"blackscholes", 1.0}},
+      /*rate=*/1.5, /*expected_requests=*/90, /*seed=*/7);
   std::cout << requests.size() << " requests at ~1.5 req/s over "
             << bench::fmt(requests.back().arrival_seconds, 0) << " s\n\n";
 

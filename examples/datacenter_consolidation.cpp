@@ -14,8 +14,8 @@
 #include "common/table.hpp"
 #include "consolidate/runner.hpp"
 #include "gpusim/engine.hpp"
+#include "loadgen/loadgen.hpp"
 #include "power/trainer.hpp"
-#include "trace/trace.hpp"
 #include "workloads/paper_configs.hpp"
 #include "workloads/rodinia_like.hpp"
 
@@ -34,19 +34,24 @@ int main() {
                     workloads::t78_montecarlo()}) {
     catalogue.emplace(spec.name, std::move(spec));
   }
-  std::vector<trace::MixEntry> mix{{"encryption_12k", 4.0},
-                                   {"sorting_6k", 3.0},
-                                   {"search", 1.5},
-                                   {"blackscholes", 1.0},
-                                   {"montecarlo", 0.5}};
+  const std::vector<std::pair<std::string, double>> mix{
+      {"encryption_12k", 4.0},
+      {"sorting_6k", 3.0},
+      {"search", 1.5},
+      {"blackscholes", 1.0},
+      {"montecarlo", 0.5}};
 
-  // 60 requests at 2 req/s; batches of 10 (the paper's threshold for 1 GPU).
-  trace::PoissonTraceGenerator gen(mix, 2.0, 2026);
-  const auto requests = gen.generate(60);
-  const auto batches = trace::batch_workloads(requests, 10);
+  // About 60 requests at 2 req/s; batches of 10 (the paper's threshold for
+  // 1 GPU), the last one holding whatever is left.
+  const auto requests = loadgen::poisson_requests(mix, 2.0, 60, 2026);
+  std::vector<std::vector<std::string>> batches;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (i % 10 == 0) batches.emplace_back();
+    batches.back().push_back(requests[i].workload);
+  }
   std::cout << requests.size() << " requests over "
             << requests.back().arrival_seconds << " s -> " << batches.size()
-            << " batches of 10\n\n";
+            << " batches of up to 10\n\n";
 
   common::TextTable t({"batch", "workload mix", "decision", "time (s)",
                        "energy (J)", "CPU-only (J)", "serial-GPU (J)"});

@@ -40,7 +40,6 @@
 #include "server/client.hpp"
 #include "server/remote_frontend.hpp"
 #include "server/server.hpp"
-#include "trace/trace.hpp"
 #include "workloads/paper_configs.hpp"
 #include "workloads/rodinia_like.hpp"
 
@@ -178,7 +177,8 @@ std::string main_usage() {
       "  list       show the calibrated workload catalogue\n"
       "  compare    run a mix under CPU / serial / manual / dynamic setups\n"
       "  predict    performance & power model predictions for a workload\n"
-      "  trace      replay a Poisson request trace through the backend\n"
+      "  trace      replay a Poisson request trace (--requests is the\n"
+      "             expected count) through the queue simulator\n"
       "  ptx        statically analyze PTX into model inputs\n"
       "  timeline   export a consolidated run's occupancy timeline\n"
       "  cache-stats  replay a trace cache-off vs cache-on and report\n"
@@ -294,7 +294,7 @@ int cmd_predict(const std::vector<std::string>& args, std::ostream& out) {
 
 int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
   FlagParser flags({
-      {"requests", "number of requests (default 60)", false, false},
+      {"requests", "expected number of requests (default 60)", false, false},
       {"rate", "arrival rate, req/s (default 2.0)", false, false},
       {"threshold", "batching threshold (default 10)", false, false},
       {"timeout", "batch timeout seconds (default 30)", false, false},
@@ -312,13 +312,9 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
   for (const char* n : {"encryption_12k", "sorting_6k", "t56_blackscholes"}) {
     catalogue.emplace(n, find_spec(n));
   }
-  trace::PoissonTraceGenerator gen({{"encryption_12k", 4.0},
-                                    {"sorting_6k", 2.0},
-                                    {"t56_blackscholes", 1.0}},
-                                   rate,
-                                   static_cast<std::uint64_t>(
-                                       flags.get_int("seed", 2026)));
-  const auto reqs = gen.generate(requests);
+  const auto reqs = loadgen::poisson_requests(
+      {{"encryption_12k", 4.0}, {"sorting_6k", 2.0}, {"t56_blackscholes", 1.0}},
+      rate, requests, static_cast<std::uint64_t>(flags.get_int("seed", 2026)));
 
   consolidate::QueueSimOptions opt;
   opt.batch_threshold = flags.get_int_in("threshold", 10, 1, 1 << 20);
@@ -327,14 +323,16 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
   consolidate::QueueSimulator sim(engine, training.model, catalogue, opt);
   const auto r = sim.run(reqs);
 
-  out << requests << " requests at " << rate << " req/s, threshold "
+  out << reqs.size() << " requests at " << rate << " req/s, threshold "
       << opt.batch_threshold << ":\n"
       << "  batches:      " << r.batches << "\n"
       << "  makespan:     " << r.makespan.seconds() << " s\n"
       << "  mean latency: " << r.mean_latency_seconds << " s\n"
       << "  p95 latency:  " << r.p95_latency_seconds << " s\n"
       << "  energy:       " << r.energy.joules() << " J ("
-      << r.energy.joules() / requests << " J/request)\n";
+      << (reqs.empty() ? 0.0
+                       : r.energy.joules() / static_cast<double>(reqs.size()))
+      << " J/request)\n";
   return 0;
 }
 
@@ -412,7 +410,8 @@ int cmd_timeline(const std::vector<std::string>& args, std::ostream& out) {
 
 int cmd_cache_stats(const std::vector<std::string>& args, std::ostream& out) {
   FlagParser flags({
-      {"requests", "number of requests (default 300)", false, false},
+      {"requests", "expected number of requests (default 300)", false,
+       false},
       {"rate", "arrival rate, req/s (default 2.0)", false, false},
       {"threshold", "batching threshold (default 10)", false, false},
       {"timeout", "batch timeout seconds (default 30)", false, false},
@@ -427,7 +426,7 @@ int cmd_cache_stats(const std::vector<std::string>& args, std::ostream& out) {
   const double rate = flags.get_double_in("rate", 2.0, 1e-9, 1e9);
   const int pool_threads = flags.get_int_in("pool", 0, 0, 1024);
 
-  std::vector<trace::MixEntry> mix;
+  std::vector<std::pair<std::string, double>> mix;
   SpecMap catalogue;
   auto names = flags.values("workload");
   if (names.empty()) names.push_back("encryption_12k");
@@ -439,9 +438,9 @@ int cmd_cache_stats(const std::vector<std::string>& args, std::ostream& out) {
   gpusim::FluidEngine engine;
   power::ModelTrainer trainer(engine);
   const auto training = trainer.train(workloads::rodinia_training_kernels());
-  trace::PoissonTraceGenerator gen(
-      mix, rate, static_cast<std::uint64_t>(flags.get_int("seed", 2026)));
-  const auto reqs = gen.generate(requests);
+  const auto reqs = loadgen::poisson_requests(
+      mix, rate, requests,
+      static_cast<std::uint64_t>(flags.get_int("seed", 2026)));
 
   consolidate::QueueSimOptions opt;
   opt.batch_threshold = flags.get_int_in("threshold", 10, 1, 1 << 20);
@@ -486,7 +485,7 @@ int cmd_cache_stats(const std::vector<std::string>& args, std::ostream& out) {
        << " evictions (hit rate " << s.hit_rate() << ")";
     return os.str();
   };
-  out << requests << " requests, threshold " << opt.batch_threshold
+  out << reqs.size() << " requests, threshold " << opt.batch_threshold
       << ", pool " << pool_threads << ":\n"
       << "  cache off:     " << cold_s << " s\n"
       << "  cache on:      " << warm_s << " s ("

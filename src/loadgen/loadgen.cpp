@@ -64,6 +64,26 @@ std::vector<ScheduleEntry> build_schedule(const LoadgenConfig& config) {
   return schedule;  // arrivals are generated in time order already
 }
 
+std::vector<consolidate::Request> poisson_requests(
+    const std::vector<std::pair<std::string, double>>& mix, double rate,
+    int expected_requests, std::uint64_t seed) {
+  LoadgenConfig config;
+  config.profile.kind = ArrivalProfile::Kind::kPoisson;
+  config.profile.rate = rate;
+  for (const auto& [name, weight] : mix) {
+    config.mix.push_back({name, weight, {}});
+  }
+  config.sessions = 1;
+  config.duration_seconds = expected_requests / rate;
+  config.seed = seed;
+  std::vector<consolidate::Request> requests;
+  for (const ScheduleEntry& e : build_schedule(config)) {
+    requests.push_back({e.at_seconds, mix[e.mix_index].first,
+                        static_cast<int>(requests.size())});
+  }
+  return requests;
+}
+
 bool run_loadgen(const LoadgenConfig& config, LoadgenResult* result,
                  std::string* error) {
   *result = LoadgenResult{};

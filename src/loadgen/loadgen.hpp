@@ -24,9 +24,11 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
+#include "consolidate/queue_sim.hpp"
 #include "gpusim/kernel_desc.hpp"
 #include "loadgen/profile.hpp"
 #include "obs/histogram.hpp"
@@ -78,6 +80,15 @@ struct ScheduleEntry {
 /// (seeded), each assigned a session and a weighted mix draw. Sorted by
 /// time. Pure function of the config — no wall clock, no I/O.
 std::vector<ScheduleEntry> build_schedule(const LoadgenConfig& config);
+
+/// A request trace for consolidate::QueueSimulator from the same schedule:
+/// a poisson:rate=`rate` profile over `expected_requests` / `rate` seconds,
+/// so `expected_requests` is the mean count, not an exact one. Each arrival
+/// requests its weighted draw from `mix` (workload name, weight); user ids
+/// number the arrivals from 0.
+std::vector<consolidate::Request> poisson_requests(
+    const std::vector<std::pair<std::string, double>>& mix, double rate,
+    int expected_requests, std::uint64_t seed);
 
 struct LoadgenResult {
   std::uint64_t sessions_connected = 0;

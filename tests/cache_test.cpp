@@ -234,12 +234,12 @@ class QueueCacheTest : public CachedDecisionTest {
   }
 
   /// `batches` repetitions of the same 5-request batch shape.
-  static std::vector<trace::Request> repeated_trace(int batches,
+  static std::vector<consolidate::Request> repeated_trace(int batches,
                                                     const std::string& name) {
-    std::vector<trace::Request> reqs;
+    std::vector<consolidate::Request> reqs;
     for (int b = 0; b < batches; ++b) {
       for (int i = 0; i < 5; ++i) {
-        trace::Request r;
+        consolidate::Request r;
         r.arrival_seconds = b * 10.0 + i * 0.1;
         r.workload = name;
         r.user_id = i;

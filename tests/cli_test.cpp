@@ -283,6 +283,15 @@ TEST(Commands, TraceReportsLatencies) {
   EXPECT_NE(out.str().find("mean latency"), std::string::npos);
   std::ostringstream out2, err2;
   EXPECT_EQ(run_command({"trace", "--requests", "0"}, out2, err2), 2);
+  // --requests is the expected count: this seed draws no arrival at all.
+  std::ostringstream out3, err3;
+  EXPECT_EQ(run_command({"trace", "--requests", "1", "--seed", "2"}, out3,
+                        err3),
+            0)
+      << err3.str();
+  EXPECT_NE(out3.str().find("0 requests"), std::string::npos) << out3.str();
+  EXPECT_NE(out3.str().find("(0 J/request)"), std::string::npos)
+      << out3.str();
 }
 
 TEST(Commands, CacheStatsReportsParityAndCounters) {

@@ -193,6 +193,46 @@ TEST(BuildSchedule, SameConfigSameScheduleDifferentSeedDiffers) {
   EXPECT_FALSE(identical);
 }
 
+TEST(BuildSchedule, MixWeightsSetTheDrawShares) {
+  // A 3:1 mix draws its first entry 75% of the time: over ~4000 draws,
+  // +/-3% is more than four standard deviations.
+  auto config = small_config(3);
+  config.profile = loadgen::ArrivalProfile{};
+  config.profile.rate = 1000.0;
+  config.mix[0].weight = 3.0;
+  const auto schedule = loadgen::build_schedule(config);
+  ASSERT_GT(schedule.size(), 3500u);
+  std::size_t first = 0;
+  for (const auto& e : schedule) first += e.mix_index == 0;
+  EXPECT_NEAR(static_cast<double>(first) /
+                  static_cast<double>(schedule.size()),
+              0.75, 0.03);
+}
+
+TEST(PoissonRequests, NamesEachDrawAndNumbersTheArrivals) {
+  const std::vector<std::pair<std::string, double>> mix{{"aes", 3.0},
+                                                        {"sort", 1.0}};
+  const auto requests = loadgen::poisson_requests(mix, 20.0, 200, 11);
+  // The horizon is 200 / 20 = 10 s, so the count is Poisson(200).
+  EXPECT_GT(requests.size(), 150u);
+  EXPECT_LT(requests.size(), 250u);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(requests[i].user_id, static_cast<int>(i));
+    EXPECT_TRUE(requests[i].workload == "aes" ||
+                requests[i].workload == "sort");
+    EXPECT_LT(requests[i].arrival_seconds, 10.0);
+    if (i > 0) {
+      EXPECT_GT(requests[i].arrival_seconds, requests[i - 1].arrival_seconds);
+    }
+  }
+  const auto again = loadgen::poisson_requests(mix, 20.0, 200, 11);
+  ASSERT_EQ(again.size(), requests.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(again[i].arrival_seconds, requests[i].arrival_seconds);
+    EXPECT_EQ(again[i].workload, requests[i].workload);
+  }
+}
+
 // ---- BENCH datapoint + compare ----
 
 loadgen::BenchDatapoint sample_point() {
