@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <limits>
 #include <map>
 #include <memory>
@@ -505,8 +506,12 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
       {"workload", "name[=count] the daemon will serve, repeatable", false,
        true},
       {"workers", "pump worker threads (default 0 = auto)", false, false},
-      {"threshold", "batch threshold (default: sum of workload counts)", false,
-       false},
+      {"threshold",
+       "batch threshold: a batch runs at this many launches, or at half of "
+       "it once a full batch has run and the models predict the half batch "
+       "costs no more joules per request than the batches so far on "
+       "average (default: sum of workload counts)",
+       false, false},
       {"max-clients", "concurrent client connections (default 64)", false,
        false},
       {"inflight", "per-client unanswered-launch limit (default 64)", false,
@@ -836,6 +841,11 @@ int cmd_client(const std::vector<std::string>& args, std::ostream& out) {
     consolidate::CompletionReply reply;
   };
   std::vector<InstanceResult> results(static_cast<std::size_t>(total));
+  // --flush goes out once every app thread's launch is on the connection
+  // (or the thread gave up before launching), not once every launch is
+  // answered: each thread blocks on its own reply, and a remainder under
+  // the daemon's threshold runs only on the flush.
+  std::latch unsent(total);
   std::vector<std::thread> apps;
   int idx = 0;
   for (const auto& m : mix) {
@@ -843,12 +853,23 @@ int cmd_client(const std::vector<std::string>& args, std::ostream& out) {
       const int slot = idx;
       const auto spec = m.spec;
       apps.emplace_back([&, spec, slot] {
+        // Counts this thread down once: when its launch is on the
+        // connection, or when it exits without one.
+        struct SentOnce {
+          std::latch& unsent;
+          bool done = false;
+          void mark() {
+            if (!std::exchange(done, true)) unsent.count_down();
+          }
+          ~SentOnce() { mark(); }
+        } sent{unsent};
         auto& res = results[static_cast<std::size_t>(slot)];
         cudart::Context ctx(padded_owner(spec.name, slot_base + slot),
                             512u << 20);
         res.owner = ctx.owner();
         server::RemoteFrontend frontend(*conn, ctx.owner(), &registry,
                                         reply_timeout);
+        frontend.set_on_launch_sent([&sent] { sent.mark(); });
         ctx.set_interceptor(&frontend);
 
         auto fail = [&](cudart::wcudaError e) { res.status = e; };
@@ -886,13 +907,13 @@ int cmd_client(const std::vector<std::string>& args, std::ostream& out) {
       });
     }
   }
-  for (auto& t : apps) t.join();
-
   bool flushed_ok = true;
   if (flags.get_bool("flush")) {
+    unsent.wait();
     flushed_ok = conn->flush(reply_timeout);
     out << "FLUSH " << (flushed_ok ? "ok" : "FAILED") << "\n";
   }
+  for (auto& t : apps) t.join();
 
   // One parseable line per instance: bit-exact finish time + placement.
   std::sort(results.begin(), results.end(),

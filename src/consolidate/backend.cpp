@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 
 #include "common/log.hpp"
 #include "fault/injector.hpp"
@@ -55,6 +56,11 @@ Backend::Backend(const gpusim::FluidEngine& engine,
       templates_(std::move(templates)),
       options_(options),
       context_("backend", std::size_t{4} * 1024 * 1024 * 1024) {
+  obs::Registry& registry = obs::Registry::instance();
+  closes_threshold_ = registry.counter("backend.closes.threshold");
+  closes_early_ = registry.counter("backend.closes.early");
+  closes_flush_ = registry.counter("backend.closes.flush");
+  close_checks_ = registry.counter("backend.close_checks");
   decision_.enable_prediction_cache(kMemoCapacity);
   if (options_.decision_deadline > common::Duration::zero()) {
     decision_worker_ = std::thread([this] { decision_loop(); });
@@ -104,6 +110,30 @@ common::Energy Backend::total_energy() const {
 
 void Backend::run_loop() {
   std::vector<LaunchRequest> pending;
+  const std::size_t threshold =
+      static_cast<std::size_t>(std::max(options_.batch_threshold, 1));
+  const std::size_t half = (threshold + 1) / 2;
+  // What the batches closed at the threshold or early were predicted to
+  // charge, and how many requests they held. A half batch closes when it is
+  // predicted to charge no more per request than their mean; before the
+  // first threshold close there is no mean, so a fresh backend never closes
+  // early. A batch that ran without a prediction for every group is left
+  // out. The mean runs over every such batch, not the last one alone: a
+  // full batch's charge swings with its mix (12:4 encryption/sorting
+  // 167.5 J/request, 14:2 276), so the last one is a noisy reference, and
+  // one costly full batch would let every later half batch close, with no
+  // batch left to reach the threshold and replace it.
+  common::Energy charged = common::Energy::zero();
+  std::size_t charged_requests = 0;
+  const auto record = [&](std::optional<common::Energy> joules,
+                          std::size_t requests) {
+    if (!joules.has_value()) return;
+    charged += *joules;
+    charged_requests += requests;
+  };
+  const auto close_pending = [&](const obs::Counter& why) {
+    return execute_batch(pending, prepare_batch(pending), why);
+  };
   for (;;) {
     auto msg = channel_.receive();
     if (!msg.has_value()) {
@@ -115,17 +145,30 @@ void Backend::run_loop() {
       break;
     }
     if (std::holds_alternative<ShutdownRequest>(*msg)) {
-      if (!pending.empty()) process_batch(pending);
+      if (!pending.empty()) close_pending(closes_flush_);
       break;
     }
     if (auto* flush = std::get_if<FlushRequest>(&*msg)) {
-      if (!pending.empty()) process_batch(pending);
+      if (!pending.empty()) close_pending(closes_flush_);
       flush->done->send(true);
       continue;
     }
     pending.push_back(std::move(std::get<LaunchRequest>(*msg)));
-    if (static_cast<int>(pending.size()) >= options_.batch_threshold) {
-      process_batch(pending);
+    if (pending.size() >= threshold) {
+      record(close_pending(closes_threshold_), threshold);
+    } else if (half < threshold && pending.size() == half &&
+               charged_requests > 0) {
+      // Half full: close now if waiting for the rest does not pay. The
+      // check counts arrivals and reads no clock, so batch composition
+      // still depends only on arrival order.
+      close_checks_.inc();
+      PreparedBatch prepared = prepare_batch(pending);
+      const std::optional<common::Energy> joules = predict_batch(prepared);
+      if (joules.has_value() &&
+          *joules / static_cast<double>(half) <=
+              charged / static_cast<double>(charged_requests)) {
+        record(execute_batch(pending, prepared, closes_early_), half);
+      }
     }
   }
 }
@@ -150,9 +193,7 @@ void Backend::decision_loop() {
     if (!job.has_value()) break;  // closed and drained: shutting down
     DecideOutcome out;
     try {
-      out.decision =
-          decision_.decide(job->plan, job->profiles, job->overhead,
-                           job->policy);
+      out.decision = ask_engine(job->group, job->pure);
       out.ok = true;
     } catch (const std::exception& e) {
       out.error = e.what();
@@ -163,48 +204,131 @@ void Backend::decision_loop() {
   }
 }
 
-std::optional<Decision> Backend::bounded_decide(
-    const gpusim::LaunchPlan& plan,
-    const std::vector<std::optional<cpusim::CpuTask>>& profiles,
-    common::Duration overhead, std::string* degraded_reason) {
+Decision Backend::ask_engine(const PreparedGroup& group, bool pure) const {
+  if (pure) {
+    return decision_.evaluate(group.plan, group.profiles, group.overhead,
+                              options_.policy);
+  }
+  if (group.evaluated.has_value()) {
+    return decision_.decide(*group.evaluated, group.plan.instances.size());
+  }
+  return decision_.decide(group.plan, group.profiles, group.overhead,
+                          options_.policy);
+}
+
+std::optional<Decision> Backend::bounded_decide(const PreparedGroup& group,
+                                                bool pure,
+                                                std::string* failure) {
   if (options_.decision_deadline <= common::Duration::zero()) {
     try {
-      return decision_.decide(plan, profiles, overhead, options_.policy);
+      return ask_engine(group, pure);
     } catch (const std::exception& e) {
-      *degraded_reason = e.what();
+      *failure = e.what();
       return std::nullopt;
     }
   }
   DecideJob job;
-  job.plan = plan;
-  job.profiles = profiles;
-  job.overhead = overhead;
-  job.policy = options_.policy;
+  job.group = group;
+  job.pure = pure;
   job.done = std::make_shared<common::Channel<DecideOutcome>>();
   auto done = job.done;
   if (!decide_jobs_.send(std::move(job))) {
-    *degraded_reason = "decision worker unavailable";
+    *failure = "decision worker unavailable";
     return std::nullopt;
   }
   auto out = done->receive_for(options_.decision_deadline);
   if (!out.has_value()) {
-    *degraded_reason =
-        "decision deadline exceeded (" +
-        std::to_string(options_.decision_deadline.seconds()) + "s)";
+    *failure = "decision deadline exceeded (" +
+               std::to_string(options_.decision_deadline.seconds()) + "s)";
     return std::nullopt;
   }
   if (!out->ok) {
-    *degraded_reason = out->error;
+    *failure = out->error;
     return std::nullopt;
   }
   return std::move(out->decision);
 }
 
-void Backend::process_batch(std::vector<LaunchRequest>& batch) {
+common::Energy Backend::predicted_charge(const Decision& d,
+                                         common::Duration overhead) const {
+  return executor_.predicted_energy(d) +
+         engine_.energy_config().system_idle_with_gpu * overhead;
+}
+
+Backend::PreparedBatch Backend::prepare_batch(
+    const std::vector<LaunchRequest>& batch) {
+  // Frontends race to the channel; order the batch by owner so results are
+  // deterministic regardless of host thread scheduling. Sorting positions
+  // leaves the batch as it arrived for a check that keeps it open, and
+  // permutes them exactly as sorting the requests would.
+  std::vector<std::size_t> order(batch.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return batch[a].owner < batch[b].owner;
+  });
+
+  // Partition into candidate groups by template coverage (paper Section
+  // VII); requests no template covers run normally, each on its own.
+  std::vector<std::string_view> names;
+  names.reserve(batch.size());
+  for (const std::size_t i : order) names.push_back(batch[i].desc.name);
+
+  PreparedBatch prepared;
+  std::lock_guard lock(state_mutex_);
+  int next_id = next_instance_id_;
+  for (const CandidateGroup& g : templates_.partition(names)) {
+    PreparedGroup& group = prepared.emplace_back();
+    group.tmpl = g.tmpl;
+    group.plan.reuse_constant_data =
+        options_.optimizations.constant_data_reuse;
+    std::vector<std::size_t> staged;
+    std::vector<int> messages;
+    for (const std::size_t member : g.members) {
+      const LaunchRequest& req = batch[order[member]];
+      group.members.push_back(order[member]);
+      gpusim::KernelInstance inst;
+      inst.desc = req.desc;
+      inst.owner = req.owner;
+      inst.instance_id = next_id++;
+      group.plan.instances.push_back(std::move(inst));
+      staged.push_back(req.staged_bytes);
+      messages.push_back(req.api_messages);
+      auto it = cpu_profiles_.find(req.desc.name);
+      if (it != cpu_profiles_.end()) {
+        cpusim::CpuTask t = it->second;
+        t.instance_id = group.plan.instances.back().instance_id;
+        group.profiles.emplace_back(std::move(t));
+      } else {
+        group.profiles.emplace_back(std::nullopt);
+      }
+    }
+    group.overhead = decision_.overhead(group.plan.instances, staged,
+                                        messages, options_.optimizations);
+  }
+  return prepared;
+}
+
+std::optional<common::Energy> Backend::predict_batch(PreparedBatch& prepared) {
+  common::Energy joules = common::Energy::zero();
+  for (PreparedGroup& group : prepared) {
+    if (group.tmpl == nullptr) return std::nullopt;
+    std::string failure;
+    std::optional<Decision> d = bounded_decide(group, /*pure=*/true, &failure);
+    if (!d.has_value()) return std::nullopt;
+    joules += predicted_charge(*d, group.overhead);
+    group.evaluated = std::move(d);
+  }
+  return joules;
+}
+
+std::optional<common::Energy> Backend::execute_batch(
+    std::vector<LaunchRequest>& batch, const PreparedBatch& prepared,
+    const obs::Counter& why) {
+  why.inc();
   if (auto a = fault::hit("backend.batch");
       a.kind == fault::ActionKind::kFail) {
     fail_pending(batch, "injected backend batch failure");
-    return;
+    return std::nullopt;
   }
   static obs::Histogram* batch_hist =
       obs::Registry::instance().histogram("backend.batch_size");
@@ -213,32 +337,32 @@ void Backend::process_batch(std::vector<LaunchRequest>& batch) {
   if (span.active()) {
     span.set_args("\"requests\":" + std::to_string(batch.size()));
   }
+  {
+    std::lock_guard lock(state_mutex_);
+    next_instance_id_ += static_cast<int>(batch.size());
+  }
 
-  // Frontends race to the channel; order the batch by owner so results are
-  // deterministic regardless of host thread scheduling.
-  std::sort(batch.begin(), batch.end(),
-            [](const LaunchRequest& a, const LaunchRequest& b) {
-              return a.owner < b.owner;
-            });
-
-  // Partition into candidate groups by template coverage (paper Section
-  // VII); requests no template covers run normally, each on its own.
-  std::vector<std::string_view> names;
-  names.reserve(batch.size());
-  for (const auto& req : batch) names.push_back(req.desc.name);
-  for (const CandidateGroup& g : templates_.partition(names)) {
+  std::optional<common::Energy> joules = common::Energy::zero();
+  for (const PreparedGroup& group : prepared) {
     std::vector<LaunchRequest> requests;
-    requests.reserve(g.members.size());
-    for (const std::size_t i : g.members) {
+    requests.reserve(group.members.size());
+    for (const std::size_t i : group.members) {
       requests.push_back(std::move(batch[i]));
     }
-    process_group(requests, g.tmpl);
+    const std::optional<common::Energy> charge =
+        process_group(requests, group);
+    if (joules.has_value() && charge.has_value()) {
+      *joules += *charge;
+    } else {
+      joules.reset();
+    }
   }
   batch.clear();
+  return joules;
 }
 
-void Backend::process_group(std::vector<LaunchRequest>& batch,
-                            const ConsolidationTemplate* tmpl) {
+std::optional<common::Energy> Backend::process_group(
+    std::vector<LaunchRequest>& batch, const PreparedGroup& group) {
   using common::Duration;
 
   obs::ScopedSpan span("backend.group");
@@ -261,38 +385,16 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
     sim_anchor = total_time_.seconds();
   }
 
-  // Assemble the candidate set.
-  gpusim::LaunchPlan plan;
-  plan.reuse_constant_data = options_.optimizations.constant_data_reuse;
-  std::vector<std::size_t> staged;
-  std::vector<int> messages;
-  std::vector<std::optional<cpusim::CpuTask>> profiles;
+  const gpusim::LaunchPlan& plan = group.plan;
+  const ConsolidationTemplate* tmpl = group.tmpl;
   std::vector<RequestContext> contexts;
-  {
-    std::lock_guard lock(state_mutex_);
-    for (auto& req : batch) {
-      gpusim::KernelInstance inst;
-      inst.desc = req.desc;
-      inst.owner = req.owner;
-      inst.instance_id = next_instance_id_++;
-      plan.instances.push_back(std::move(inst));
-      staged.push_back(req.staged_bytes);
-      messages.push_back(req.api_messages);
-      contexts.push_back({req.request_id, req.trace_id, req.parent_span_id});
-      report.kernel_names.push_back(req.desc.name);
-      auto it = cpu_profiles_.find(req.desc.name);
-      if (it != cpu_profiles_.end()) {
-        cpusim::CpuTask t = it->second;
-        t.instance_id = plan.instances.back().instance_id;
-        profiles.emplace_back(std::move(t));
-      } else {
-        profiles.emplace_back(std::nullopt);
-      }
-    }
+  contexts.reserve(batch.size());
+  for (const auto& req : batch) {
+    contexts.push_back({req.request_id, req.trace_id, req.parent_span_id});
+    report.kernel_names.push_back(req.desc.name);
   }
 
-  const Duration overhead = decision_.overhead(
-      plan.instances, staged, messages, options_.optimizations);
+  const Duration overhead = group.overhead;
   report.overhead = overhead;
 
   // Template coverage gates consolidation (paper Section IV).
@@ -307,7 +409,7 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
     // paper's serial (unconsolidated) plan instead of failing the group.
     std::string degraded_reason;
     std::optional<Decision> d =
-        bounded_decide(plan, profiles, overhead, &degraded_reason);
+        bounded_decide(group, /*pure=*/false, &degraded_reason);
     if (d.has_value()) {
       chosen = d->chosen;
       report.decision = std::move(d);
@@ -337,7 +439,7 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
   // ---- execute the chosen alternative ----
   // Only a template-covered group can be consolidated.
   const GroupExecution exec = executor_.run(
-      chosen, plan, profiles,
+      chosen, plan, group.profiles,
       tmpl != nullptr ? tmpl->max_total_blocks
                       : GroupExecutor::kUnlimitedBlocks,
       overhead, sim_anchor, contexts);
@@ -410,6 +512,8 @@ void Backend::process_group(std::vector<LaunchRequest>& batch,
   }
   send_replies(batch, std::move(replies));
   batch.clear();
+  if (!report.decision.has_value()) return std::nullopt;
+  return predicted_charge(*report.decision, overhead);
 }
 
 }  // namespace ewc::consolidate

@@ -31,6 +31,7 @@
 #include "cudart/context.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/sim_cache.hpp"
+#include "obs/registry.hpp"
 
 namespace ewc::consolidate {
 
@@ -39,7 +40,11 @@ struct BackendOptions {
   Optimizations optimizations;
   DecisionPolicy policy = DecisionPolicy::kModelBased;
   /// Process a batch when this many launches are pending (the paper uses
-  /// 10 x the number of GPUs); flush() forces earlier processing.
+  /// 10 x the number of GPUs); flush() forces earlier processing. Once a
+  /// batch has closed here, a batch that reaches half of it closes early
+  /// when the decision engine predicts it costs no more joules per request
+  /// than the batches closed here or early so far, on average
+  /// (docs/SERVER.md).
   int batch_threshold = 10;
   cpusim::CpuConfig cpu_config;
   /// Wall-clock budget for one DecisionEngine::decide call, enforced as a
@@ -117,40 +122,70 @@ class Backend {
   common::Energy total_energy() const;
 
  private:
-  /// Outcome of one DecisionEngine::decide call on the decision thread.
-  struct DecideOutcome {
-    bool ok = false;
-    Decision decision;
-    std::string error;  ///< what decide() threw, when !ok
-  };
-  /// One decide call shipped to the decision thread. Inputs are copies:
-  /// the batch thread may abandon the job at the deadline and move on while
-  /// the decision thread is still reading them.
-  struct DecideJob {
+  /// One candidate group of a prepared batch: its template, plan, CPU
+  /// profiles and framework overhead.
+  struct PreparedGroup {
+    const ConsolidationTemplate* tmpl = nullptr;  ///< nullptr: run normally
+    std::vector<std::size_t> members;  ///< positions in the pending batch
     gpusim::LaunchPlan plan;
     std::vector<std::optional<cpusim::CpuTask>> profiles;
     common::Duration overhead = common::Duration::zero();
-    DecisionPolicy policy = DecisionPolicy::kModelBased;
+    /// The close check's evaluation, which the group's decide reuses when
+    /// the batch closes on it; absent, decide evaluates.
+    std::optional<Decision> evaluated;
+  };
+  /// A pending batch ordered by owner and partitioned by template coverage
+  /// (paper Section VII). Preparing consumes no instance ids: the plans
+  /// number theirs from the next free id, and only executing takes them.
+  using PreparedBatch = std::vector<PreparedGroup>;
+  /// Outcome of one decision-engine call on the decision thread.
+  struct DecideOutcome {
+    bool ok = false;
+    Decision decision;
+    std::string error;  ///< what the call threw, when !ok
+  };
+  /// One decision-engine call shipped to the decision thread. The group is
+  /// a copy: the batch thread may abandon the job at the deadline and move
+  /// on while the decision thread is still reading it.
+  struct DecideJob {
+    PreparedGroup group;
+    bool pure = false;  ///< evaluate() for the close check, not decide()
     std::shared_ptr<common::Channel<DecideOutcome>> done;
   };
 
   void run_loop();
   void decision_loop();
-  /// Run decide() under the configured deadline (bounded wait on the
+  /// DecisionEngine::decide for `group` (reusing its evaluation when it has
+  /// one), or, when `pure`, DecisionEngine::evaluate.
+  Decision ask_engine(const PreparedGroup& group, bool pure) const;
+  /// Run ask_engine() under the configured deadline (bounded wait on the
   /// decision thread, or inline when no deadline is set). nullopt + reason
-  /// when the group must degrade.
-  std::optional<Decision> bounded_decide(
-      const gpusim::LaunchPlan& plan,
-      const std::vector<std::optional<cpusim::CpuTask>>& profiles,
-      common::Duration overhead, std::string* degraded_reason);
+  /// when it threw or overran.
+  std::optional<Decision> bounded_decide(const PreparedGroup& group, bool pure,
+                                         std::string* failure);
   /// Answer every request's reply channel with an error (requests that will
   /// never execute, e.g. when the channel closes under a non-empty batch).
   static void fail_pending(std::vector<LaunchRequest>& pending,
                            const std::string& error);
-  void process_batch(std::vector<LaunchRequest>& batch);
-  /// Execute one template-covered candidate group (or an uncovered rest).
-  void process_group(std::vector<LaunchRequest>& group,
-                     const ConsolidationTemplate* tmpl);
+  PreparedBatch prepare_batch(const std::vector<LaunchRequest>& batch);
+  /// The close check: what `prepared` is predicted to charge if it ran now.
+  /// nullopt when a group has no template or a prediction throws or
+  /// overruns the deadline. Keeps each group's evaluation for its decide.
+  std::optional<common::Energy> predict_batch(PreparedBatch& prepared);
+  /// Execute `prepared` (prepared from `batch`), counting the close in
+  /// `why`. Returns the predicted charge of its groups; nullopt when a group
+  /// ran without a decision.
+  std::optional<common::Energy> execute_batch(std::vector<LaunchRequest>& batch,
+                                              const PreparedBatch& prepared,
+                                              const obs::Counter& why);
+  /// Execute one candidate group (template-covered, or an uncovered rest).
+  /// Returns its predicted charge; nullopt when it ran without a decision.
+  std::optional<common::Energy> process_group(
+      std::vector<LaunchRequest>& requests, const PreparedGroup& group);
+  /// The energy process_group() charges for running `d`'s choice after
+  /// `overhead`, as `d` predicts it.
+  common::Energy predicted_charge(const Decision& d,
+                                  common::Duration overhead) const;
 
   const gpusim::FluidEngine& engine_;
   /// Every GPU execution goes through here (batch thread only).
@@ -170,6 +205,13 @@ class Backend {
   common::Duration total_time_ = common::Duration::zero();
   common::Energy total_energy_ = common::Energy::zero();
   int next_instance_id_ = 0;
+
+  /// Why batches closed: at the threshold, early (the half-batch check
+  /// passed), or by a flush or shutdown; and the half-batch checks made.
+  obs::Counter closes_threshold_;
+  obs::Counter closes_early_;
+  obs::Counter closes_flush_;
+  obs::Counter close_checks_;
 
   std::thread worker_;
   /// Decision thread (started only when decision_deadline > 0): serializes

@@ -110,17 +110,21 @@ Duration DecisionEngine::overhead(
   return Duration::from_seconds(secs);
 }
 
-Decision DecisionEngine::decide(
+namespace {
+void check_inputs(
     const gpusim::LaunchPlan& plan,
-    const std::vector<std::optional<cpusim::CpuTask>>& cpu_profiles,
-    Duration framework_overhead, DecisionPolicy policy) const {
+    const std::vector<std::optional<cpusim::CpuTask>>& cpu_profiles) {
   if (plan.instances.empty()) {
     throw std::invalid_argument("DecisionEngine::decide: empty plan");
   }
   if (cpu_profiles.size() != plan.instances.size()) {
     throw std::invalid_argument("DecisionEngine::decide: profile count mismatch");
   }
+}
+}  // namespace
 
+template <typename Eval>
+Decision DecisionEngine::hooked(std::size_t instances, Eval&& eval) const {
   // Scripted predictor misbehavior: a fail is an exception (the Backend's
   // degraded path catches it), a stall burns wall time against the
   // decision deadline.
@@ -138,6 +142,35 @@ Decision DecisionEngine::decide(
       obs::Registry::instance().histogram("decision.decide_seconds");
   const double t0_us = obs::Tracer::now_us();
   obs::ScopedSpan span("decision.decide");
+  Decision d = eval();
+  decide_hist->record((obs::Tracer::now_us() - t0_us) * 1e-6);
+  if (span.active()) {
+    span.set_args("\"instances\":" + std::to_string(instances) +
+                  ",\"chosen\":\"" + alternative_name(d.chosen) + "\"");
+  }
+  return d;
+}
+
+Decision DecisionEngine::decide(
+    const gpusim::LaunchPlan& plan,
+    const std::vector<std::optional<cpusim::CpuTask>>& cpu_profiles,
+    Duration framework_overhead, DecisionPolicy policy) const {
+  check_inputs(plan, cpu_profiles);
+  return hooked(plan.instances.size(), [&] {
+    return evaluate(plan, cpu_profiles, framework_overhead, policy);
+  });
+}
+
+Decision DecisionEngine::decide(Decision evaluated,
+                                std::size_t instances) const {
+  return hooked(instances, [&] { return std::move(evaluated); });
+}
+
+Decision DecisionEngine::evaluate(
+    const gpusim::LaunchPlan& plan,
+    const std::vector<std::optional<cpusim::CpuTask>>& cpu_profiles,
+    Duration framework_overhead, DecisionPolicy policy) const {
+  check_inputs(plan, cpu_profiles);
 
   Decision d;
   AlternativeEstimate ea, eb, ec;
@@ -148,6 +181,7 @@ Decision DecisionEngine::decide(
     const auto p = predict_gpu(plan);
     ea.time = p.time + framework_overhead;
     // During the overhead window the node sits near idle (host-side copies).
+    ea.execution_energy = p.energy;
     ea.energy = p.energy + power_.idle_power() * framework_overhead;
     ea.note = p.type1 ? "type-1" : "type-2";
   };
@@ -171,6 +205,7 @@ Decision DecisionEngine::decide(
     }
     eb.time = total;
     eb.energy = energy;
+    eb.execution_energy = energy;
   };
 
   // (c) CPU, from the provided profiles (paper: "we assume that CPU
@@ -192,6 +227,7 @@ Decision DecisionEngine::decide(
       const auto run = cpu.run(tasks);
       ec.time = run.makespan;
       ec.energy = run.system_energy;
+      ec.execution_energy = run.system_energy;
     } else {
       ec.feasible = false;
       ec.note = "missing CPU profile";
@@ -231,11 +267,6 @@ Decision DecisionEngine::decide(
       d.chosen = best ? best->which : Alternative::kIndividualGpu;
       break;
     }
-  }
-  decide_hist->record((obs::Tracer::now_us() - t0_us) * 1e-6);
-  if (span.active()) {
-    span.set_args("\"instances\":" + std::to_string(plan.instances.size()) +
-                  ",\"chosen\":\"" + alternative_name(d.chosen) + "\"");
   }
   return d;
 }

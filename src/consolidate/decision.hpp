@@ -35,7 +35,12 @@ const char* alternative_name(Alternative a);
 struct AlternativeEstimate {
   Alternative which = Alternative::kConsolidatedGpu;
   Duration time = Duration::zero();
+  /// The energy the alternatives are compared by. The consolidated estimate
+  /// includes the node's idle draw over the framework overhead; the others
+  /// do not.
   Energy energy = Energy::zero();
+  /// `energy` without that overhead term: the execution alone.
+  Energy execution_energy = Energy::zero();
   bool feasible = true;
   std::string note;
 };
@@ -69,10 +74,27 @@ class DecisionEngine {
   /// while the CPU alternative runs on the calling thread; the returned
   /// estimates are in the same fixed order either way. Do not call decide()
   /// from inside a task running on the attached pool.
+  ///
+  /// decide() is evaluate() behind the "decision.decide" fault site, timed
+  /// into the `decision.decide_seconds` histogram and traced as a span.
   Decision decide(const gpusim::LaunchPlan& plan,
                   const std::vector<std::optional<cpusim::CpuTask>>& cpu_profiles,
                   Duration framework_overhead,
                   DecisionPolicy policy = DecisionPolicy::kModelBased) const;
+
+  /// decide() for a group of `instances` whose evaluation was already made
+  /// (the backend's close check): the same fault draw, histogram sample and
+  /// span, around `evaluated`, which is returned as it is.
+  Decision decide(Decision evaluated, std::size_t instances) const;
+
+  /// The pure evaluation behind decide(): the same estimates and choice,
+  /// with no fault-injection draw, no histogram sample and no span. Only
+  /// the prediction memo changes.
+  Decision evaluate(
+      const gpusim::LaunchPlan& plan,
+      const std::vector<std::optional<cpusim::CpuTask>>& cpu_profiles,
+      Duration framework_overhead,
+      DecisionPolicy policy = DecisionPolicy::kModelBased) const;
 
   /// Evaluate the two GPU alternatives on `pool` (nullptr = calling thread).
   void set_pool(common::ThreadPool* pool) { pool_ = pool; }
@@ -98,6 +120,10 @@ class DecisionEngine {
   };
 
   GpuPrediction predict_gpu(const gpusim::LaunchPlan& plan) const;
+  /// decide()'s wrapping: the fault site, the histogram sample and the span
+  /// around `eval`, which makes (or returns) the decision.
+  template <typename Eval>
+  Decision hooked(std::size_t instances, Eval&& eval) const;
 
   gpusim::DeviceConfig dev_;
   perf::ConsolidationModel perf_;

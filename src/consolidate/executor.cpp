@@ -115,4 +115,10 @@ GroupExecution GroupExecutor::run(
   return out;
 }
 
+common::Energy GroupExecutor::predicted_energy(const Decision& d) const {
+  const AlternativeEstimate& e = d.chosen_estimate();
+  if (e.which != Alternative::kCpu) return e.execution_energy;
+  return e.execution_energy + gpu_idle_adder(engine_.energy_config()) * e.time;
+}
+
 }  // namespace ewc::consolidate

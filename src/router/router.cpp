@@ -440,7 +440,7 @@ void Router::on_frame(const Reactor::ConnPtr& conn, net::Frame frame) {
       server::answer_telemetry(conn, frame, telemetry_);
       return;
     case MsgType::kFlush:
-      handle_flush(conn, frame);
+      handle_flush(conn, ctx, frame);
       return;
     case MsgType::kShutdown:
       handle_shutdown();
@@ -811,7 +811,7 @@ void Router::forward(const Reactor::ConnPtr& conn, const CtxPtr& ctx,
 }
 
 void Router::handle_flush(const server::Reactor::ConnPtr& conn,
-                          const net::Frame& frame) {
+                          const CtxPtr& ctx, const net::Frame& frame) {
   const auto flush = server::decode_flush(frame.payload);
   if (!flush.has_value()) {
     conn->send(static_cast<std::uint16_t>(MsgType::kError),
@@ -819,10 +819,23 @@ void Router::handle_flush(const server::Reactor::ConnPtr& conn,
     conn->close_async();
     return;
   }
+  // Over a poll connection the flush could reach the session's shard
+  // before launches still in the session's pipe (corked this very pump
+  // turn), leaving them pending after the flush. Mid-migration the pipe
+  // leads to the target, so the source is flushed over its poll connection.
+  bool piped = false;
+  int own = -1;
+  {
+    std::lock_guard lock(ctx->mu);
+    piped = ctx->migrating ||
+            (ctx->peer != nullptr && !ctx->peer->closing());
+    if (piped && !ctx->migrating) own = ctx->shard;
+  }
   bool ok = true;
   {
     std::lock_guard lock(poll_mu_);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (static_cast<int>(i) == own) continue;
       auto& poll = poll_conns_[i];
       if (poll == nullptr || !poll->alive()) {
         poll.reset();
@@ -836,6 +849,10 @@ void Router::handle_flush(const server::Reactor::ConnPtr& conn,
       if (poll == nullptr) continue;
       ok = poll->flush(options_.io_timeout) && ok;
     }
+  }
+  if (piped) {
+    forward(conn, ctx, frame);
+    return;
   }
   conn->send(static_cast<std::uint16_t>(MsgType::kFlushDone),
              server::encode_flush_done({flush->token, ok}));

@@ -285,10 +285,14 @@ class Router {
   void start_telemetry();
   /// The fleet fold's input: every shard's placement view and last poll.
   std::vector<ShardStats> shard_stats() const;
-  /// Downstream kFlush: fan out to every shard (a client asking "push the
-  /// pending batch through" means the fleet's, not just its own shard's),
-  /// then answer kFlushDone(ok = every shard flushed).
-  void handle_flush(const server::Reactor::ConnPtr& conn,
+  /// Downstream kFlush: flush every shard (a client asking "push the
+  /// pending batch through" means the fleet's, not just its own shard's).
+  /// The session's own shard gets the frame through the session's pipe,
+  /// behind the launches sent before it, and its kFlushDone answers the
+  /// client; the others are flushed over the poll connections first. With
+  /// no live pipe, every shard is flushed over the poll connections and the
+  /// router answers kFlushDone(ok = every shard flushed).
+  void handle_flush(const server::Reactor::ConnPtr& conn, const CtxPtr& ctx,
                     const net::Frame& frame);
   /// Downstream kShutdown: fan out to shards, then stop the router.
   void handle_shutdown();

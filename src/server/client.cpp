@@ -239,7 +239,8 @@ bool ClientConnection::send(MsgType type, std::span<const std::byte> payload) {
 }
 
 consolidate::CompletionReply ClientConnection::launch(
-    consolidate::LaunchRequest req, common::Duration timeout) {
+    consolidate::LaunchRequest req, common::Duration timeout,
+    const std::function<void()>& on_sent) {
   auto fail = [&](const std::string& why) {
     consolidate::CompletionReply reply;
     reply.ok = false;
@@ -300,6 +301,7 @@ consolidate::CompletionReply ClientConnection::launch(
     launch_waiters_.erase(req.request_id);
     return fail("send failed");
   }
+  if (on_sent) on_sent();
   // With auto_reconnect a failed send is not fatal: the payload is in the
   // replay map, so the recovery pass resends it and the answer still lands
   // in this waiter.

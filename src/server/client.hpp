@@ -97,8 +97,12 @@ class ClientConnection {
   /// and request id), which travels on the wire so downstream spans join
   /// this client's trace. Always returns a reply — transport failures come
   /// back as ok=false with an error message.
-  consolidate::CompletionReply launch(consolidate::LaunchRequest req,
-                                      common::Duration timeout);
+  /// `on_sent`, when given, runs once the launch has been handed to the
+  /// connection (written, or held for replay), before the wait for its
+  /// reply — and not at all when the launch is refused before a send.
+  consolidate::CompletionReply launch(
+      consolidate::LaunchRequest req, common::Duration timeout,
+      const std::function<void()>& on_sent = nullptr);
 
   /// Fire-and-callback launch for load harnesses: assigns the request id,
   /// sends the frame, and returns it immediately (0 if the request was

@@ -116,7 +116,7 @@ wcudaError RemoteFrontend::on_launch(const std::string& kernel_name) {
   // assigned arrives with the reply and correlates this span with the
   // client.launch and server.request spans underneath it.
   obs::ScopedSpan span("frontend.launch");
-  last_reply_ = conn_.launch(std::move(req), reply_timeout_);
+  last_reply_ = conn_.launch(std::move(req), reply_timeout_, on_launch_sent_);
   if (span.active()) {
     span.set_request_id(last_reply_.request_id);
     char args[96];

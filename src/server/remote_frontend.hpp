@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,12 @@ class RemoteFrontend : public cudart::Interceptor {
                                        std::size_t offset) override;
   cudart::wcudaError on_launch(const std::string& kernel_name) override;
 
+  /// Run `f` once each launch has been handed to the connection, before
+  /// the launch blocks on its reply (ClientConnection::launch's on_sent).
+  void set_on_launch_sent(std::function<void()> f) {
+    on_launch_sent_ = std::move(f);
+  }
+
   /// Result of the most recent (blocking) launch.
   const consolidate::CompletionReply& last_completion() const {
     return last_reply_;
@@ -57,6 +64,7 @@ class RemoteFrontend : public cudart::Interceptor {
   const cudart::KernelRegistry* registry_;
   bool batching_;  ///< from the server's hello handshake
   common::Duration reply_timeout_;
+  std::function<void()> on_launch_sent_;
 
   /// Stand-in for the backend heap the in-process frontend would stage into.
   cudart::Context shadow_;

@@ -10,6 +10,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -321,6 +322,8 @@ TEST_F(QueueCacheTest, RepeatedBatchShapeReplaysAtLeastFiveTimesFaster) {
   // The acceptance scenario: the same batch shape repeated 100 times. The
   // compression workload's simulations are expensive enough that signature
   // building is noise, so the margin over 5x is wide (~15x in practice).
+  // Each side is the fastest of several fresh replays, so one scheduling
+  // hiccup on a busy host cannot decide the ratio.
   const auto reqs = repeated_trace(100, "compression");
   consolidate::QueueSimOptions off;
   off.batch_threshold = 5;
@@ -328,20 +331,23 @@ TEST_F(QueueCacheTest, RepeatedBatchShapeReplaysAtLeastFiveTimesFaster) {
   consolidate::QueueSimOptions on = off;
   on.enable_sim_cache = true;
 
-  consolidate::QueueSimulator cold(*engine_, *model_, catalogue(), off);
-  consolidate::QueueSimulator warm(*engine_, *model_, catalogue(), on);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto a = cold.run(reqs);
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto b = warm.run(reqs);
-  const auto t2 = std::chrono::steady_clock::now();
-
-  expect_same_outcomes(a, b);
-  const double cold_s = std::chrono::duration<double>(t1 - t0).count();
-  const double warm_s = std::chrono::duration<double>(t2 - t1).count();
+  constexpr int kReplays = 5;
+  double cold_s = std::numeric_limits<double>::infinity();
+  double warm_s = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < kReplays; ++i) {
+    consolidate::QueueSimulator cold(*engine_, *model_, catalogue(), off);
+    consolidate::QueueSimulator warm(*engine_, *model_, catalogue(), on);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto a = cold.run(reqs);
+    const auto t1 = std::chrono::steady_clock::now();
+    const auto b = warm.run(reqs);
+    const auto t2 = std::chrono::steady_clock::now();
+    expect_same_outcomes(a, b);
+    cold_s = std::min(cold_s, std::chrono::duration<double>(t1 - t0).count());
+    warm_s = std::min(warm_s, std::chrono::duration<double>(t2 - t1).count());
+  }
   EXPECT_GE(cold_s, 5.0 * warm_s)
-      << "cold " << cold_s << " s vs warm " << warm_s << " s";
+      << "fastest cold " << cold_s << " s vs fastest warm " << warm_s << " s";
 }
 
 // ---------------- the ewcd backend on its memos ----------------

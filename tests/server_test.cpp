@@ -265,6 +265,40 @@ TEST(ServerProcessTest, SigtermDrainFailsOutstandingAndExitsCleanly) {
   EXPECT_EQ(reports[0].at("n"), "2");
 }
 
+TEST(ServerProcessTest, ClientFlushRunsTheRemainderUnderTheThreshold) {
+  // 22 instances against threshold 7: whatever batches the threshold and
+  // the half-batch check close, a remainder is left that only `--flush`
+  // runs. The client must flush once its launches are on the wire, while
+  // every app thread still waits for its reply.
+  const std::string path = socket_path("flushrest");
+  ::unlink(path.c_str());
+  const std::string dir = ::testing::TempDir();
+  const std::vector<std::string> mix = {
+      "--workload", "encryption_6k=4",  "--workload", "kmeans_256k=4",
+      "--workload", "encryption_12k=6", "--workload", "sorting_6k=3",
+      "--workload", "t78_montecarlo=2", "--workload", "search_10k=3"};
+  std::vector<std::string> serve = {"serve", "--socket", path, "--threshold",
+                                    "7"};
+  serve.insert(serve.end(), mix.begin(), mix.end());
+  const std::string serve_log = dir + "ewcd_flushrest_serve.log";
+  const pid_t server_pid = spawn_ewcsim(serve, serve_log);
+
+  std::vector<std::string> client = {"client", "--socket", path, "--flush",
+                                     "--timeout", "30"};
+  client.insert(client.end(), mix.begin(), mix.end());
+  const std::string client_log = dir + "ewcd_flushrest_client.log";
+  const int client_exit = wait_exit_code(spawn_ewcsim(client, client_log));
+  ::kill(server_pid, SIGTERM);
+  EXPECT_EQ(wait_exit_code(server_pid), 0) << read_file(serve_log);
+
+  const std::string out = read_file(client_log);
+  EXPECT_EQ(client_exit, 0) << out;
+  EXPECT_NE(out.find("FLUSH ok"), std::string::npos) << out;
+  const auto replies = parse_records(out, "REPLY");
+  EXPECT_EQ(replies.size(), 22u) << out;
+  for (const auto& r : replies) EXPECT_EQ(r.at("ok"), "1") << out;
+}
+
 // ---- in-process server: fault isolation and service properties ----
 
 TEST(ServerTest, ClientKilledMidBatchFailsOnlyItsReplies) {
