@@ -52,7 +52,7 @@ int main() {
     for (const auto& e : d.estimates) {
       std::cout << "  " << consolidate::alternative_name(e.which)
                 << ": predicted " << e.time.seconds() << " s, "
-                << e.energy.joules() << " J"
+                << e.charge.joules() << " J charged"
                 << (e.feasible ? "" : " (infeasible)") << "\n";
     }
   }

@@ -239,6 +239,12 @@ int cmd_compare(const std::vector<std::string>& args, std::ostream& out) {
   row("serial-gpu", r.serial_gpu);
   row("manual-consolidated", r.manual);
   row("dynamic-framework", r.dynamic_framework);
+  // What the framework adds to the alternative it runs: the node's idle
+  // draw through its staging and coordination overhead.
+  common::Duration overhead = common::Duration::zero();
+  for (const auto& report : r.dynamic_reports) overhead += report.overhead;
+  row("framework-overhead",
+      {overhead, engine.energy_config().system_idle_with_gpu * overhead});
   out << t;
   if (auto path = flags.value("csv")) {
     csv.write_file(*path);
@@ -507,10 +513,11 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
        true},
       {"workers", "pump worker threads (default 0 = auto)", false, false},
       {"threshold",
-       "batch threshold: a batch runs at this many launches, or at half of "
-       "it once a full batch has run and the models predict the half batch "
-       "costs no more joules per request than the batches so far on "
-       "average (default: sum of workload counts)",
+       "batch threshold: a batch runs at this many launches, or, once a "
+       "full batch has run, at any arrival that leaves at least half of it "
+       "pending when the models predict it charges no more joules per "
+       "request than a full batch of the same kernel mix (default: sum of "
+       "workload counts)",
        false, false},
       {"max-clients", "concurrent client connections (default 64)", false,
        false},

@@ -1,10 +1,10 @@
 // `ewcsim top` — live fleet telemetry over the kMetrics frame.
 //
 // Polls a daemon or router endpoint for its time-series rings (rps, p95
-// latency, power draw, joules/request, inflight — fleet-wide plus the
-// shard.<i>.* breakdown a router serves) and renders a terminal dashboard
-// with per-column sparklines, refreshed in place. One-shot modes for
-// scripting and CI:
+// latency, median batch fill time, power draw, joules/request, inflight —
+// fleet-wide plus the shard.<i>.* breakdown a router serves) and renders a
+// terminal dashboard with per-column sparklines, refreshed in place.
+// One-shot modes for scripting and CI:
 //
 //   ewcsim top --socket tcp:HOST:PORT                live dashboard
 //   ewcsim top --socket ... --once                   one frame, no ANSI
@@ -119,6 +119,7 @@ void render_row(std::ostream& out, const std::string& scope,
   };
   out << scope_col << pad(cell("rps", 1.0, 1), spark_width + 10)
       << pad(cell("p95_seconds", 1e3, 2), spark_width + 10)
+      << pad(cell("fill_p50_seconds", 1e3, 2), spark_width + 10)
       << pad(cell("power_watts", 1.0, 1), spark_width + 10)
       << pad(cell("joules_per_request", 1.0, 3), spark_width + 10)
       << pad(fmt(last_value(series, prefix + "inflight"), 0), 9)
@@ -138,8 +139,8 @@ void render_frame(std::ostream& out, const std::string& endpoint,
                   name);
     return std::string(buf);
   };
-  out << "scope    " << head("rps") << head("p95 ms") << head("watts")
-      << head("J/req") << "inflight sessions migrated\n";
+  out << "scope    " << head("rps") << head("p95 ms") << head("fill p50 ms")
+      << head("watts") << head("J/req") << "inflight sessions migrated\n";
   render_row(out, "fleet", reply.series, "", spark_width);
   for (const int idx : shard_indices(reply.series)) {
     render_row(out, "shard " + std::to_string(idx), reply.series,

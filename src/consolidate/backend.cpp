@@ -52,7 +52,7 @@ Backend::Backend(const gpusim::FluidEngine& engine,
       memo_(engine, kMemoCapacity),
       executor_(engine, &memo_, options.cpu_config),
       decision_(engine.device(), std::move(power_model), options.cpu_config,
-                options.costs),
+                options.costs, engine.energy_config()),
       templates_(std::move(templates)),
       options_(options),
       context_("backend", std::size_t{4} * 1024 * 1024 * 1024) {
@@ -61,6 +61,7 @@ Backend::Backend(const gpusim::FluidEngine& engine,
   closes_early_ = registry.counter("backend.closes.early");
   closes_flush_ = registry.counter("backend.closes.flush");
   close_checks_ = registry.counter("backend.close_checks");
+  batch_fill_ = registry.histogram("backend.batch_fill_seconds");
   decision_.enable_prediction_cache(kMemoCapacity);
   if (options_.decision_deadline > common::Duration::zero()) {
     decision_worker_ = std::thread([this] { decision_loop(); });
@@ -113,26 +114,20 @@ void Backend::run_loop() {
   const std::size_t threshold =
       static_cast<std::size_t>(std::max(options_.batch_threshold, 1));
   const std::size_t half = (threshold + 1) / 2;
-  // What the batches closed at the threshold or early were predicted to
-  // charge, and how many requests they held. A half batch closes when it is
-  // predicted to charge no more per request than their mean; before the
-  // first threshold close there is no mean, so a fresh backend never closes
-  // early. A batch that ran without a prediction for every group is left
-  // out. The mean runs over every such batch, not the last one alone: a
-  // full batch's charge swings with its mix (12:4 encryption/sorting
-  // 167.5 J/request, 14:2 276), so the last one is a noisy reference, and
-  // one costly full batch would let every later half batch close, with no
-  // batch left to reach the threshold and replace it.
-  common::Energy charged = common::Energy::zero();
-  std::size_t charged_requests = 0;
-  const auto record = [&](std::optional<common::Energy> joules,
-                          std::size_t requests) {
-    if (!joules.has_value()) return;
-    charged += *joules;
-    charged_requests += requests;
-  };
-  const auto close_pending = [&](const obs::Counter& why) {
-    return execute_batch(pending, prepare_batch(pending), why);
+  // Set once a batch has closed at the threshold. Before that the backend
+  // has never waited for a full batch, so it never closes one early: a
+  // fresh backend (run_dynamic, the paper runners, a single-batch run)
+  // keeps its batches.
+  bool closed_full = false;
+  // When the first pending launch arrived. Only the fill-time histogram
+  // reads it; no close decision does.
+  std::chrono::steady_clock::time_point fill_start;
+  const auto close = [&](const PreparedBatch& prepared,
+                         const obs::Counter& why) {
+    batch_fill_->record(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - fill_start)
+                            .count());
+    execute_batch(pending, prepared, why);
   };
   for (;;) {
     auto msg = channel_.receive();
@@ -145,29 +140,27 @@ void Backend::run_loop() {
       break;
     }
     if (std::holds_alternative<ShutdownRequest>(*msg)) {
-      if (!pending.empty()) close_pending(closes_flush_);
+      if (!pending.empty()) close(prepare_batch(pending), closes_flush_);
       break;
     }
     if (auto* flush = std::get_if<FlushRequest>(&*msg)) {
-      if (!pending.empty()) close_pending(closes_flush_);
+      if (!pending.empty()) close(prepare_batch(pending), closes_flush_);
       flush->done->send(true);
       continue;
     }
+    if (pending.empty()) fill_start = std::chrono::steady_clock::now();
     pending.push_back(std::move(std::get<LaunchRequest>(*msg)));
     if (pending.size() >= threshold) {
-      record(close_pending(closes_threshold_), threshold);
-    } else if (half < threshold && pending.size() == half &&
-               charged_requests > 0) {
-      // Half full: close now if waiting for the rest does not pay. The
-      // check counts arrivals and reads no clock, so batch composition
-      // still depends only on arrival order.
+      close(prepare_batch(pending), closes_threshold_);
+      closed_full = true;
+    } else if (closed_full && pending.size() >= half) {
+      // At least half full: close now if waiting for the rest does not
+      // pay. The check counts arrivals and reads no clock, so batch
+      // composition still depends only on arrival order.
       close_checks_.inc();
       PreparedBatch prepared = prepare_batch(pending);
-      const std::optional<common::Energy> joules = predict_batch(prepared);
-      if (joules.has_value() &&
-          *joules / static_cast<double>(half) <=
-              charged / static_cast<double>(charged_requests)) {
-        record(execute_batch(pending, prepared, closes_early_), half);
+      if (costs_no_more_than_full(prepared, pending, threshold)) {
+        close(prepared, closes_early_);
       }
     }
   }
@@ -249,12 +242,6 @@ std::optional<Decision> Backend::bounded_decide(const PreparedGroup& group,
   return std::move(out->decision);
 }
 
-common::Energy Backend::predicted_charge(const Decision& d,
-                                         common::Duration overhead) const {
-  return executor_.predicted_energy(d) +
-         engine_.energy_config().system_idle_with_gpu * overhead;
-}
-
 Backend::PreparedBatch Backend::prepare_batch(
     const std::vector<LaunchRequest>& batch) {
   // Frontends race to the channel; order the batch by owner so results are
@@ -315,20 +302,75 @@ std::optional<common::Energy> Backend::predict_batch(PreparedBatch& prepared) {
     std::string failure;
     std::optional<Decision> d = bounded_decide(group, /*pure=*/true, &failure);
     if (!d.has_value()) return std::nullopt;
-    joules += predicted_charge(*d, group.overhead);
+    joules += d->chosen_estimate().charge;
     group.evaluated = std::move(d);
   }
   return joules;
 }
 
-std::optional<common::Energy> Backend::execute_batch(
-    std::vector<LaunchRequest>& batch, const PreparedBatch& prepared,
-    const obs::Counter& why) {
+std::vector<LaunchRequest> Backend::full_batch_like(
+    const std::vector<LaunchRequest>& pending, std::size_t size) {
+  // Each kernel's launches, kernels in order of first arrival.
+  std::vector<std::vector<std::size_t>> kernels;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    auto it = std::find_if(kernels.begin(), kernels.end(), [&](const auto& k) {
+      return pending[k.front()].desc.name == pending[i].desc.name;
+    });
+    if (it == kernels.end()) it = kernels.emplace(kernels.end());
+    it->push_back(i);
+  }
+  // Shares of `size` by largest remainder: each kernel gets the floor of
+  // its proportional share, and what is left goes one launch each to the
+  // largest remainders, the earlier-arriving kernel first on a tie.
+  const std::size_t n = pending.size();
+  std::vector<std::size_t> shares;
+  std::size_t left = size;
+  for (const auto& k : kernels) {
+    shares.push_back(k.size() * size / n);
+    left -= shares.back();
+  }
+  std::vector<std::size_t> by_remainder(kernels.size());
+  std::iota(by_remainder.begin(), by_remainder.end(), std::size_t{0});
+  std::stable_sort(by_remainder.begin(), by_remainder.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return kernels[a].size() * size % n >
+                            kernels[b].size() * size % n;
+                   });
+  for (std::size_t j = 0; j < left; ++j) ++shares[by_remainder[j]];
+
+  // Each kernel's pending launches, cycled in arrival order up to its share.
+  std::vector<LaunchRequest> full;
+  full.reserve(size);
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    for (std::size_t j = 0; j < shares[k]; ++j) {
+      LaunchRequest& copy =
+          full.emplace_back(pending[kernels[k][j % kernels[k].size()]]);
+      copy.reply.reset();
+    }
+  }
+  return full;
+}
+
+bool Backend::costs_no_more_than_full(PreparedBatch& prepared,
+                                      const std::vector<LaunchRequest>& pending,
+                                      std::size_t threshold) {
+  const std::optional<common::Energy> now = predict_batch(prepared);
+  if (!now.has_value()) return false;
+  PreparedBatch full = prepare_batch(full_batch_like(pending, threshold));
+  const std::optional<common::Energy> full_charge = predict_batch(full);
+  return full_charge.has_value() &&
+         *now / static_cast<double>(pending.size()) <=
+             *full_charge / static_cast<double>(threshold);
+}
+
+void Backend::execute_batch(std::vector<LaunchRequest>& batch,
+                            const PreparedBatch& prepared,
+                            const obs::Counter& why) {
   why.inc();
   if (auto a = fault::hit("backend.batch");
       a.kind == fault::ActionKind::kFail) {
     fail_pending(batch, "injected backend batch failure");
-    return std::nullopt;
+    return;
   }
   static obs::Histogram* batch_hist =
       obs::Registry::instance().histogram("backend.batch_size");
@@ -342,26 +384,18 @@ std::optional<common::Energy> Backend::execute_batch(
     next_instance_id_ += static_cast<int>(batch.size());
   }
 
-  std::optional<common::Energy> joules = common::Energy::zero();
   for (const PreparedGroup& group : prepared) {
     std::vector<LaunchRequest> requests;
     requests.reserve(group.members.size());
     for (const std::size_t i : group.members) {
       requests.push_back(std::move(batch[i]));
     }
-    const std::optional<common::Energy> charge =
-        process_group(requests, group);
-    if (joules.has_value() && charge.has_value()) {
-      *joules += *charge;
-    } else {
-      joules.reset();
-    }
+    process_group(requests, group);
   }
   batch.clear();
-  return joules;
 }
 
-std::optional<common::Energy> Backend::process_group(
+void Backend::process_group(
     std::vector<LaunchRequest>& batch, const PreparedGroup& group) {
   using common::Duration;
 
@@ -512,8 +546,6 @@ std::optional<common::Energy> Backend::process_group(
   }
   send_replies(batch, std::move(replies));
   batch.clear();
-  if (!report.decision.has_value()) return std::nullopt;
-  return predicted_charge(*report.decision, overhead);
 }
 
 }  // namespace ewc::consolidate

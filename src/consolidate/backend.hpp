@@ -41,10 +41,10 @@ struct BackendOptions {
   DecisionPolicy policy = DecisionPolicy::kModelBased;
   /// Process a batch when this many launches are pending (the paper uses
   /// 10 x the number of GPUs); flush() forces earlier processing. Once a
-  /// batch has closed here, a batch that reaches half of it closes early
-  /// when the decision engine predicts it costs no more joules per request
-  /// than the batches closed here or early so far, on average
-  /// (docs/SERVER.md).
+  /// batch has closed here, every arrival that leaves at least half of it
+  /// pending is checked, and the batch closes early when the decision
+  /// engine predicts it charges no more joules per request than a full
+  /// batch of the same kernel mix would (docs/SERVER.md).
   int batch_threshold = 10;
   cpusim::CpuConfig cpu_config;
   /// Wall-clock budget for one DecisionEngine::decide call, enforced as a
@@ -168,24 +168,29 @@ class Backend {
   static void fail_pending(std::vector<LaunchRequest>& pending,
                            const std::string& error);
   PreparedBatch prepare_batch(const std::vector<LaunchRequest>& batch);
-  /// The close check: what `prepared` is predicted to charge if it ran now.
-  /// nullopt when a group has no template or a prediction throws or
-  /// overruns the deadline. Keeps each group's evaluation for its decide.
+  /// What `prepared` is predicted to charge if it ran now: the chosen
+  /// estimate's charge, summed over its groups. nullopt when a group has no
+  /// template or a prediction throws or overruns the deadline. Keeps each
+  /// group's evaluation for its decide.
   std::optional<common::Energy> predict_batch(PreparedBatch& prepared);
+  /// A `size`-launch batch of `pending`'s kernel mix: each kernel's share of
+  /// `size` by largest remainder, filled with copies of that kernel's
+  /// pending launches (without reply channels), cycled in arrival order.
+  static std::vector<LaunchRequest> full_batch_like(
+      const std::vector<LaunchRequest>& pending, std::size_t size);
+  /// The close check: whether `prepared` (prepared from `pending`) is
+  /// predicted to charge no more per request than a `threshold`-launch
+  /// batch of the same mix. False when either prediction declines.
+  bool costs_no_more_than_full(PreparedBatch& prepared,
+                               const std::vector<LaunchRequest>& pending,
+                               std::size_t threshold);
   /// Execute `prepared` (prepared from `batch`), counting the close in
-  /// `why`. Returns the predicted charge of its groups; nullopt when a group
-  /// ran without a decision.
-  std::optional<common::Energy> execute_batch(std::vector<LaunchRequest>& batch,
-                                              const PreparedBatch& prepared,
-                                              const obs::Counter& why);
+  /// `why`.
+  void execute_batch(std::vector<LaunchRequest>& batch,
+                     const PreparedBatch& prepared, const obs::Counter& why);
   /// Execute one candidate group (template-covered, or an uncovered rest).
-  /// Returns its predicted charge; nullopt when it ran without a decision.
-  std::optional<common::Energy> process_group(
-      std::vector<LaunchRequest>& requests, const PreparedGroup& group);
-  /// The energy process_group() charges for running `d`'s choice after
-  /// `overhead`, as `d` predicts it.
-  common::Energy predicted_charge(const Decision& d,
-                                  common::Duration overhead) const;
+  void process_group(std::vector<LaunchRequest>& requests,
+                     const PreparedGroup& group);
 
   const gpusim::FluidEngine& engine_;
   /// Every GPU execution goes through here (batch thread only).
@@ -206,12 +211,15 @@ class Backend {
   common::Energy total_energy_ = common::Energy::zero();
   int next_instance_id_ = 0;
 
-  /// Why batches closed: at the threshold, early (the half-batch check
-  /// passed), or by a flush or shutdown; and the half-batch checks made.
+  /// Why batches closed: at the threshold, early (a close check passed),
+  /// or by a flush or shutdown; and the close checks made, one per checked
+  /// arrival.
   obs::Counter closes_threshold_;
   obs::Counter closes_early_;
   obs::Counter closes_flush_;
   obs::Counter close_checks_;
+  /// Each batch's fill time, first pending launch to close (steady clock).
+  obs::Histogram* batch_fill_ = nullptr;
 
   std::thread worker_;
   /// Decision thread (started only when decision_deadline > 0): serializes

@@ -20,6 +20,11 @@ const char* alternative_name(Alternative a) {
   return "?";
 }
 
+common::Power gpu_idle_adder(const gpusim::EnergyConfig& e) {
+  return common::Power::from_watts(e.system_idle_with_gpu.watts() -
+                                   e.host_only_idle.watts());
+}
+
 const AlternativeEstimate& Decision::chosen_estimate() const {
   for (const auto& e : estimates) {
     if (e.which == chosen) return e;
@@ -29,12 +34,14 @@ const AlternativeEstimate& Decision::chosen_estimate() const {
 
 DecisionEngine::DecisionEngine(gpusim::DeviceConfig dev,
                                power::GpuPowerModel power_model,
-                               cpusim::CpuConfig cpu_cfg, FrameworkCosts costs)
+                               cpusim::CpuConfig cpu_cfg, FrameworkCosts costs,
+                               gpusim::EnergyConfig energy)
     : dev_(dev),
       perf_(dev),
       power_(std::move(power_model)),
       cpu_cfg_(cpu_cfg),
-      costs_(costs) {}
+      costs_(costs),
+      energy_(energy) {}
 
 void DecisionEngine::enable_prediction_cache(std::size_t capacity) {
   cache_ = std::make_unique<gpusim::SimCache<GpuPrediction>>(capacity);
@@ -174,15 +181,17 @@ Decision DecisionEngine::evaluate(
 
   Decision d;
   AlternativeEstimate ea, eb, ec;
+  // The daemon stages and coordinates the group before it decides, so the
+  // node's idle draw through the overhead window is charged whatever runs.
+  const Energy overhead_charge =
+      energy_.system_idle_with_gpu * framework_overhead;
 
   // (a) consolidated GPU.
   const auto eval_consolidated = [&] {
     ea.which = Alternative::kConsolidatedGpu;
     const auto p = predict_gpu(plan);
     ea.time = p.time + framework_overhead;
-    // During the overhead window the node sits near idle (host-side copies).
-    ea.execution_energy = p.energy;
-    ea.energy = p.energy + power_.idle_power() * framework_overhead;
+    ea.charge = p.energy + overhead_charge;
     ea.note = p.type1 ? "type-1" : "type-2";
   };
 
@@ -204,8 +213,7 @@ Decision DecisionEngine::evaluate(
       energy += p.energy;
     }
     eb.time = total;
-    eb.energy = energy;
-    eb.execution_energy = energy;
+    eb.charge = energy + overhead_charge;
   };
 
   // (c) CPU, from the provided profiles (paper: "we assume that CPU
@@ -226,8 +234,10 @@ Decision DecisionEngine::evaluate(
       cpusim::CpuEngine cpu(cpu_cfg_);
       const auto run = cpu.run(tasks);
       ec.time = run.makespan;
-      ec.energy = run.system_energy;
-      ec.execution_energy = run.system_energy;
+      // The same additions GroupExecutor::run and the backend make, so the
+      // CPU charge is the executed one bit for bit.
+      ec.charge = (run.system_energy + gpu_idle_adder(energy_) * run.makespan) +
+                  overhead_charge;
     } else {
       ec.feasible = false;
       ec.note = "missing CPU profile";
@@ -259,10 +269,17 @@ Decision DecisionEngine::evaluate(
       d.chosen = Alternative::kIndividualGpu;
       break;
     case DecisionPolicy::kModelBased: {
+      // The least charge. Consolidation must beat both alternatives, so a
+      // tie with it (a one-kernel group) goes to the alternative that does
+      // not consolidate.
       const AlternativeEstimate* best = nullptr;
       for (const auto& e : d.estimates) {
         if (!e.feasible) continue;
-        if (best == nullptr || e.energy < best->energy) best = &e;
+        if (best == nullptr || e.charge < best->charge ||
+            (e.charge == best->charge &&
+             best->which == Alternative::kConsolidatedGpu)) {
+          best = &e;
+        }
       }
       d.chosen = best ? best->which : Alternative::kIndividualGpu;
       break;

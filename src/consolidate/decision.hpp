@@ -3,10 +3,13 @@
 // For a candidate set of pending kernels the engine predicts, with the
 // Section V performance model and the Section VI power model, the execution
 // time, average power and energy of three alternatives:
-//   (a) consolidate onto the GPU as one kernel (plus framework overhead),
+//   (a) consolidate onto the GPU as one kernel,
 //   (b) run each kernel on the GPU individually (serial),
 //   (c) run the instances on the multicore CPU (profiles assumed available).
-// Energy E = P x T decides; consolidation must beat BOTH alternatives to be
+// Each alternative is priced on one ledger: what the backend charges the
+// node if it runs (execution energy E = P x T, the idle GPU's draw through a
+// CPU run, and the node's idle draw through the framework overhead, which
+// every alternative pays). Consolidation must beat BOTH alternatives to be
 // chosen, mirroring the paper's "judicious consolidation" rule.
 #pragma once
 
@@ -17,6 +20,7 @@
 
 #include "common/thread_pool.hpp"
 #include "cpusim/engine.hpp"
+#include "gpusim/device_config.hpp"
 #include "gpusim/kernel_desc.hpp"
 #include "gpusim/sim_cache.hpp"
 #include "perf/consolidation_model.hpp"
@@ -32,15 +36,19 @@ enum class Alternative { kConsolidatedGpu, kIndividualGpu, kCpu };
 
 const char* alternative_name(Alternative a);
 
+/// Extra wall power the idle GPU adds to the node when a group runs on the
+/// CPU (the GPU stays installed, unlike the paper's disconnected-GPU
+/// baseline measurements).
+common::Power gpu_idle_adder(const gpusim::EnergyConfig& e);
+
 struct AlternativeEstimate {
   Alternative which = Alternative::kConsolidatedGpu;
   Duration time = Duration::zero();
-  /// The energy the alternatives are compared by. The consolidated estimate
-  /// includes the node's idle draw over the framework overhead; the others
-  /// do not.
-  Energy energy = Energy::zero();
-  /// `energy` without that overhead term: the execution alone.
-  Energy execution_energy = Energy::zero();
+  /// What Backend::process_group adds to `backend.total_energy_joules` if
+  /// this alternative runs: its execution energy, plus the idle GPU's draw
+  /// through a CPU run, plus `system_idle_with_gpu` x the framework
+  /// overhead. The alternatives are compared by it.
+  Energy charge = Energy::zero();
   bool feasible = true;
   std::string note;
 };
@@ -56,8 +64,11 @@ enum class DecisionPolicy { kModelBased, kAlwaysConsolidate, kNeverConsolidate }
 
 class DecisionEngine {
  public:
+  /// `energy` is the node's ground-truth energy configuration, the one the
+  /// backend charges by (FluidEngine::energy_config()).
   DecisionEngine(gpusim::DeviceConfig dev, power::GpuPowerModel power_model,
-                 cpusim::CpuConfig cpu_cfg, FrameworkCosts costs);
+                 cpusim::CpuConfig cpu_cfg, FrameworkCosts costs,
+                 gpusim::EnergyConfig energy = gpusim::c1060_energy());
 
   /// Estimated framework overhead for staging/coordinating `requests`
   /// (public so the backend charges the same cost it predicted with).
@@ -130,6 +141,7 @@ class DecisionEngine {
   power::GpuPowerModel power_;
   cpusim::CpuConfig cpu_cfg_;
   FrameworkCosts costs_;
+  gpusim::EnergyConfig energy_;
   common::ThreadPool* pool_ = nullptr;
   // SimCache is internally synchronized, so the const decide() path may
   // populate it; mutable keeps that invisible to callers.

@@ -5,16 +5,6 @@
 
 namespace ewc::consolidate {
 
-namespace {
-/// Extra wall power the idle GPU adds to the node when the framework routes
-/// a batch to the CPU (the GPU stays installed, unlike the paper's
-/// disconnected-GPU baseline measurements).
-common::Power gpu_idle_adder(const gpusim::EnergyConfig& e) {
-  return common::Power::from_watts(e.system_idle_with_gpu.watts() -
-                                   e.host_only_idle.watts());
-}
-}  // namespace
-
 GroupExecutor::GroupExecutor(const gpusim::FluidEngine& engine,
                              gpusim::RunMemo* memo,
                              cpusim::CpuConfig cpu_config)
@@ -113,12 +103,6 @@ GroupExecution GroupExecutor::run(
     }
   }
   return out;
-}
-
-common::Energy GroupExecutor::predicted_energy(const Decision& d) const {
-  const AlternativeEstimate& e = d.chosen_estimate();
-  if (e.which != Alternative::kCpu) return e.execution_energy;
-  return e.execution_energy + gpu_idle_adder(engine_.energy_config()) * e.time;
 }
 
 }  // namespace ewc::consolidate

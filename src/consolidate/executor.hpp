@@ -66,11 +66,6 @@ class GroupExecutor {
       int max_total_blocks, common::Duration overhead, double sim_anchor,
       std::span<const RequestContext> contexts = {}) const;
 
-  /// The execution energy run() charges for `d`'s choice, as `d` predicts
-  /// it: the chosen alternative's execution energy, plus the idle GPU's
-  /// draw through a CPU run.
-  common::Energy predicted_energy(const Decision& d) const;
-
  private:
   gpusim::RunOutcome gpu_run(const gpusim::LaunchPlan& plan) const;
 

@@ -15,7 +15,7 @@ QueueSimulator::QueueSimulator(
     QueueSimOptions options)
     : engine_(engine),
       decision_(engine.device(), std::move(power_model), cpusim::CpuConfig{},
-                FrameworkCosts{}),
+                FrameworkCosts{}, engine.energy_config()),
       catalogue_(std::move(catalogue)),
       options_(options),
       run_memo_(options.enable_sim_cache

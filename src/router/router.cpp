@@ -253,22 +253,26 @@ void Router::start_telemetry() {
     sampler->add_ratio(prefix + "joules_per_request",
                        counter("backend.total_energy_joules"),
                        counter("server.replies"));
-    sampler->add_histogram_percentile(
-        prefix + "p95_seconds",
-        [this, first, last] {
-          obs::HistogramSnapshot merged;
-          for (std::size_t i = first; i < last; ++i) {
-            const Shard& s = *shards_[i];
-            std::lock_guard lock(s.mu);
-            const auto it =
-                s.polled.histograms.find("server.request_latency_seconds");
-            if (it != s.polled.histograms.end()) {
-              merge_compatible(merged, it->second);
-            }
+    auto histogram = [this, first, last](const char* name) {
+      return [this, first, last, name] {
+        obs::HistogramSnapshot merged;
+        for (std::size_t i = first; i < last; ++i) {
+          const Shard& s = *shards_[i];
+          std::lock_guard lock(s.mu);
+          const auto it = s.polled.histograms.find(name);
+          if (it != s.polled.histograms.end()) {
+            merge_compatible(merged, it->second);
           }
-          return merged;
-        },
+        }
+        return merged;
+      };
+    };
+    sampler->add_histogram_percentile(
+        prefix + "p95_seconds", histogram("server.request_latency_seconds"),
         95.0);
+    sampler->add_histogram_percentile(
+        prefix + "fill_p50_seconds", histogram("backend.batch_fill_seconds"),
+        50.0);
     sampler->add_gauge(prefix + "inflight",
                        sum([](const Shard& s) { return s.inflight; }));
     sampler->add_gauge(prefix + "energy_joules",

@@ -154,6 +154,9 @@ void Server::start_telemetry() {
   sampler->add_histogram_percentile(
       "p95_seconds", [] { return request_latency_hist()->snapshot(); },
       95.0);
+  obs::Histogram* fill = registry.histogram("backend.batch_fill_seconds");
+  sampler->add_histogram_percentile(
+      "fill_p50_seconds", [fill] { return fill->snapshot(); }, 50.0);
   sampler->add_gauge("inflight", [] {
     return inflight([](const std::string& name) {
       return obs::Registry::instance().counter(name).value();

@@ -208,8 +208,8 @@ TEST_F(CachedDecisionTest, DecideIsDeterministicUnderPoolAndCache) {
       EXPECT_EQ(d.estimates[i].which, reference.estimates[i].which);
       EXPECT_EQ(d.estimates[i].time.seconds(),
                 reference.estimates[i].time.seconds());
-      EXPECT_EQ(d.estimates[i].energy.joules(),
-                reference.estimates[i].energy.joules());
+      EXPECT_EQ(d.estimates[i].charge.joules(),
+                reference.estimates[i].charge.joules());
       EXPECT_EQ(d.estimates[i].feasible, reference.estimates[i].feasible);
       EXPECT_EQ(d.estimates[i].note, reference.estimates[i].note);
     }
@@ -228,26 +228,32 @@ class QueueCacheTest : public CachedDecisionTest {
   static std::map<std::string, workloads::InstanceSpec> catalogue() {
     std::map<std::string, workloads::InstanceSpec> c;
     for (auto spec : {workloads::encryption_12k(), workloads::sorting_6k(),
-                      workloads::compression_64m(), workloads::kmeans_256k()}) {
+                      workloads::compression_64m(), workloads::kmeans_256k(),
+                      workloads::scenario1_montecarlo(),
+                      workloads::scenario1_encryption()}) {
       c.emplace(spec.name, std::move(spec));
     }
     return c;
   }
 
   /// `batches` repetitions of the same 5-request batch shape.
-  static std::vector<consolidate::Request> repeated_trace(int batches,
-                                                    const std::string& name) {
+  static std::vector<consolidate::Request> repeated_trace(
+      int batches, const std::vector<std::string>& shape) {
     std::vector<consolidate::Request> reqs;
     for (int b = 0; b < batches; ++b) {
       for (int i = 0; i < 5; ++i) {
         consolidate::Request r;
         r.arrival_seconds = b * 10.0 + i * 0.1;
-        r.workload = name;
+        r.workload = shape[static_cast<std::size_t>(i) % shape.size()];
         r.user_id = i;
         reqs.push_back(std::move(r));
       }
     }
     return reqs;
+  }
+  static std::vector<consolidate::Request> repeated_trace(
+      int batches, const std::string& name) {
+    return repeated_trace(batches, std::vector<std::string>{name});
   }
 
   static void expect_same_outcomes(const consolidate::QueueSimResult& a,
@@ -275,16 +281,22 @@ TEST_F(QueueCacheTest, CacheOnReplayMatchesCacheOffExactly) {
   on.enable_sim_cache = true;
 
   // encryption_12k batches run consolidated: one memo lookup per batch.
-  // kmeans (kmeans_256k) batches run serially: one lookup per instance, summed,
-  // which must reproduce the cache-off run_serial totals bit for bit.
+  // Section III's scenario 1 (memory-bound Monte Carlo with encryption,
+  // 3:2) is harmful to consolidate, so its batches run serially: one lookup
+  // per instance, summed, which must reproduce the cache-off run_serial
+  // totals bit for bit.
   struct Case {
-    const char* workload;
+    std::vector<std::string> shape;
     int batches;
     std::uint64_t lookups_per_batch;
+    std::uint64_t shapes;  ///< distinct plans run: the memo's misses
   };
-  for (const Case c : {Case{"encryption_12k", 40, 1}, Case{"kmeans", 8, 5}}) {
-    SCOPED_TRACE(c.workload);
-    const auto reqs = repeated_trace(c.batches, c.workload);
+  const std::vector<std::string> scenario1 = {"scenario1_mc",
+                                             "scenario1_encryption"};
+  for (const Case& c : {Case{{"encryption_12k"}, 40, 1, 1},
+                        Case{scenario1, 8, 5, 2}}) {
+    SCOPED_TRACE(c.shape.front());
+    const auto reqs = repeated_trace(c.batches, c.shape);
     consolidate::QueueSimulator cold(*engine_, *model_, catalogue(), off);
     consolidate::QueueSimulator warm(*engine_, *model_, catalogue(), on);
     const auto a = cold.run(reqs);
@@ -297,7 +309,7 @@ TEST_F(QueueCacheTest, CacheOnReplayMatchesCacheOffExactly) {
     EXPECT_EQ(a.predict_cache_stats.hits + a.predict_cache_stats.misses, 0u);
     EXPECT_EQ(b.run_cache_stats.hits + b.run_cache_stats.misses,
               c.lookups_per_batch * static_cast<std::uint64_t>(c.batches));
-    EXPECT_EQ(b.run_cache_stats.misses, 1u);
+    EXPECT_EQ(b.run_cache_stats.misses, c.shapes);
     EXPECT_GT(b.predict_cache_stats.hits, 0u);
     EXPECT_LE(b.predict_cache_stats.misses, 4u);
   }
@@ -373,8 +385,12 @@ std::vector<GroupCase> group_cases() {
   using consolidate::Alternative;
   using consolidate::DecisionPolicy;
   std::vector<GroupCase> cases;
-  cases.push_back({"kmeans_256k x16", {}, Alternative::kIndividualGpu});
-  cases.back().descs.assign(16, workloads::kmeans_256k().gpu);
+  // Section III's scenario 1, 3:2: consolidating the memory-bound Monte
+  // Carlo with encryption is predicted to cost more than running serially.
+  const auto mc = workloads::scenario1_montecarlo().gpu;
+  const auto mc_enc = workloads::scenario1_encryption().gpu;
+  cases.push_back({"scenario1 3:2", {mc, mc_enc, mc, mc_enc, mc},
+                   Alternative::kIndividualGpu});
 
   // Chunks of two encryption_6k instances: three back-to-back launches.
   const auto enc = workloads::encryption_6k().gpu;
@@ -452,7 +468,8 @@ GroupResult reference_group(const gpusim::FluidEngine& engine,
                             const consolidate::BackendOptions& options,
                             const GroupCase& c) {
   const consolidate::DecisionEngine plain(engine.device(), model,
-                                          options.cpu_config, options.costs);
+                                          options.cpu_config, options.costs,
+                                          engine.energy_config());
   gpusim::LaunchPlan plan;
   plan.reuse_constant_data = options.optimizations.constant_data_reuse;
   for (std::size_t i = 0; i < c.descs.size(); ++i) {
@@ -529,7 +546,7 @@ void expect_same_group(const GroupResult& got, const GroupResult& want) {
       const auto& ea = a.decision->estimates[i];
       const auto& eb = b.decision->estimates[i];
       EXPECT_EQ(bits(ea.time.seconds()), bits(eb.time.seconds()));
-      EXPECT_EQ(bits(ea.energy.joules()), bits(eb.energy.joules()));
+      EXPECT_EQ(bits(ea.charge.joules()), bits(eb.charge.joules()));
       EXPECT_EQ(ea.note, eb.note);
     }
   }
@@ -571,9 +588,11 @@ TEST_F(CachedDecisionTest, BackendPublishesMemoCounters) {
   const GroupCase c{"kmeans_256k x4",
                     std::vector<gpusim::KernelDesc>(
                         4, workloads::kmeans_256k().gpu),
-                    consolidate::Alternative::kIndividualGpu};
+                    consolidate::Alternative::kIndividualGpu,
+                    consolidate::DecisionPolicy::kNeverConsolidate};
   consolidate::BackendOptions options;
   options.batch_threshold = 1000;
+  options.policy = c.policy;
   consolidate::Backend backend(*engine_, *model_, template_for(c), options);
   const GroupResult cold = run_group(backend, c, 1);
   const GroupResult warm = run_group(backend, c, 101);

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "cli/args.hpp"
@@ -237,6 +239,41 @@ TEST(Commands, CompareRunsFourSetups) {
       << err.str();
   EXPECT_NE(out.str().find("dynamic-framework"), std::string::npos);
   EXPECT_NE(out.str().find("serial-gpu"), std::string::npos);
+}
+
+// The framework runs what its models predict to be cheapest, so what it
+// is charged never exceeds the cheapest alternative plus its own overhead.
+// On these encryption/sorting mixes consolidation is cheapest; 14:2 once
+// ran on the CPU and was charged 4423 J against about 2544 J.
+TEST(Commands, CompareDynamicFrameworkCostsTheCheapestPlusOverhead) {
+  const std::string csv = ::testing::TempDir() + "/compare_ledger.csv";
+  for (const auto& [enc, sort] : {std::pair{14, 2}, std::pair{13, 3}}) {
+    SCOPED_TRACE(std::to_string(enc) + ":" + std::to_string(sort));
+    std::ostringstream out, err;
+    ASSERT_EQ(run_command({"compare", "--workload",
+                           "encryption_6k=" + std::to_string(enc),
+                           "--workload", "sorting_6k=" + std::to_string(sort),
+                           "--csv", csv},
+                          out, err),
+              0)
+        << err.str();
+    std::map<std::string, double> joules;
+    std::ifstream in(csv);
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line)) {
+      const auto first = line.find(',');
+      const auto last = line.rfind(',');
+      joules[line.substr(0, first)] = std::stod(line.substr(last + 1));
+    }
+    ASSERT_EQ(joules.size(), 5u) << out.str();
+    const double cheapest =
+        std::min({joules.at("cpu"), joules.at("serial-gpu"),
+                  joules.at("manual-consolidated")});
+    EXPECT_LE(joules.at("dynamic-framework"),
+              cheapest + joules.at("framework-overhead"))
+        << out.str();
+  }
 }
 
 TEST(Commands, PtxSampleAnalysis) {

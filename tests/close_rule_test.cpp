@@ -1,8 +1,8 @@
-// The backend's close rule: a batch closes at its threshold, on a flush or
-// shutdown, or — once a batch has closed at the threshold — at half the
-// threshold when the decision engine predicts it costs no more joules per
-// request than the batches closed at the threshold or early so far, on
-// average.
+// The backend's close rule: a batch closes at its threshold T, on a flush
+// or shutdown, or — once a batch has closed at the threshold — at any
+// arrival that leaves ⌈T/2⌉ to T−1 launches pending, when the decision
+// engine predicts the pending batch charges no more joules per request than
+// a T-launch batch of the same kernel mix.
 //
 // Every test feeds the backend channel from one thread and reads the
 // outcome after a flush, so batch formation depends only on the order of
@@ -10,6 +10,7 @@
 // "sanitize" so -DEWC_SANITIZE=thread builds run it under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -108,6 +109,105 @@ class CloseRuleTest : public ::testing::Test {
     return out;
   }
 
+  /// What `specs` would charge per request as one batch, evaluated as the
+  /// backend evaluates launches from send(): owners in order, one group,
+  /// 4096 staged bytes and 4 API messages a launch.
+  static double charge_per_request(
+      const std::vector<workloads::InstanceSpec>& specs) {
+    DecisionEngine engine(engine_->device(), *model_, cpusim::CpuConfig{},
+                          FrameworkCosts{}, engine_->energy_config());
+    gpusim::LaunchPlan plan;
+    plan.reuse_constant_data = Optimizations{}.constant_data_reuse;
+    std::vector<std::optional<cpusim::CpuTask>> profiles;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      plan.instances.push_back(
+          gpusim::KernelInstance{specs[i].gpu, static_cast<int>(i), ""});
+      cpusim::CpuTask task = specs[i].cpu;
+      task.instance_id = static_cast<int>(i);
+      profiles.emplace_back(std::move(task));
+    }
+    const std::vector<std::size_t> staged(specs.size(), 4096);
+    const std::vector<int> messages(specs.size(), 4);
+    const common::Duration overhead =
+        engine.overhead(plan.instances, staged, messages, Optimizations{});
+    return engine.evaluate(plan, profiles, overhead)
+               .chosen_estimate()
+               .charge.joules() /
+           static_cast<double>(specs.size());
+  }
+
+  /// The full batch a pending batch is compared with: each kernel's share
+  /// of kThreshold by largest remainder (earlier-arriving kernel first on a
+  /// tie), filled by cycling that kernel's launches, in owner order.
+  static std::vector<workloads::InstanceSpec> full_batch_like(
+      const std::vector<workloads::InstanceSpec>& pending) {
+    std::vector<std::string> kernels;
+    std::vector<std::size_t> counts;
+    for (const auto& spec : pending) {
+      const auto it = std::find(kernels.begin(), kernels.end(), spec.gpu.name);
+      if (it == kernels.end()) {
+        kernels.push_back(spec.gpu.name);
+        counts.push_back(1);
+      } else {
+        ++counts[static_cast<std::size_t>(it - kernels.begin())];
+      }
+    }
+    const std::size_t n = pending.size();
+    const std::size_t full = kThreshold;
+    std::vector<std::size_t> shares;
+    std::size_t left = full;
+    for (const std::size_t c : counts) {
+      shares.push_back(c * full / n);
+      left -= shares.back();
+    }
+    for (; left > 0; --left) {
+      std::size_t best = 0;
+      for (std::size_t k = 1; k < counts.size(); ++k) {
+        if (counts[k] * full % n > counts[best] * full % n) best = k;
+      }
+      ++shares[best];
+      counts[best] = 0;  // one extra launch per kernel at most
+    }
+    std::vector<workloads::InstanceSpec> out;
+    std::vector<std::size_t> seen(kernels.size(), 0);
+    std::vector<std::size_t> total(kernels.size(), 0);
+    for (const auto& spec : pending) {
+      ++total[static_cast<std::size_t>(
+          std::find(kernels.begin(), kernels.end(), spec.gpu.name) -
+          kernels.begin())];
+    }
+    for (const auto& spec : pending) {
+      const std::size_t k = static_cast<std::size_t>(
+          std::find(kernels.begin(), kernels.end(), spec.gpu.name) -
+          kernels.begin());
+      const std::size_t j = seen[k]++;
+      const std::size_t copies =
+          shares[k] / total[k] + (j < shares[k] % total[k] ? 1 : 0);
+      for (std::size_t c = 0; c < copies; ++c) out.push_back(spec);
+    }
+    return out;
+  }
+
+  /// The batch sizes the close rule gives `tail` once a batch has closed
+  /// at the threshold; what is left at the end runs on a flush.
+  static std::vector<int> predicted_sizes(
+      const std::vector<workloads::InstanceSpec>& tail) {
+    std::vector<int> sizes;
+    std::vector<workloads::InstanceSpec> pending;
+    for (const auto& spec : tail) {
+      pending.push_back(spec);
+      if (pending.size() == static_cast<std::size_t>(kThreshold) ||
+          (pending.size() >= static_cast<std::size_t>(kHalf) &&
+           charge_per_request(pending) <=
+               charge_per_request(full_batch_like(pending)))) {
+        sizes.push_back(static_cast<int>(pending.size()));
+        pending.clear();
+      }
+    }
+    if (!pending.empty()) sizes.push_back(static_cast<int>(pending.size()));
+    return sizes;
+  }
+
   static std::vector<workloads::InstanceSpec> repeat(
       const workloads::InstanceSpec& spec, int n) {
     return std::vector<workloads::InstanceSpec>(static_cast<std::size_t>(n),
@@ -156,48 +256,75 @@ TEST_F(CloseRuleTest, KmeansStreamClosesAtHalfAfterTheFirstFullBatch) {
   backend->shutdown();
 }
 
-TEST_F(CloseRuleTest, TwoToOneMixKeepsFullBatches) {
-  const auto enc = workloads::encryption_6k();
-  const auto sort = workloads::sorting_6k();
-  auto backend = make_backend({enc, sort});
+/// `n` launches of the benchmark's 2:1 encryption/sorting mix, sorting
+/// third.
+std::vector<workloads::InstanceSpec> two_to_one(int n) {
   std::vector<workloads::InstanceSpec> stream;
-  for (int i = 0; i < 3 * kThreshold; ++i) {
-    stream.push_back(i % 3 == 2 ? sort : enc);
+  for (int i = 0; i < n; ++i) {
+    stream.push_back(i % 3 == 2 ? workloads::sorting_6k()
+                                : workloads::encryption_6k());
   }
+  return stream;
+}
+
+std::vector<workloads::InstanceSpec> concat(
+    std::vector<workloads::InstanceSpec> a,
+    const std::vector<workloads::InstanceSpec>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+TEST_F(CloseRuleTest, TwoToOneMixClosesWhereTheSameMixReferenceSays) {
+  const auto stream = two_to_one(3 * kThreshold);
+  auto backend =
+      make_backend({workloads::encryption_6k(), workloads::sorting_6k()});
   CloseCounts counts;
   auto waiters = send(*backend, stream);
   backend->flush();
   EXPECT_EQ(collect(waiters).size(), waiters.size());
-  EXPECT_EQ(sizes(*backend),
-            (std::vector<int>{kThreshold, kThreshold, kThreshold}));
-  // The two later batches were checked at half and kept waiting.
-  EXPECT_EQ(counts.delta(), (std::vector<double>{3, 0, 0, 2}));
+  // After the first full batch, the 2:1 mix is cheapest per request near
+  // 12 launches, not 16: its batches close there.
+  const std::vector<workloads::InstanceSpec> tail(stream.begin() + kThreshold,
+                                                  stream.end());
+  std::vector<int> expected{kThreshold};
+  for (const int size : predicted_sizes(tail)) expected.push_back(size);
+  EXPECT_EQ(sizes(*backend), expected);
+  EXPECT_EQ(sizes(*backend), (std::vector<int>{kThreshold, 11, 12, 9}));
+  // threshold, early, flush, checks: one check per arrival from the 8th
+  // pending launch on (11 - 8 + 1, 12 - 8 + 1, 9 - 8 + 1).
+  EXPECT_EQ(counts.delta(), (std::vector<double>{1, 2, 1, 11}));
   backend->shutdown();
 }
 
-TEST_F(CloseRuleTest, HalfBatchIsComparedWithTheMeanNotTheLastBatch) {
+TEST_F(CloseRuleTest, CloseSizeDependsOnlyOnThePendingBatch) {
   const auto enc = workloads::encryption_6k();
   const auto sort = workloads::sorting_6k();
-  auto backend = make_backend({enc, sort});
-  std::vector<workloads::InstanceSpec> stream;
-  const auto add = [&](int encs, int sorts) {
-    for (int i = 0; i < encs; ++i) stream.push_back(enc);
-    for (int i = 0; i < sorts; ++i) stream.push_back(sort);
+  const auto batch = [&](int encs, int sorts) {
+    std::vector<workloads::InstanceSpec> out;
+    for (int i = 0; i < encs; ++i) out.push_back(enc);
+    for (int i = 0; i < sorts; ++i) out.push_back(sort);
+    return out;
   };
-  add(6, 2);  // 11:5 in all: about 172 J/request
-  add(5, 3);
-  add(7, 1);  // 14:2 in all: about 276 J/request
-  add(7, 1);
-  add(7, 1);  // a 7:1 half: about 251 J/request
-  add(4, 4);
-  auto waiters = send(*backend, stream);
-  backend->flush();
-  EXPECT_EQ(collect(waiters).size(), waiters.size());
-  // Every half batch waits: 6:2 and 7:1 cost more than 11:5, and the last
-  // 7:1 costs less than the 14:2 before it but more than the mean of both.
-  EXPECT_EQ(sizes(*backend),
-            (std::vector<int>{kThreshold, kThreshold, kThreshold}));
-  backend->shutdown();
+  // The same tail after a 14:2 full batch and after an 11:5 one, which
+  // charge different amounts per request (`ewcsim compare`: 159 and 172
+  // J). A reference kept from past batches would let them close the tail
+  // differently; the same-mix full batch cannot.
+  const auto tail = concat(two_to_one(2 * kThreshold), batch(7, 1));
+  std::vector<std::vector<int>> after;
+  for (const auto& first : {batch(14, 2), batch(11, 5)}) {
+    auto backend = make_backend({enc, sort});
+    auto waiters = send(*backend, concat(first, tail));
+    backend->flush();
+    EXPECT_EQ(collect(waiters).size(), waiters.size());
+    std::vector<int> got = sizes(*backend);
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got.front(), kThreshold);
+    got.erase(got.begin());
+    after.push_back(std::move(got));
+    backend->shutdown();
+  }
+  EXPECT_EQ(after[0], after[1]);
+  EXPECT_EQ(after[0], predicted_sizes(tail));
 }
 
 TEST_F(CloseRuleTest, FreshBackendNeverClosesEarly) {
@@ -207,8 +334,8 @@ TEST_F(CloseRuleTest, FreshBackendNeverClosesEarly) {
   auto waiters = send(*backend, repeat(spec, kThreshold - 1));
   backend->flush();
   EXPECT_EQ(collect(waiters).size(), waiters.size());
-  // No batch has closed at the threshold, so there is nothing to compare
-  // a half batch with: no check, and the flush takes all of it.
+  // No batch has closed at the threshold, so no arrival is checked and
+  // the flush takes all of it.
   EXPECT_EQ(sizes(*backend), (std::vector<int>{kThreshold - 1}));
   EXPECT_EQ(counts.delta(), (std::vector<double>{0, 0, 1, 0}));
   backend->shutdown();

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <set>
@@ -238,6 +240,45 @@ TEST_F(ConsolidateTest, DecisionRejectsHarmfulConsolidation) {
   std::vector<std::optional<cpusim::CpuTask>> profiles{mc.cpu, enc.cpu};
   auto d = engine.decide(plan, profiles, common::Duration::zero());
   EXPECT_NE(d.chosen, Alternative::kConsolidatedGpu);
+}
+
+TEST_F(ConsolidateTest, CpuChargeIsTheExecutedChargeBitForBit) {
+  // Four small encryption launches are cheapest on the CPU. The CPU
+  // estimate is the CpuEngine run the backend then executes, so its charge
+  // is what the group adds to the energy total, bit for bit.
+  BackendOptions options;
+  options.batch_threshold = 4;
+  const auto spec = workloads::encryption_6k();
+  Backend backend(*engine_, *model_, TemplateRegistry::paper_defaults(),
+                  options);
+  backend.set_cpu_profile(spec.gpu.name, spec.cpu);
+  auto replies = std::make_shared<ReplyChannel>();
+  for (int i = 0; i < 4; ++i) {
+    LaunchRequest req;
+    req.owner = "u" + std::to_string(i);
+    req.request_id = static_cast<std::uint64_t>(i);
+    req.desc = spec.gpu;
+    req.staged_bytes = 4096;
+    req.api_messages = 4;
+    req.reply = replies;
+    ASSERT_TRUE(backend.channel().send(std::move(req)));
+  }
+  for (int i = 0; i < 4; ++i) {
+    const auto reply =
+        replies->receive_for(common::Duration::from_seconds(30.0));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(reply->ok) << reply->error;
+  }
+  const auto reports = backend.reports();
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_TRUE(reports[0].decision.has_value());
+  EXPECT_EQ(reports[0].executed, Alternative::kCpu);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(reports[0].decision->chosen_estimate().charge.joules()),
+            bits(reports[0].energy.joules()));
+  EXPECT_EQ(bits(backend.total_energy().joules()),
+            bits(reports[0].energy.joules()));
+  backend.shutdown();
 }
 
 TEST_F(ConsolidateTest, MissingCpuProfileMarksCpuInfeasible) {
@@ -634,8 +675,8 @@ TEST_F(ConsolidateTest, MultipleBatchesAccumulateReports) {
     for (auto& t : users) t.join();
   }
   // The first round closes at the threshold. After it, a lone encryption
-  // launch is predicted cheaper per request than that pair, so each later
-  // launch closes its batch at half the threshold.
+  // launch is predicted to charge less than a pair of them per request, so
+  // each later launch closes its batch at half the threshold.
   std::vector<int> sizes;
   for (const auto& r : backend.reports()) sizes.push_back(r.num_instances);
   EXPECT_EQ(sizes, (std::vector<int>{2, 1, 1, 1, 1}));

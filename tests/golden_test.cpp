@@ -40,10 +40,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "consolidate/decision.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/simd.hpp"
 #include "perf/consolidation_model.hpp"
+#include "power/trainer.hpp"
 #include "workloads/paper_configs.hpp"
+#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -620,6 +623,82 @@ TEST(GoldenDigests, InstanceIdsOnlyLabelCompletions) {
       << ", expected 0x" << kExpected << std::dec
       << "\nIf the numeric change is intentional, update the digest in "
          "tests/golden_test.cpp.";
+}
+
+// ---- the decision's energy ledger -------------------------------------------
+
+/// Evaluate `plan` on `dev` with CPU profiles drawn from a stream of its own
+/// (none for every third case, so the CPU is sometimes infeasible), and
+/// check the model-based choice: a feasible estimate with the least charge,
+/// never consolidation on a tie.
+void check_least_charge(const gpusim::DeviceConfig& dev,
+                        const gpusim::EnergyConfig& energy,
+                        const power::GpuPowerModel& model,
+                        const gpusim::LaunchPlan& plan, int index,
+                        const std::string& what) {
+  SCOPED_TRACE(what);
+  const consolidate::DecisionEngine engine(dev, model, cpusim::CpuConfig{},
+                                           consolidate::FrameworkCosts{},
+                                           energy);
+  common::Rng rng(0xc9aull + static_cast<std::uint64_t>(index));
+  std::vector<std::optional<cpusim::CpuTask>> profiles;
+  std::vector<std::size_t> staged;
+  const std::vector<int> messages(plan.instances.size(), 4);
+  for (const auto& inst : plan.instances) {
+    staged.push_back(static_cast<std::size_t>(inst.desc.h2d_bytes.bytes()));
+    if (index % 3 == 2) {
+      profiles.emplace_back(std::nullopt);
+      continue;
+    }
+    cpusim::CpuTask task;
+    task.name = inst.desc.name;
+    task.core_seconds = rng.uniform(0.01, 4.0);
+    task.threads = static_cast<int>(rng.uniform_int(1, 8));
+    task.cache_sensitivity = rng.uniform(0.0, 1.0);
+    task.instance_id = inst.instance_id;
+    profiles.emplace_back(std::move(task));
+  }
+  const common::Duration overhead = engine.overhead(
+      plan.instances, staged, messages, consolidate::Optimizations{});
+  const consolidate::Decision d = engine.evaluate(plan, profiles, overhead);
+  const consolidate::AlternativeEstimate& chosen = d.chosen_estimate();
+  ASSERT_TRUE(chosen.feasible);
+  // Every alternative pays the node's idle draw through the overhead.
+  const common::Energy overhead_charge =
+      energy.system_idle_with_gpu * overhead;
+  for (const auto& e : d.estimates) {
+    if (!e.feasible) continue;
+    EXPECT_GE(e.charge.joules(), overhead_charge.joules())
+        << consolidate::alternative_name(e.which);
+    EXPECT_LE(chosen.charge.joules(), e.charge.joules())
+        << consolidate::alternative_name(e.which);
+    if (e.which != consolidate::Alternative::kConsolidatedGpu &&
+        e.charge == chosen.charge) {
+      EXPECT_NE(d.chosen, consolidate::Alternative::kConsolidatedGpu);
+    }
+  }
+}
+
+TEST(DecisionLedger, ChosenChargeIsTheLeastOverFixturesAndCorpus) {
+  const gpusim::FluidEngine tesla;
+  const power::GpuPowerModel tesla_model =
+      power::ModelTrainer(tesla).train(workloads::rodinia_training_kernels())
+          .model;
+  int index = 0;
+  for (const auto& f : fixtures()) {
+    const auto engine = f.engine();
+    const power::GpuPowerModel model =
+        power::ModelTrainer(engine)
+            .train(workloads::rodinia_training_kernels())
+            .model;
+    check_least_charge(engine.device(), engine.energy_config(), model,
+                       f.plan(), index++, f.name);
+  }
+  for (int i = 0; i < kCorpusSize; ++i) {
+    const CorpusCase c = corpus_case(i);
+    check_least_charge(c.dev, tesla.energy_config(), tesla_model, c.plan, i,
+                       "corpus plan " + std::to_string(i));
+  }
 }
 
 }  // namespace

@@ -181,7 +181,7 @@ TEST_F(IntegrationTest, DecisionEnginePredictionsMatchExecutedOutcomes) {
   EXPECT_LT(common::relative_error(chosen.time.seconds(), dyn.time.seconds()),
             0.15);
   EXPECT_LT(
-      common::relative_error(chosen.energy.joules(), dyn.energy.joules()),
+      common::relative_error(chosen.charge.joules(), dyn.energy.joules()),
       0.15);
 }
 

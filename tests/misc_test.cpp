@@ -135,19 +135,21 @@ TEST_F(MiscFrameworkTest, FrontendFreeReleasesBackendMemory) {
 }
 
 TEST_F(MiscFrameworkTest, TinyBatchRoutedToCpuAndReplySaysSo) {
-  // One small encryption request: the CPU wins (paper Table 1 row 1), so
-  // the model-based policy must route it there and tell the frontend.
+  // One small (6 KB) encryption request: the CPU wins even with the idle
+  // GPU's draw through the CPU run charged, so the model-based policy must
+  // route it there and tell the frontend. (A 12 KB request no longer does:
+  // that draw makes the GPU about 8% cheaper.)
   consolidate::BackendOptions options;
   options.batch_threshold = 1;
   consolidate::Backend backend(*engine_, *model_,
                                consolidate::TemplateRegistry::paper_defaults(),
                                options);
-  backend.set_cpu_profile("aes_encrypt", workloads::encryption_12k().cpu);
+  backend.set_cpu_profile("aes_encrypt", workloads::encryption_6k().cpu);
   cudart::KernelRegistry registry;
   registry.register_kernel(
       "aes_encrypt",
       [](const cudart::LaunchConfig&, std::span<const std::byte>) {
-        return workloads::encryption_12k().gpu;
+        return workloads::encryption_6k().gpu;
       });
   cudart::Context ctx("u", 1 << 20);
   consolidate::Frontend fe(backend, "u", &registry);

@@ -266,12 +266,15 @@ TEST_F(QueueSimTest, BusyGpuQueuesNextBatch) {
 }
 
 TEST_F(QueueSimTest, TracedSerialBatchDrawsInstancesBackToBack) {
-  // A kmeans batch runs serially (see QueueCacheTest): its instances execute
-  // one after another, so each gpusim.run sim span must start where the
-  // previous one ends rather than all at the batch's start.
+  // A scenario-1 batch (memory-bound Monte Carlo with encryption, 3:2)
+  // runs serially (see QueueCacheTest): its instances execute one after
+  // another, so each gpusim.run sim span must start where the previous one
+  // ends rather than all at the batch's start.
   auto cat = catalogue();
-  auto kmeans = workloads::kmeans_256k();
-  cat.emplace(kmeans.name, kmeans);
+  const auto mc = workloads::scenario1_montecarlo();
+  const auto enc = workloads::scenario1_encryption();
+  cat.emplace(mc.name, mc);
+  cat.emplace(enc.name, enc);
   consolidate::QueueSimOptions opt;
   opt.batch_threshold = 5;
   consolidate::QueueSimulator sim(*engine_, *model_, cat, opt);
@@ -279,7 +282,7 @@ TEST_F(QueueSimTest, TracedSerialBatchDrawsInstancesBackToBack) {
   for (int i = 0; i < 5; ++i) {
     consolidate::Request r;
     r.arrival_seconds = 0.1 * i;
-    r.workload = kmeans.name;
+    r.workload = i % 2 == 0 ? mc.name : enc.name;
     r.user_id = i;
     reqs.push_back(std::move(r));
   }

@@ -267,7 +267,7 @@ TEST(ServerProcessTest, SigtermDrainFailsOutstandingAndExitsCleanly) {
 
 TEST(ServerProcessTest, ClientFlushRunsTheRemainderUnderTheThreshold) {
   // 22 instances against threshold 7: whatever batches the threshold and
-  // the half-batch check close, a remainder is left that only `--flush`
+  // the close check close, a remainder is left that only `--flush`
   // runs. The client must flush once its launches are on the wire, while
   // every app thread still waits for its reply.
   const std::string path = socket_path("flushrest");
@@ -997,7 +997,9 @@ TEST(ServerTest, ArmedFaultSitesStillFireOncePerReplyFrame) {
   daemon.server->stop();
 }
 
-/// 32 launches of a two-kernel mix through one client, on a fresh daemon.
+/// 32 launches of a two-kernel mix through one client, on a fresh daemon,
+/// then a flush: after the first full batch the 2:1 mix closes batches
+/// below the threshold, so the last launches wait for it.
 std::vector<CompletionReply> serve_mix(const std::string& tag) {
   const auto enc = workloads::encryption_6k();
   const auto sort = workloads::sorting_6k();
@@ -1014,6 +1016,7 @@ std::vector<CompletionReply> serve_mix(const std::string& tag) {
   for (int i = 0; i < 32; ++i) {
     conn->launch_async(make_launch(i % 3 == 2 ? sort : enc, tag), log.sink());
   }
+  EXPECT_TRUE(conn->flush(Duration::from_seconds(60.0)));
   EXPECT_TRUE(log.wait_for(32, Duration::from_seconds(60.0)));
   daemon.server->stop();
   std::lock_guard lock(log.mu);

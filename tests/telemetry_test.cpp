@@ -372,9 +372,9 @@ TEST(TelemetryE2E, TopOnceServesJsonAndPrometheus) {
   EXPECT_NEAR(doc->find("interval_seconds")->as_number(), 0.2, 1e-9);
   const auto* last = doc->find("last");
   ASSERT_NE(last, nullptr);
-  for (const char* key : {"rps", "p95_seconds", "power_watts",
-                          "joules_per_request", "inflight", "energy_joules",
-                          "requests"}) {
+  for (const char* key : {"rps", "p95_seconds", "fill_p50_seconds",
+                          "power_watts", "joules_per_request", "inflight",
+                          "energy_joules", "requests"}) {
     ASSERT_NE(last->find(key), nullptr) << key;
   }
   EXPECT_GT(last->find("requests")->as_number(), 0.0);
