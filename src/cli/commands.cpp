@@ -235,7 +235,13 @@ int cmd_compare(const std::vector<std::string>& args, std::ostream& out) {
     csv.add_row({name, std::to_string(s.time.seconds()),
                  std::to_string(s.energy.joules())});
   };
+  // The paper's CPU baseline, measured with the GPU disconnected; and what
+  // the daemon charges for the same run, with the idle GPU still installed.
   row("cpu", r.cpu);
+  row("cpu-charged",
+      {r.cpu.time, r.cpu.energy + consolidate::gpu_idle_adder(
+                                      engine.energy_config()) *
+                                      r.cpu.time});
   row("serial-gpu", r.serial_gpu);
   row("manual-consolidated", r.manual);
   row("dynamic-framework", r.dynamic_framework);

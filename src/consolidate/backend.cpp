@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/log.hpp"
+#include "consolidate/plan_order.hpp"
 #include "fault/injector.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -53,6 +54,7 @@ Backend::Backend(const gpusim::FluidEngine& engine,
       executor_(engine, &memo_, options.cpu_config),
       decision_(engine.device(), std::move(power_model), options.cpu_config,
                 options.costs, engine.energy_config()),
+      close_memo_(kCloseMemoCapacity),
       templates_(std::move(templates)),
       options_(options),
       context_("backend", std::size_t{4} * 1024 * 1024 * 1024) {
@@ -62,6 +64,7 @@ Backend::Backend(const gpusim::FluidEngine& engine,
   closes_flush_ = registry.counter("backend.closes.flush");
   close_checks_ = registry.counter("backend.close_checks");
   batch_fill_ = registry.histogram("backend.batch_fill_seconds");
+  close_check_seconds_ = registry.histogram("backend.close_check_seconds");
   decision_.enable_prediction_cache(kMemoCapacity);
   if (options_.decision_deadline > common::Duration::zero()) {
     decision_worker_ = std::thread([this] { decision_loop(); });
@@ -75,6 +78,7 @@ void Backend::set_cpu_profile(const std::string& kernel_name,
                               cpusim::CpuTask task) {
   std::lock_guard lock(state_mutex_);
   cpu_profiles_[kernel_name] = std::move(task);
+  ++profiles_version_;
 }
 
 void Backend::flush() {
@@ -155,13 +159,18 @@ void Backend::run_loop() {
       closed_full = true;
     } else if (closed_full && pending.size() >= half) {
       // At least half full: close now if waiting for the rest does not
-      // pay. The check counts arrivals and reads no clock, so batch
-      // composition still depends only on arrival order.
+      // pay. The verdict counts arrivals and reads no clock, so batch
+      // composition still depends only on arrival order; the clock only
+      // times the check.
       close_checks_.inc();
-      PreparedBatch prepared = prepare_batch(pending);
-      if (costs_no_more_than_full(prepared, pending, threshold)) {
-        close(prepared, closes_early_);
-      }
+      const auto checked = std::chrono::steady_clock::now();
+      std::optional<PreparedBatch> closing = close_check(pending, threshold);
+      close_check_seconds_->record(std::chrono::duration<double>(
+                                       std::chrono::steady_clock::now() -
+                                       checked)
+                                       .count());
+      close_cache_counters_.publish(close_memo_.stats());
+      if (closing.has_value()) close(*closing, closes_early_);
     }
   }
 }
@@ -178,6 +187,14 @@ void Backend::fail_pending(std::vector<LaunchRequest>& pending,
   }
   send_replies(pending, std::move(replies));
   pending.clear();
+}
+
+std::vector<std::size_t> Backend::plan_order_of(
+    const std::vector<LaunchRequest>& batch) {
+  return plan_order(
+      batch.size(),
+      [&](std::size_t i) -> std::string_view { return batch[i].desc.name; },
+      [&](std::size_t i) -> std::string_view { return batch[i].owner; });
 }
 
 void Backend::decision_loop() {
@@ -244,27 +261,25 @@ std::optional<Decision> Backend::bounded_decide(const PreparedGroup& group,
 
 Backend::PreparedBatch Backend::prepare_batch(
     const std::vector<LaunchRequest>& batch) {
-  // Frontends race to the channel; order the batch by owner so results are
-  // deterministic regardless of host thread scheduling. Sorting positions
-  // leaves the batch as it arrived for a check that keeps it open, and
-  // permutes them exactly as sorting the requests would.
-  std::vector<std::size_t> order(batch.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return batch[a].owner < batch[b].owner;
-  });
+  return prepare_batch(batch, plan_order_of(batch));
+}
 
+Backend::PreparedBatch Backend::prepare_batch(
+    const std::vector<LaunchRequest>& batch, std::vector<std::size_t> order) {
   // Partition into candidate groups by template coverage (paper Section
   // VII); requests no template covers run normally, each on its own.
+  // Ordering positions, not requests, leaves the batch as it arrived for a
+  // check that keeps it open.
   std::vector<std::string_view> names;
   names.reserve(batch.size());
   for (const std::size_t i : order) names.push_back(batch[i].desc.name);
 
   PreparedBatch prepared;
   std::lock_guard lock(state_mutex_);
-  int next_id = next_instance_id_;
+  prepared.first_id = next_instance_id_;
+  int next_id = prepared.first_id;
   for (const CandidateGroup& g : templates_.partition(names)) {
-    PreparedGroup& group = prepared.emplace_back();
+    PreparedGroup& group = prepared.groups.emplace_back();
     group.tmpl = g.tmpl;
     group.plan.reuse_constant_data =
         options_.optimizations.constant_data_reuse;
@@ -272,7 +287,7 @@ Backend::PreparedBatch Backend::prepare_batch(
     std::vector<int> messages;
     for (const std::size_t member : g.members) {
       const LaunchRequest& req = batch[order[member]];
-      group.members.push_back(order[member]);
+      group.members.push_back(member);
       gpusim::KernelInstance inst;
       inst.desc = req.desc;
       inst.owner = req.owner;
@@ -292,12 +307,13 @@ Backend::PreparedBatch Backend::prepare_batch(
     group.overhead = decision_.overhead(group.plan.instances, staged,
                                         messages, options_.optimizations);
   }
+  prepared.order = std::move(order);
   return prepared;
 }
 
 std::optional<common::Energy> Backend::predict_batch(PreparedBatch& prepared) {
   common::Energy joules = common::Energy::zero();
-  for (PreparedGroup& group : prepared) {
+  for (PreparedGroup& group : prepared.groups) {
     if (group.tmpl == nullptr) return std::nullopt;
     std::string failure;
     std::optional<Decision> d = bounded_decide(group, /*pure=*/true, &failure);
@@ -309,19 +325,21 @@ std::optional<common::Energy> Backend::predict_batch(PreparedBatch& prepared) {
 }
 
 std::vector<LaunchRequest> Backend::full_batch_like(
-    const std::vector<LaunchRequest>& pending, std::size_t size) {
-  // Each kernel's launches, kernels in order of first arrival.
+    const std::vector<LaunchRequest>& pending,
+    const std::vector<std::size_t>& order, std::size_t size) {
+  // Each kernel's launches in plan order; plan order keeps a kernel's
+  // launches together, kernels by name.
   std::vector<std::vector<std::size_t>> kernels;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    auto it = std::find_if(kernels.begin(), kernels.end(), [&](const auto& k) {
-      return pending[k.front()].desc.name == pending[i].desc.name;
-    });
-    if (it == kernels.end()) it = kernels.emplace(kernels.end());
-    it->push_back(i);
+  for (const std::size_t i : order) {
+    if (kernels.empty() ||
+        pending[kernels.back().front()].desc.name != pending[i].desc.name) {
+      kernels.emplace_back();
+    }
+    kernels.back().push_back(i);
   }
   // Shares of `size` by largest remainder: each kernel gets the floor of
   // its proportional share, and what is left goes one launch each to the
-  // largest remainders, the earlier-arriving kernel first on a tie.
+  // largest remainders, the earlier kernel first on a tie.
   const std::size_t n = pending.size();
   std::vector<std::size_t> shares;
   std::size_t left = size;
@@ -338,29 +356,89 @@ std::vector<LaunchRequest> Backend::full_batch_like(
                    });
   for (std::size_t j = 0; j < left; ++j) ++shares[by_remainder[j]];
 
-  // Each kernel's pending launches, cycled in arrival order up to its share.
+  // Each launch's copies next to each other, so the full batch is already
+  // in plan order; the earlier launches take what does not divide evenly.
   std::vector<LaunchRequest> full;
   full.reserve(size);
   for (std::size_t k = 0; k < kernels.size(); ++k) {
-    for (std::size_t j = 0; j < shares[k]; ++j) {
-      LaunchRequest& copy =
-          full.emplace_back(pending[kernels[k][j % kernels[k].size()]]);
-      copy.reply.reset();
+    const std::size_t m = kernels[k].size();
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t copies = shares[k] / m + (j < shares[k] % m ? 1 : 0);
+      for (std::size_t c = 0; c < copies; ++c) {
+        full.emplace_back(pending[kernels[k][j]]).reply.reset();
+      }
     }
   }
   return full;
 }
 
-bool Backend::costs_no_more_than_full(PreparedBatch& prepared,
-                                      const std::vector<LaunchRequest>& pending,
-                                      std::size_t threshold) {
+std::optional<bool> Backend::costs_no_more_than_full(
+    PreparedBatch& prepared, const std::vector<LaunchRequest>& pending,
+    std::size_t threshold) {
   const std::optional<common::Energy> now = predict_batch(prepared);
-  if (!now.has_value()) return false;
-  PreparedBatch full = prepare_batch(full_batch_like(pending, threshold));
+  if (!now.has_value()) return std::nullopt;
+  PreparedBatch full =
+      prepare_batch(full_batch_like(pending, prepared.order, threshold));
   const std::optional<common::Energy> full_charge = predict_batch(full);
-  return full_charge.has_value() &&
-         *now / static_cast<double>(pending.size()) <=
-             *full_charge / static_cast<double>(threshold);
+  if (!full_charge.has_value()) return std::nullopt;
+  return *now / static_cast<double>(pending.size()) <=
+         *full_charge / static_cast<double>(threshold);
+}
+
+std::optional<Backend::PreparedBatch> Backend::close_check(
+    const std::vector<LaunchRequest>& pending, std::size_t threshold) {
+  // The key is everything the check reads: each launch's kernel, staged
+  // bytes and API messages in plan order, the threshold and the CPU
+  // profiles' version. Owners and arrival order are not in it.
+  std::vector<std::size_t> order = plan_order_of(pending);
+  gpusim::PlanSignature key;
+  {
+    std::lock_guard lock(state_mutex_);
+    gpusim::append_key(key.key, profiles_version_);
+  }
+  gpusim::append_key(key.key, static_cast<std::int64_t>(threshold));
+  for (const std::size_t i : order) {
+    gpusim::append_key(key.key, pending[i].desc);
+    gpusim::append_key(key.key,
+                       static_cast<std::int64_t>(pending[i].staged_bytes));
+    gpusim::append_key(key.key,
+                       static_cast<std::int64_t>(pending[i].api_messages));
+  }
+
+  if (std::optional<CloseVerdict> hit = close_memo_.get(key)) {
+    if (!hit->close) return std::nullopt;
+    // The memoized batch is this one up to owners and instance ids: give
+    // it this batch's positions and owners and the next free ids.
+    PreparedBatch prepared = std::move(hit->prepared);
+    prepared.order = std::move(order);
+    std::lock_guard lock(state_mutex_);
+    const int shift = next_instance_id_ - prepared.first_id;
+    prepared.first_id = next_instance_id_;
+    for (PreparedGroup& group : prepared.groups) {
+      for (std::size_t j = 0; j < group.members.size(); ++j) {
+        gpusim::KernelInstance& inst = group.plan.instances[j];
+        inst.instance_id += shift;
+        inst.owner = pending[prepared.order[group.members[j]]].owner;
+        if (group.profiles[j].has_value()) {
+          group.profiles[j]->instance_id += shift;
+        }
+      }
+    }
+    return prepared;
+  }
+
+  PreparedBatch prepared = prepare_batch(pending, std::move(order));
+  const std::optional<bool> close =
+      costs_no_more_than_full(prepared, pending, threshold);
+  // A declined check (no template, a throw, a deadline overrun) says
+  // nothing about the next one: it is not memoized.
+  if (!close.has_value()) return std::nullopt;
+  CloseVerdict verdict;
+  verdict.close = *close;
+  if (*close) verdict.prepared = prepared;
+  close_memo_.put(key, std::move(verdict));
+  if (!*close) return std::nullopt;
+  return prepared;
 }
 
 void Backend::execute_batch(std::vector<LaunchRequest>& batch,
@@ -384,11 +462,11 @@ void Backend::execute_batch(std::vector<LaunchRequest>& batch,
     next_instance_id_ += static_cast<int>(batch.size());
   }
 
-  for (const PreparedGroup& group : prepared) {
+  for (const PreparedGroup& group : prepared.groups) {
     std::vector<LaunchRequest> requests;
     requests.reserve(group.members.size());
-    for (const std::size_t i : group.members) {
-      requests.push_back(std::move(batch[i]));
+    for (const std::size_t rank : group.members) {
+      requests.push_back(std::move(batch[prepared.order[rank]]));
     }
     process_group(requests, group);
   }

@@ -13,6 +13,7 @@
 // come from the simulators. Host threads are real; the clock is simulated.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -91,6 +92,11 @@ class Backend {
   /// and their predictions — fit many times over, while a stream of
   /// ever-different consolidated mixes cannot grow the daemon's memory.
   static constexpr std::size_t kMemoCapacity = 32;
+  /// Entries in the close-check memo, keyed by a pending batch in plan
+  /// order. A 2:1 encryption/sorting stream at threshold 16 checks at most
+  /// 44 distinct pending batches and a one-kernel stream 1, so their checks
+  /// all fit, while ever-new mixes cannot grow the daemon's memory.
+  static constexpr std::size_t kCloseMemoCapacity = 64;
 
   Backend(const gpusim::FluidEngine& engine, power::GpuPowerModel power_model,
           TemplateRegistry templates, BackendOptions options);
@@ -126,7 +132,7 @@ class Backend {
   /// profiles and framework overhead.
   struct PreparedGroup {
     const ConsolidationTemplate* tmpl = nullptr;  ///< nullptr: run normally
-    std::vector<std::size_t> members;  ///< positions in the pending batch
+    std::vector<std::size_t> members;  ///< ranks in the batch's plan order
     gpusim::LaunchPlan plan;
     std::vector<std::optional<cpusim::CpuTask>> profiles;
     common::Duration overhead = common::Duration::zero();
@@ -134,10 +140,22 @@ class Backend {
     /// the batch closes on it; absent, decide evaluates.
     std::optional<Decision> evaluated;
   };
-  /// A pending batch ordered by owner and partitioned by template coverage
-  /// (paper Section VII). Preparing consumes no instance ids: the plans
-  /// number theirs from the next free id, and only executing takes them.
-  using PreparedBatch = std::vector<PreparedGroup>;
+  /// A pending batch in plan order (plan_order.hpp), partitioned by
+  /// template coverage (paper Section VII). Preparing consumes no instance
+  /// ids: the plans number theirs from `first_id`, the next free id, and
+  /// only executing takes them.
+  struct PreparedBatch {
+    std::vector<std::size_t> order;  ///< positions in the pending batch
+    std::vector<PreparedGroup> groups;
+    int first_id = 0;
+  };
+  /// A close check's outcome on one pending batch in plan order: whether
+  /// it closes and, when it does, the batch as the check prepared it, with
+  /// each group's evaluation.
+  struct CloseVerdict {
+    bool close = false;
+    PreparedBatch prepared;
+  };
   /// Outcome of one decision-engine call on the decision thread.
   struct DecideOutcome {
     bool ok = false;
@@ -167,23 +185,37 @@ class Backend {
   /// never execute, e.g. when the channel closes under a non-empty batch).
   static void fail_pending(std::vector<LaunchRequest>& pending,
                            const std::string& error);
+  /// Prepare `batch`, taking its positions in `order` (its plan order).
+  PreparedBatch prepare_batch(const std::vector<LaunchRequest>& batch,
+                              std::vector<std::size_t> order);
   PreparedBatch prepare_batch(const std::vector<LaunchRequest>& batch);
+  /// `batch`'s positions in plan order (plan_order.hpp).
+  static std::vector<std::size_t> plan_order_of(
+      const std::vector<LaunchRequest>& batch);
   /// What `prepared` is predicted to charge if it ran now: the chosen
   /// estimate's charge, summed over its groups. nullopt when a group has no
   /// template or a prediction throws or overruns the deadline. Keeps each
   /// group's evaluation for its decide.
   std::optional<common::Energy> predict_batch(PreparedBatch& prepared);
-  /// A `size`-launch batch of `pending`'s kernel mix: each kernel's share of
-  /// `size` by largest remainder, filled with copies of that kernel's
-  /// pending launches (without reply channels), cycled in arrival order.
+  /// A `size`-launch batch of `pending`'s kernel mix, in plan order: each
+  /// kernel's share of `size` by largest remainder (the earlier kernel in
+  /// plan order first on a tie), filled with copies of that kernel's
+  /// pending launches (without reply channels), the earlier ones in plan
+  /// order taking any extra copy.
   static std::vector<LaunchRequest> full_batch_like(
-      const std::vector<LaunchRequest>& pending, std::size_t size);
-  /// The close check: whether `prepared` (prepared from `pending`) is
-  /// predicted to charge no more per request than a `threshold`-launch
-  /// batch of the same mix. False when either prediction declines.
-  bool costs_no_more_than_full(PreparedBatch& prepared,
-                               const std::vector<LaunchRequest>& pending,
-                               std::size_t threshold);
+      const std::vector<LaunchRequest>& pending,
+      const std::vector<std::size_t>& order, std::size_t size);
+  /// Whether `prepared` (prepared from `pending`) is predicted to charge no
+  /// more per request than a `threshold`-launch batch of the same mix.
+  /// nullopt when either prediction declines.
+  std::optional<bool> costs_no_more_than_full(
+      PreparedBatch& prepared, const std::vector<LaunchRequest>& pending,
+      std::size_t threshold);
+  /// The close check, memoized on the pending batch in plan order: the
+  /// batch prepared to close now, or nullopt to keep it open. Only a check
+  /// whose predictions all succeed is memoized.
+  std::optional<PreparedBatch> close_check(
+      const std::vector<LaunchRequest>& pending, std::size_t threshold);
   /// Execute `prepared` (prepared from `batch`), counting the close in
   /// `why`.
   void execute_batch(std::vector<LaunchRequest>& batch,
@@ -197,6 +229,8 @@ class Backend {
   gpusim::RunMemo memo_;
   GroupExecutor executor_;
   DecisionEngine decision_;
+  /// Close-check verdicts by everything a check reads (batch thread only).
+  gpusim::SimCache<CloseVerdict> close_memo_;
   TemplateRegistry templates_;
   BackendOptions options_;
 
@@ -206,6 +240,9 @@ class Backend {
 
   mutable std::mutex state_mutex_;
   std::map<std::string, cpusim::CpuTask> cpu_profiles_;
+  /// Bumped by set_cpu_profile, so a memoized verdict never outlives the
+  /// profiles it was evaluated with.
+  std::int64_t profiles_version_ = 0;
   std::vector<BatchReport> reports_;
   common::Duration total_time_ = common::Duration::zero();
   common::Energy total_energy_ = common::Energy::zero();
@@ -220,6 +257,9 @@ class Backend {
   obs::Counter close_checks_;
   /// Each batch's fill time, first pending launch to close (steady clock).
   obs::Histogram* batch_fill_ = nullptr;
+  /// Each close check's own duration (steady clock), memo hit or miss.
+  obs::Histogram* close_check_seconds_ = nullptr;
+  gpusim::CacheCounters close_cache_counters_{"backend.close_cache"};
 
   std::thread worker_;
   /// Decision thread (started only when decision_deadline > 0): serializes

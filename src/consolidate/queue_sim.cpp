@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/stats.hpp"
+#include "consolidate/plan_order.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 
@@ -59,6 +60,8 @@ QueueSimResult QueueSimulator::run(
   // arena; DecisionEngine's parallel evaluation depends on `plan` staying
   // stable for the batch).
   std::vector<Request> batch;
+  std::vector<const workloads::InstanceSpec*> specs;
+  std::vector<std::string> owners;
   gpusim::LaunchPlan plan;
   std::vector<std::optional<cpusim::CpuTask>> profiles;
   std::vector<std::size_t> staged;
@@ -84,28 +87,38 @@ QueueSimResult QueueSimulator::run(
     // let the final batch jump its own deadline.
     double ready = filled ? batch.back().arrival_seconds : deadline;
 
-    // ---- build the launch plan + profiles ----
+    // ---- build the launch plan + profiles, in the daemon's plan order ----
+    specs.clear();
+    owners.clear();
+    for (const Request& req : batch) {
+      auto it = catalogue_.find(req.workload);
+      if (it == catalogue_.end()) {
+        throw std::out_of_range("QueueSimulator: unknown workload '" +
+                                req.workload + "'");
+      }
+      specs.push_back(&it->second);
+      owners.push_back("user" + std::to_string(req.user_id));
+    }
+    const std::vector<std::size_t> order = plan_order(
+        batch.size(),
+        [&](std::size_t b) -> std::string_view { return specs[b]->gpu.name; },
+        [&](std::size_t b) -> std::string_view { return owners[b]; });
     plan.instances.clear();
     plan.reuse_constant_data = optimizations.constant_data_reuse;
     profiles.clear();
     staged.clear();
     messages.clear();
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      auto it = catalogue_.find(batch[b].workload);
-      if (it == catalogue_.end()) {
-        throw std::out_of_range("QueueSimulator: unknown workload '" +
-                                batch[b].workload + "'");
-      }
+    for (const std::size_t b : order) {
+      const workloads::InstanceSpec& spec = *specs[b];
       gpusim::KernelInstance inst;
-      inst.desc = it->second.gpu;
-      inst.instance_id = static_cast<int>(b);
-      inst.owner = "user" + std::to_string(batch[b].user_id);
+      inst.desc = spec.gpu;
+      inst.instance_id = static_cast<int>(plan.instances.size());
+      inst.owner = owners[b];
       plan.instances.push_back(std::move(inst));
-      cpusim::CpuTask task = it->second.cpu;
-      task.instance_id = static_cast<int>(b);
+      cpusim::CpuTask task = spec.cpu;
+      task.instance_id = plan.instances.back().instance_id;
       profiles.emplace_back(std::move(task));
-      staged.push_back(
-          static_cast<std::size_t>(it->second.gpu.h2d_bytes.bytes()));
+      staged.push_back(static_cast<std::size_t>(spec.gpu.h2d_bytes.bytes()));
       messages.push_back(4);  // argument batching holds args until launch
     }
 

@@ -30,7 +30,11 @@ void put(std::string& key, std::int64_t v) {
   put_bits(key, static_cast<std::uint64_t>(v));
 }
 
-void append_kernel(std::string& key, const KernelDesc& k) {
+}  // namespace
+
+void append_key(std::string& key, std::int64_t v) { put(key, v); }
+
+void append_key(std::string& key, const KernelDesc& k) {
   put(key, static_cast<std::int64_t>(k.name.size()));
   key += k.name;
   put(key, static_cast<std::int64_t>(k.num_blocks));
@@ -50,8 +54,6 @@ void append_kernel(std::string& key, const KernelDesc& k) {
   put(key, k.h2d_bytes.bytes());
   put(key, k.d2h_bytes.bytes());
 }
-
-}  // namespace
 
 // Completions carry instance ids; sorting (id, position) pairs maps them
 // back to plan positions in O(n log n).
@@ -91,7 +93,7 @@ PlanSignature plan_signature(const LaunchPlan& plan) {
   PlanSignature sig;
   sig.key.reserve(8 + 160 * plan.instances.size());
   put(sig.key, static_cast<std::int64_t>(plan.reuse_constant_data ? 1 : 0));
-  for (const auto& inst : plan.instances) append_kernel(sig.key, inst.desc);
+  for (const auto& inst : plan.instances) append_key(sig.key, inst.desc);
   return sig;
 }
 

@@ -80,6 +80,12 @@ struct PlanSignature {
 /// and owners never affect results and are excluded.
 PlanSignature plan_signature(const LaunchPlan& plan);
 
+/// Append `v` to `key` in the signatures' exact fixed-width encoding, for
+/// memos whose keys extend a plan's with inputs of their own.
+void append_key(std::string& key, std::int64_t v);
+/// Append every field of `desc` to `key`, as plan_signature encodes it.
+void append_key(std::string& key, const KernelDesc& desc);
+
 /// Thread-safe LRU map from PlanSignature to an arbitrary result type.
 template <typename Value>
 class SimCache {

@@ -273,6 +273,9 @@ void Router::start_telemetry() {
     sampler->add_histogram_percentile(
         prefix + "fill_p50_seconds", histogram("backend.batch_fill_seconds"),
         50.0);
+    sampler->add_histogram_percentile(
+        prefix + "close_check_p50_seconds",
+        histogram("backend.close_check_seconds"), 50.0);
     sampler->add_gauge(prefix + "inflight",
                        sum([](const Shard& s) { return s.inflight; }));
     sampler->add_gauge(prefix + "energy_joules",

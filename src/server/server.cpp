@@ -157,6 +157,9 @@ void Server::start_telemetry() {
   obs::Histogram* fill = registry.histogram("backend.batch_fill_seconds");
   sampler->add_histogram_percentile(
       "fill_p50_seconds", [fill] { return fill->snapshot(); }, 50.0);
+  obs::Histogram* check = registry.histogram("backend.close_check_seconds");
+  sampler->add_histogram_percentile(
+      "close_check_p50_seconds", [check] { return check->snapshot(); }, 50.0);
   sampler->add_gauge("inflight", [] {
     return inflight([](const std::string& name) {
       return obs::Registry::instance().counter(name).value();

@@ -14,11 +14,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "consolidate/backend.hpp"
 #include "consolidate/decision.hpp"
+#include "consolidate/plan_order.hpp"
 #include "consolidate/queue_sim.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/sim_cache.hpp"
@@ -428,14 +430,19 @@ consolidate::TemplateRegistry template_for(const GroupCase& c) {
   return templates;
 }
 
-/// Send `c` as one group (owners sort in send order), flush, and collect.
+/// The owner of `c`'s launch `i`: owners sort in send order.
+std::string group_owner(std::size_t i) {
+  return "u" + std::string(i < 10 ? "0" : "") + std::to_string(i);
+}
+
+/// Send `c` as one group, flush, and collect.
 GroupResult run_group(consolidate::Backend& backend, const GroupCase& c,
                       std::uint64_t first_request_id) {
   auto replies = std::make_shared<consolidate::ReplyChannel>();
   const std::size_t n = c.descs.size();
   for (std::size_t i = 0; i < n; ++i) {
     consolidate::LaunchRequest req;
-    req.owner = "u" + std::string(i < 10 ? "0" : "") + std::to_string(i);
+    req.owner = group_owner(i);
     req.request_id = first_request_id + i;
     req.desc = c.descs[i];
     req.api_messages = 1;
@@ -470,9 +477,19 @@ GroupResult reference_group(const gpusim::FluidEngine& engine,
   const consolidate::DecisionEngine plain(engine.device(), model,
                                           options.cpu_config, options.costs,
                                           engine.energy_config());
+  // The backend's plan order: kernel name, then owner (send order). Each
+  // instance's id is its send position, which labels its finish.
+  std::vector<std::string> owners;
+  for (std::size_t i = 0; i < c.descs.size(); ++i) {
+    owners.push_back(group_owner(i));
+  }
+  const std::vector<std::size_t> order = consolidate::plan_order(
+      c.descs.size(),
+      [&](std::size_t i) -> std::string_view { return c.descs[i].name; },
+      [&](std::size_t i) -> std::string_view { return owners[i]; });
   gpusim::LaunchPlan plan;
   plan.reuse_constant_data = options.optimizations.constant_data_reuse;
-  for (std::size_t i = 0; i < c.descs.size(); ++i) {
+  for (const std::size_t i : order) {
     plan.instances.push_back(
         gpusim::KernelInstance{c.descs[i], static_cast<int>(i), ""});
   }
@@ -515,7 +532,8 @@ GroupResult reference_group(const gpusim::FluidEngine& engine,
       gpusim::LaunchPlan single;
       single.instances.push_back(plan.instances[i]);
       const gpusim::RunResult run = engine.run(single);
-      out.finish[i] = (overhead + offset + run.total_time).seconds();
+      out.finish.at(static_cast<std::size_t>(plan.instances[i].instance_id)) =
+          (overhead + offset + run.total_time).seconds();
       offset += run.total_time;
       energy += run.system_energy;
     }
@@ -609,6 +627,89 @@ TEST_F(CachedDecisionTest, BackendPublishesMemoCounters) {
   EXPECT_EQ(counters.at("backend.predict_cache.misses"), 2.0);
   EXPECT_EQ(counters.at("backend.predict_cache.hits"), 8.0);
   EXPECT_EQ(counters.at("backend.predict_cache.evictions"), 0.0);
+}
+
+TEST_F(CachedDecisionTest, SessionInterleavingsOfOneMixShareOnePlan) {
+  // Eight encryption and four sorting launches from three sessions, in two
+  // interleavings: in A session s2 sends the sorts, in B session s0 does.
+  struct Launch {
+    std::string owner;
+    gpusim::KernelDesc desc;
+  };
+  const auto enc = workloads::encryption_6k().gpu;
+  const auto sort = workloads::sorting_6k().gpu;
+  std::vector<Launch> a;
+  std::vector<Launch> b;
+  for (int i = 0; i < 12; ++i) {
+    const std::string owner = "s" + std::to_string(i % 3);
+    a.push_back({owner, i % 3 == 2 ? sort : enc});
+    b.push_back({owner, i % 3 == 0 ? sort : enc});
+  }
+  const auto signature = [](const std::vector<Launch>& launches,
+                            bool by_kernel) {
+    const std::vector<std::size_t> order = consolidate::plan_order(
+        launches.size(),
+        [&](std::size_t i) -> std::string_view {
+          return by_kernel ? std::string_view(launches[i].desc.name) : "";
+        },
+        [&](std::size_t i) -> std::string_view { return launches[i].owner; });
+    gpusim::LaunchPlan plan;
+    for (const std::size_t i : order) {
+      plan.instances.push_back(gpusim::KernelInstance{
+          launches[i].desc, static_cast<int>(plan.instances.size()),
+          launches[i].owner});
+    }
+    return gpusim::plan_signature(plan).key;
+  };
+  // Ordered by owner alone the two are different plans; in plan order they
+  // are one.
+  EXPECT_NE(signature(a, false), signature(b, false));
+  EXPECT_EQ(signature(a, true), signature(b, true));
+
+  // So the backend runs B from A's memo entries: every run of B is a hit.
+  consolidate::TemplateRegistry templates;
+  templates.add({"enc_sort", {enc.name, sort.name}});
+  consolidate::BackendOptions options;
+  options.batch_threshold = 1000;  // each batch runs on flush()
+  consolidate::Backend backend(*engine_, *model_, std::move(templates),
+                               options);
+  const auto run = [&](const std::vector<Launch>& launches,
+                       std::uint64_t first_id) {
+    auto replies = std::make_shared<consolidate::ReplyChannel>();
+    for (std::size_t i = 0; i < launches.size(); ++i) {
+      consolidate::LaunchRequest req;
+      req.owner = launches[i].owner;
+      req.request_id = first_id + i;
+      req.desc = launches[i].desc;
+      req.api_messages = 1;
+      req.reply = replies;
+      EXPECT_TRUE(backend.channel().send(std::move(req)));
+    }
+    backend.flush();
+    for (std::size_t i = 0; i < launches.size(); ++i) {
+      const auto reply =
+          replies->receive_for(common::Duration::from_seconds(30.0));
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_TRUE(reply->ok) << reply->error;
+    }
+  };
+  const auto read = [](const char* name) {
+    return obs::Registry::instance().counter(name).value();
+  };
+  run(a, 0);
+  const double run_misses = read("backend.run_cache.misses");
+  const double run_hits = read("backend.run_cache.hits");
+  const double predict_misses = read("backend.predict_cache.misses");
+  EXPECT_GT(run_misses, 0.0);
+  run(b, 100);
+  EXPECT_EQ(read("backend.run_cache.misses"), run_misses);
+  EXPECT_EQ(read("backend.run_cache.hits"), 2 * run_hits + run_misses);
+  EXPECT_EQ(read("backend.predict_cache.misses"), predict_misses);
+  const auto reports = backend.reports();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].kernel_names, reports[1].kernel_names);
+  EXPECT_EQ(bits(reports[0].energy.joules()), bits(reports[1].energy.joules()));
+  backend.shutdown();
 }
 
 TEST_F(CachedDecisionTest, TracedHitRecordsACachedRunSpan) {

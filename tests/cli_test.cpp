@@ -266,7 +266,7 @@ TEST(Commands, CompareDynamicFrameworkCostsTheCheapestPlusOverhead) {
       const auto last = line.rfind(',');
       joules[line.substr(0, first)] = std::stod(line.substr(last + 1));
     }
-    ASSERT_EQ(joules.size(), 5u) << out.str();
+    ASSERT_EQ(joules.size(), 6u) << out.str();
     const double cheapest =
         std::min({joules.at("cpu"), joules.at("serial-gpu"),
                   joules.at("manual-consolidated")});
@@ -274,6 +274,36 @@ TEST(Commands, CompareDynamicFrameworkCostsTheCheapestPlusOverhead) {
               cheapest + joules.at("framework-overhead"))
         << out.str();
   }
+}
+
+// The `cpu` row is the paper's baseline, measured with the GPU
+// disconnected; `cpu-charged` is what the daemon charges for the same run,
+// with the idle GPU's 72 W (system_idle_with_gpu - host_only_idle) added
+// through it.
+TEST(Commands, CompareCpuChargedAddsTheIdleGpu) {
+  const std::string csv = ::testing::TempDir() + "/compare_cpu.csv";
+  std::ostringstream out, err;
+  ASSERT_EQ(run_command({"compare", "--workload", "encryption_6k=8", "--csv",
+                         csv},
+                        out, err),
+            0)
+      << err.str();
+  std::map<std::string, std::pair<double, double>> rows;  // time, joules
+  std::ifstream in(csv);
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    const auto first = line.find(',');
+    const auto last = line.rfind(',');
+    rows[line.substr(0, first)] = {
+        std::stod(line.substr(first + 1, last - first - 1)),
+        std::stod(line.substr(last + 1))};
+  }
+  ASSERT_EQ(rows.count("cpu-charged"), 1u) << out.str();
+  const auto [time, joules] = rows.at("cpu");
+  EXPECT_GT(time, 0.0);
+  EXPECT_EQ(rows.at("cpu-charged").first, time);
+  EXPECT_NEAR(rows.at("cpu-charged").second, joules + 72.0 * time, 1e-3);
 }
 
 TEST(Commands, PtxSampleAnalysis) {

@@ -2,7 +2,9 @@
 // or shutdown, or — once a batch has closed at the threshold — at any
 // arrival that leaves ⌈T/2⌉ to T−1 launches pending, when the decision
 // engine predicts the pending batch charges no more joules per request than
-// a T-launch batch of the same kernel mix.
+// a T-launch batch of the same kernel mix. The backend memoizes each check
+// on the pending batch in plan order (kernel name, then owner, then
+// arrival); a memoized check must decide exactly as a fresh one.
 //
 // Every test feeds the backend channel from one thread and reads the
 // outcome after a flush, so batch formation depends only on the order of
@@ -109,11 +111,23 @@ class CloseRuleTest : public ::testing::Test {
     return out;
   }
 
-  /// What `specs` would charge per request as one batch, evaluated as the
-  /// backend evaluates launches from send(): owners in order, one group,
-  /// 4096 staged bytes and 4 API messages a launch.
+  /// `specs` in the backend's plan order for launches from send(): by
+  /// kernel name, then owner, which is arrival order.
+  static std::vector<workloads::InstanceSpec> in_plan_order(
+      std::vector<workloads::InstanceSpec> specs) {
+    std::stable_sort(specs.begin(), specs.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.gpu.name < b.gpu.name;
+                     });
+    return specs;
+  }
+
+  /// What `pending` would charge per request as one batch, evaluated as the
+  /// backend evaluates launches from send(): in plan order, one group, 4096
+  /// staged bytes and 4 API messages a launch.
   static double charge_per_request(
-      const std::vector<workloads::InstanceSpec>& specs) {
+      const std::vector<workloads::InstanceSpec>& pending) {
+    const std::vector<workloads::InstanceSpec> specs = in_plan_order(pending);
     DecisionEngine engine(engine_->device(), *model_, cpusim::CpuConfig{},
                           FrameworkCosts{}, engine_->energy_config());
     gpusim::LaunchPlan plan;
@@ -137,10 +151,13 @@ class CloseRuleTest : public ::testing::Test {
   }
 
   /// The full batch a pending batch is compared with: each kernel's share
-  /// of kThreshold by largest remainder (earlier-arriving kernel first on a
-  /// tie), filled by cycling that kernel's launches, in owner order.
+  /// of kThreshold by largest remainder (the earlier kernel in plan order
+  /// first on a tie), filled with copies of that kernel's launches, the
+  /// earlier ones in plan order taking any extra copy.
   static std::vector<workloads::InstanceSpec> full_batch_like(
-      const std::vector<workloads::InstanceSpec>& pending) {
+      const std::vector<workloads::InstanceSpec>& arrived) {
+    const std::vector<workloads::InstanceSpec> pending =
+        in_plan_order(arrived);
     std::vector<std::string> kernels;
     std::vector<std::size_t> counts;
     for (const auto& spec : pending) {
@@ -237,6 +254,43 @@ struct CloseCounts {
   }
   std::vector<double> base_;
 };
+
+/// The close-check memo's hits and misses, as the last backend to check
+/// published them.
+std::vector<double> close_cache() {
+  obs::Registry& r = obs::Registry::instance();
+  return {r.counter("backend.close_cache.hits").value(),
+          r.counter("backend.close_cache.misses").value()};
+}
+
+/// Every REPORT field, the decision's estimates included, bit for bit.
+void expect_same_report(const BatchReport& a, const BatchReport& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(a.num_instances, b.num_instances);
+  EXPECT_EQ(a.kernel_names, b.kernel_names);
+  EXPECT_EQ(a.template_name, b.template_name);
+  EXPECT_EQ(a.executed, b.executed);
+  EXPECT_EQ(a.consolidated_launches, b.consolidated_launches);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(bits(a.overhead.seconds()), bits(b.overhead.seconds()));
+  EXPECT_EQ(bits(a.execution_time.seconds()),
+            bits(b.execution_time.seconds()));
+  EXPECT_EQ(bits(a.total_time.seconds()), bits(b.total_time.seconds()));
+  EXPECT_EQ(bits(a.energy.joules()), bits(b.energy.joules()));
+  ASSERT_TRUE(a.decision.has_value());
+  ASSERT_TRUE(b.decision.has_value());
+  EXPECT_EQ(a.decision->chosen, b.decision->chosen);
+  ASSERT_EQ(a.decision->estimates.size(), b.decision->estimates.size());
+  for (std::size_t i = 0; i < a.decision->estimates.size(); ++i) {
+    const AlternativeEstimate& ea = a.decision->estimates[i];
+    const AlternativeEstimate& eb = b.decision->estimates[i];
+    EXPECT_EQ(ea.which, eb.which);
+    EXPECT_EQ(bits(ea.time.seconds()), bits(eb.time.seconds()));
+    EXPECT_EQ(bits(ea.charge.joules()), bits(eb.charge.joules()));
+    EXPECT_EQ(ea.feasible, eb.feasible);
+    EXPECT_EQ(ea.note, eb.note);
+  }
+}
 
 TEST_F(CloseRuleTest, KmeansStreamClosesAtHalfAfterTheFirstFullBatch) {
   const auto spec = workloads::kmeans_256k();
@@ -383,25 +437,76 @@ TEST_F(CloseRuleTest, EarlyClosedGroupMatchesAFreshBackendsFlush) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a.finish_time.seconds()),
               std::bit_cast<std::uint64_t>(b.finish_time.seconds()));
   }
-  const BatchReport a = gated->reports().back();
-  const BatchReport b = fresh->reports().back();
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  EXPECT_EQ(a.num_instances, b.num_instances);
-  EXPECT_EQ(a.kernel_names, b.kernel_names);
-  EXPECT_EQ(a.template_name, b.template_name);
-  EXPECT_EQ(a.executed, b.executed);
-  EXPECT_EQ(a.consolidated_launches, b.consolidated_launches);
-  EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(bits(a.overhead.seconds()), bits(b.overhead.seconds()));
-  EXPECT_EQ(bits(a.execution_time.seconds()),
-            bits(b.execution_time.seconds()));
-  EXPECT_EQ(bits(a.total_time.seconds()), bits(b.total_time.seconds()));
-  EXPECT_EQ(bits(a.energy.joules()), bits(b.energy.joules()));
-  ASSERT_TRUE(a.decision.has_value());
-  ASSERT_TRUE(b.decision.has_value());
-  EXPECT_EQ(a.decision->chosen, b.decision->chosen);
+  expect_same_report(gated->reports().back(), fresh->reports().back());
   gated->shutdown();
   fresh->shutdown();
+}
+
+TEST_F(CloseRuleTest, MemoizedChecksDecideAsFreshOnes) {
+  const auto kmeans = workloads::kmeans_256k();
+  for (const auto& [stream, mix] :
+       {std::pair{two_to_one(5 * kThreshold),
+                  std::vector{workloads::encryption_6k(),
+                              workloads::sorting_6k()}},
+        std::pair{repeat(kmeans, 5 * kThreshold), std::vector{kmeans}}}) {
+    SCOPED_TRACE(mix.size() == 1 ? "kmeans" : "2:1");
+    auto backend = make_backend(mix);
+    auto waiters = send(*backend, stream);
+    backend->flush();
+    EXPECT_EQ(collect(waiters).size(), waiters.size());
+    // Later batches repeat the pending batches of earlier ones, so checks
+    // were answered from the memo...
+    EXPECT_GT(close_cache()[0], 0.0);
+    // ...and still closed where the oracle, which evaluates every check
+    // fresh, closes.
+    const std::vector<workloads::InstanceSpec> tail(
+        stream.begin() + kThreshold, stream.end());
+    std::vector<int> expected{kThreshold};
+    for (const int size : predicted_sizes(tail)) expected.push_back(size);
+    EXPECT_EQ(sizes(*backend), expected);
+    // Each batch, the closing groups with their memoized evaluation
+    // included, is what a fresh backend makes of the same launches on a
+    // flush, bit for bit.
+    std::size_t first = 0;
+    for (const BatchReport& report : backend->reports()) {
+      const std::vector<workloads::InstanceSpec> launches(
+          stream.begin() + static_cast<std::ptrdiff_t>(first),
+          stream.begin() +
+              static_cast<std::ptrdiff_t>(first + report.num_instances));
+      auto fresh = make_backend(mix);
+      auto fresh_waiters = send(*fresh, launches, first);
+      fresh->flush();
+      EXPECT_EQ(collect(fresh_waiters).size(), fresh_waiters.size());
+      const auto fresh_reports = fresh->reports();
+      ASSERT_EQ(fresh_reports.size(), 1u);
+      expect_same_report(report, fresh_reports.front());
+      fresh->shutdown();
+      first += static_cast<std::size_t>(report.num_instances);
+    }
+    EXPECT_EQ(first, stream.size());
+    backend->shutdown();
+  }
+}
+
+TEST_F(CloseRuleTest, DeclinedChecksAreNotMemoized) {
+  // No template covers kmeans, so every check declines: nothing closes
+  // early and nothing is memoized, though the same pending batches recur.
+  const auto spec = workloads::kmeans_256k();
+  BackendOptions options;
+  options.batch_threshold = kThreshold;
+  Backend backend(*engine_, *model_, TemplateRegistry{}, options);
+  backend.set_cpu_profile(spec.gpu.name, spec.cpu);
+  CloseCounts counts;
+  auto waiters = send(backend, repeat(spec, 3 * kThreshold));
+  backend.flush();
+  EXPECT_EQ(collect(waiters).size(), waiters.size());
+  // Uncovered launches run one to a group: 48 reports, from three batches
+  // that each closed at the threshold.
+  EXPECT_EQ(backend.reports().size(), 3u * kThreshold);
+  const double checks = 2.0 * (kThreshold - kHalf);
+  EXPECT_EQ(counts.delta(), (std::vector<double>{3, 0, 0, checks}));
+  EXPECT_EQ(close_cache(), (std::vector<double>{0, checks}));
+  backend.shutdown();
 }
 
 /// Arms a scenario for one test and disarms it after.
@@ -439,6 +544,10 @@ TEST_F(CloseRuleTest, CheckMakesNoDecideFaultDraw) {
   for (std::size_t i = 0; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i].degraded, i == 2) << "group " << i;
   }
+  // The third group closed on a memoized check (the second group's pending
+  // batch recurs) and still drew once. Faults never reach the memo: the
+  // checks miss once and hit on every later half batch.
+  EXPECT_EQ(close_cache(), (std::vector<double>{3, 1}));
   EXPECT_EQ(fault::Injector::instance().fired("decision.decide"), 1u);
   EXPECT_EQ(degraded.value() - degraded_before, 1.0);
   backend->shutdown();
