@@ -17,12 +17,11 @@
 
 #include "consolidate/backend.hpp"
 #include "cudart/runtime.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "server/client.hpp"
 #include "server/remote_frontend.hpp"
 #include "server/server.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 int main() {
   using namespace ewc;
@@ -32,14 +31,12 @@ int main() {
 
   // ---- daemon side: backend + socket server ----
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
+  const power::GpuPowerModel model = power::default_device_model();
 
   consolidate::BackendOptions options;
   options.batch_threshold = instances;  // one consolidated batch
   auto templates = consolidate::TemplateRegistry::paper_defaults();
-  consolidate::Backend backend(engine, training.model, std::move(templates),
-                               options);
+  consolidate::Backend backend(engine, model, std::move(templates), options);
   backend.set_cpu_profile(spec.gpu.name, spec.cpu);
 
   server::ServerOptions sopt;

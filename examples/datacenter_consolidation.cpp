@@ -15,17 +15,15 @@
 #include "consolidate/runner.hpp"
 #include "gpusim/engine.hpp"
 #include "loadgen/loadgen.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 int main() {
   using namespace ewc;
 
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
-  consolidate::ExperimentRunner runner(engine, training.model);
+  const power::GpuPowerModel model = power::default_device_model();
+  consolidate::ExperimentRunner runner(engine, model);
 
   // The application catalogue users can hit, with popularities.
   std::map<std::string, workloads::InstanceSpec> catalogue;

@@ -1,7 +1,8 @@
 // Quickstart: the library in ~80 lines.
 //
 // 1. Build the simulated Tesla C1060 node.
-// 2. Train the paper's GPU power model on the Rodinia-like kernels.
+// 2. Take the paper's GPU power model, fitted offline on the Rodinia-like
+//    kernels (examples/power_training.cpp runs that fit).
 // 3. Take 6 encryption requests from 6 "users" and compare the four
 //    execution setups (CPU / serial GPU / manual / dynamic framework).
 //
@@ -11,9 +12,8 @@
 #include "common/table.hpp"
 #include "consolidate/runner.hpp"
 #include "gpusim/engine.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 int main() {
   using namespace ewc;
@@ -21,17 +21,17 @@ int main() {
   // The simulated heterogeneous node: dual Xeon E5520 + Tesla C1060.
   gpusim::FluidEngine engine;
 
-  // Train the Section VI power model (10 training kernels, 1 Hz meter).
-  power::ModelTrainer trainer(engine);
-  const power::TrainingReport training =
-      trainer.train(workloads::rodinia_training_kernels());
-  std::cout << "power model trained: R^2 = " << training.r_squared << "\n\n";
+  // The Section VI power model for this node, fitted offline (10 training
+  // kernels, 1 Hz meter) and pinned.
+  const power::GpuPowerModel model = power::default_device_model();
+  std::cout << "power model trained: R^2 = " << model.fit().r_squared
+            << "\n\n";
 
   // Six users each submit one 12 KB AES encryption request.
   const workloads::InstanceSpec spec = workloads::encryption_12k();
   std::vector<consolidate::WorkloadMix> mix{{spec, 6}};
 
-  consolidate::ExperimentRunner runner(engine, training.model);
+  consolidate::ExperimentRunner runner(engine, model);
   const consolidate::ComparisonResult r = runner.compare(mix);
 
   common::TextTable table({"setup", "time (s)", "energy (J)"});

@@ -33,7 +33,7 @@
 #include "loadgen/trajectory.hpp"
 #include "perf/consolidation_model.hpp"
 #include "perf/hong_kim.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "ptx/analyzer.hpp"
 #include "router/router.hpp"
 #include "ptx/parser.hpp"
@@ -42,7 +42,6 @@
 #include "server/remote_frontend.hpp"
 #include "server/server.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc::cli {
 
@@ -50,41 +49,11 @@ namespace {
 
 using SpecMap = std::map<std::string, workloads::InstanceSpec>;
 
-const SpecMap& spec_catalogue() {
-  static const SpecMap catalogue = [] {
-    SpecMap m;
-    auto put = [&m](workloads::InstanceSpec s, const std::string& key) {
-      m.emplace(key, std::move(s));
-    };
-    put(workloads::encryption_12k(), "encryption_12k");
-    put(workloads::encryption_6k(), "encryption_6k");
-    put(workloads::sorting_6k(), "sorting_6k");
-    put(workloads::search_10k(), "search_10k");
-    put(workloads::blackscholes_4096k(), "blackscholes_4096k");
-    put(workloads::montecarlo_500k(), "montecarlo_500k");
-    put(workloads::scenario1_montecarlo(), "scenario1_montecarlo");
-    put(workloads::scenario1_encryption(), "scenario1_encryption");
-    put(workloads::scenario2_blackscholes(), "scenario2_blackscholes");
-    put(workloads::scenario2_search(), "scenario2_search");
-    put(workloads::t56_search(), "t56_search");
-    put(workloads::t56_blackscholes(), "t56_blackscholes");
-    put(workloads::t78_encryption(), "t78_encryption");
-    put(workloads::t78_montecarlo(), "t78_montecarlo");
-    put(workloads::kmeans_256k(), "kmeans_256k");
-    put(workloads::sha256_64k(), "sha256_64k");
-    put(workloads::compression_64m(), "compression_64m");
-    return m;
-  }();
-  return catalogue;
-}
-
-const workloads::InstanceSpec& find_spec(const std::string& name) {
-  auto it = spec_catalogue().find(name);
-  if (it == spec_catalogue().end()) {
-    throw ArgsError("unknown workload '" + name +
-                    "' (run `ewcsim list` for the catalogue)");
-  }
-  return it->second;
+/// The catalogue workload `name`, calibrated now.
+workloads::InstanceSpec find_spec(const std::string& name) {
+  if (auto spec = workloads::find_workload(name)) return *std::move(spec);
+  throw ArgsError("unknown workload '" + name +
+                  "' (run `ewcsim list` for the catalogue)");
 }
 
 std::vector<consolidate::WorkloadMix> parse_mix(const FlagParser& flags) {
@@ -203,8 +172,10 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out) {
   flags.parse(args);
   common::TextTable t({"workload", "blocks", "thr/blk", "paper GPU (s)",
                        "paper CPU (s)"});
-  for (const auto& [name, spec] : spec_catalogue()) {
-    t.add_row({name, std::to_string(spec.gpu.num_blocks),
+  for (const workloads::CatalogueEntry& entry :
+       workloads::workload_catalogue()) {
+    const workloads::InstanceSpec spec = entry.make();
+    t.add_row({std::string(entry.name), std::to_string(spec.gpu.num_blocks),
                std::to_string(spec.gpu.threads_per_block),
                common::TextTable::num(spec.paper_gpu_seconds, 1),
                common::TextTable::num(spec.paper_cpu_seconds, 1)});
@@ -222,9 +193,8 @@ int cmd_compare(const std::vector<std::string>& args, std::ostream& out) {
   const auto mix = parse_mix(flags);
 
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
-  consolidate::ExperimentRunner runner(engine, training.model);
+  const power::GpuPowerModel model = power::default_device_model();
+  consolidate::ExperimentRunner runner(engine, model);
   const auto r = runner.compare(mix);
 
   common::TextTable t({"setup", "time (s)", "energy (J)"});
@@ -267,7 +237,7 @@ int cmd_predict(const std::vector<std::string>& args, std::ostream& out) {
   flags.parse(args);
   const auto name = flags.value("workload");
   if (!name.has_value()) throw ArgsError("--workload is required");
-  const auto& spec = find_spec(*name);
+  const workloads::InstanceSpec spec = find_spec(*name);
   const int count = flags.get_int_in("count", 1, 1, 1 << 20);
 
   gpusim::FluidEngine engine;
@@ -296,9 +266,8 @@ int cmd_predict(const std::vector<std::string>& args, std::ostream& out) {
         << ", MWP " << hk.mwp << ", CWP " << hk.cwp << ")\n";
   }
 
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
-  const auto pw = training.model.predict(engine.device(), plan, timing);
+  const power::GpuPowerModel model = power::default_device_model();
+  const auto pw = model.predict(engine.device(), plan, timing);
   out << "  predicted avg system power: " << pw.avg_system_power.watts()
       << " W, energy " << pw.system_energy.joules() << " J\n";
   out << "  simulated energy: " << run.system_energy.joules() << " J\n";
@@ -318,8 +287,7 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
   const double rate = flags.get_double_in("rate", 2.0, 1e-9, 1e9);
 
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
+  const power::GpuPowerModel model = power::default_device_model();
 
   SpecMap catalogue;
   for (const char* n : {"encryption_12k", "sorting_6k", "t56_blackscholes"}) {
@@ -333,7 +301,7 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
   opt.batch_threshold = flags.get_int_in("threshold", 10, 1, 1 << 20);
   opt.batch_timeout = common::Duration::from_seconds(
       flags.get_double_in("timeout", 30.0, 0.0, 1e9));
-  consolidate::QueueSimulator sim(engine, training.model, catalogue, opt);
+  consolidate::QueueSimulator sim(engine, model, catalogue, opt);
   const auto r = sim.run(reqs);
 
   out << reqs.size() << " requests at " << rate << " req/s, threshold "
@@ -449,8 +417,7 @@ int cmd_cache_stats(const std::vector<std::string>& args, std::ostream& out) {
   }
 
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
+  const power::GpuPowerModel model = power::default_device_model();
   const auto reqs = loadgen::poisson_requests(
       mix, rate, requests,
       static_cast<std::uint64_t>(flags.get_int("seed", 2026)));
@@ -468,7 +435,7 @@ int cmd_cache_stats(const std::vector<std::string>& args, std::ostream& out) {
 
   auto replay = [&](bool cached) {
     opt.enable_sim_cache = cached;
-    consolidate::QueueSimulator sim(engine, training.model, catalogue, opt);
+    consolidate::QueueSimulator sim(engine, model, catalogue, opt);
     const auto t0 = std::chrono::steady_clock::now();
     auto r = sim.run(reqs);
     const auto t1 = std::chrono::steady_clock::now();
@@ -571,8 +538,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   for (const auto& m : mix) total += m.count;
 
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
+  const power::GpuPowerModel model = power::default_device_model();
 
   // Same backend recipe as ExperimentRunner::run_dynamic, so a mix served
   // over the socket is bit-identical to the in-process experiment.
@@ -589,8 +555,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
     for (const auto& m : mix) t.kernels.insert(m.spec.gpu.name);
     templates.add(std::move(t));
   }
-  consolidate::Backend backend(engine, training.model, std::move(templates),
-                               options);
+  consolidate::Backend backend(engine, model, std::move(templates), options);
   for (const auto& m : mix) {
     backend.set_cpu_profile(m.spec.gpu.name, m.spec.cpu);
   }
@@ -629,7 +594,8 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   g_serve_instance = nullptr;
 
   // Bit-exact batch reports, one line each, for cross-process comparison.
-  for (const auto& r : backend.reports()) {
+  // The drain is done, so they move out instead of being copied.
+  for (const auto& r : backend.take_reports()) {
     out << "REPORT n=" << r.num_instances << " tmpl="
         << (r.template_found ? r.template_name : std::string("-"))
         << " executed=" << static_cast<int>(r.executed)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <utility>
 
 #include "common/log.hpp"
 #include "consolidate/plan_order.hpp"
@@ -101,6 +102,11 @@ void Backend::shutdown() {
 std::vector<BatchReport> Backend::reports() const {
   std::lock_guard lock(state_mutex_);
   return reports_;
+}
+
+std::vector<BatchReport> Backend::take_reports() {
+  std::lock_guard lock(state_mutex_);
+  return std::exchange(reports_, {});
 }
 
 common::Duration Backend::total_time() const {
@@ -389,7 +395,10 @@ std::optional<Backend::PreparedBatch> Backend::close_check(
     const std::vector<LaunchRequest>& pending, std::size_t threshold) {
   // The key is everything the check reads: each launch's kernel, staged
   // bytes and API messages in plan order, the threshold and the CPU
-  // profiles' version. Owners and arrival order are not in it.
+  // profiles' version. Owners and arrival order are not in it. Plan order
+  // puts a kernel's launches side by side, so each run of equal launches is
+  // encoded once, with its length: distinct batches keep distinct keys, at
+  // a fraction of the encoding.
   std::vector<std::size_t> order = plan_order_of(pending);
   gpusim::PlanSignature key;
   {
@@ -397,12 +406,22 @@ std::optional<Backend::PreparedBatch> Backend::close_check(
     gpusim::append_key(key.key, profiles_version_);
   }
   gpusim::append_key(key.key, static_cast<std::int64_t>(threshold));
-  for (const std::size_t i : order) {
-    gpusim::append_key(key.key, pending[i].desc);
+  const auto same_launch = [&](std::size_t a, std::size_t b) {
+    return pending[a].staged_bytes == pending[b].staged_bytes &&
+           pending[a].api_messages == pending[b].api_messages &&
+           gpusim::same_key(pending[a].desc, pending[b].desc);
+  };
+  for (std::size_t r = 0; r < order.size();) {
+    const std::size_t first = order[r];
+    std::size_t end = r + 1;
+    while (end < order.size() && same_launch(first, order[end])) ++end;
+    gpusim::append_key(key.key, static_cast<std::int64_t>(end - r));
+    gpusim::append_key(key.key, pending[first].desc);
     gpusim::append_key(key.key,
-                       static_cast<std::int64_t>(pending[i].staged_bytes));
+                       static_cast<std::int64_t>(pending[first].staged_bytes));
     gpusim::append_key(key.key,
-                       static_cast<std::int64_t>(pending[i].api_messages));
+                       static_cast<std::int64_t>(pending[first].api_messages));
+    r = end;
   }
 
   if (std::optional<CloseVerdict> hit = close_memo_.get(key)) {

@@ -124,6 +124,9 @@ class Backend {
 
   // ---- results ----
   std::vector<BatchReport> reports() const;
+  /// Move every report out, leaving none, for a caller done with the
+  /// backend's results (a daemon printing them at exit): no copy.
+  std::vector<BatchReport> take_reports();
   common::Duration total_time() const;
   common::Energy total_energy() const;
 

@@ -15,27 +15,29 @@
 #include <cstddef>
 #include <numeric>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace ewc::consolidate {
 
 /// Positions 0..n-1 of a batch in plan order: by `kernel(i)` (the kernel
 /// name), then `owner(i)`, then position. Both callables return something
-/// convertible to std::string_view.
+/// convertible to std::string_view. The position tie-break makes the order
+/// total, so an unstable sort, which needs no buffer, gives the stable
+/// order.
 template <typename Kernel, typename Owner>
 std::vector<std::size_t> plan_order(std::size_t n, Kernel&& kernel,
                                     Owner&& owner) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const std::pair<std::string_view, std::string_view> ka{
-                         kernel(a), owner(a)};
-                     const std::pair<std::string_view, std::string_view> kb{
-                         kernel(b), owner(b)};
-                     return ka < kb;
-                   });
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (const int c = std::string_view(kernel(a)).compare(kernel(b)); c != 0) {
+      return c < 0;
+    }
+    if (const int c = std::string_view(owner(a)).compare(owner(b)); c != 0) {
+      return c < 0;
+    }
+    return a < b;
+  });
   return order;
 }
 

@@ -167,7 +167,7 @@ SetupResult ExperimentRunner::run_dynamic(
   }
 
   SetupResult result{backend.total_time(), backend.total_energy()};
-  if (reports) *reports = backend.reports();
+  if (reports) *reports = backend.take_reports();
   backend.shutdown();
   return result;
 }

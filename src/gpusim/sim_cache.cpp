@@ -1,9 +1,12 @@
 #include "gpusim/sim_cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <utility>
 
 #include "obs/tracer.hpp"
 
@@ -22,12 +25,25 @@ void put_bits(std::string& key, std::uint64_t bits) {
   key.append(buf, sizeof buf);
 }
 
-void put(std::string& key, double v) {
-  put_bits(key, std::bit_cast<std::uint64_t>(v));
-}
-
 void put(std::string& key, std::int64_t v) {
   put_bits(key, static_cast<std::uint64_t>(v));
+}
+
+/// Every field of `k` a key encodes, in encoding order: the name, then each
+/// number as its 64 bits (ints widened to int64, doubles' IEEE-754 bits).
+std::pair<std::string_view, std::array<std::uint64_t, 16>> key_fields(
+    const KernelDesc& k) {
+  auto i = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  auto d = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return {k.name,
+          {i(k.num_blocks), i(k.threads_per_block), d(k.mix.fp_insts),
+           d(k.mix.int_insts), d(k.mix.sfu_insts), d(k.mix.sync_insts),
+           d(k.mix.coalesced_mem_insts), d(k.mix.uncoalesced_mem_insts),
+           d(k.mix.shared_accesses), d(k.mix.const_accesses),
+           i(k.resources.registers_per_thread),
+           i(k.resources.shared_mem_per_block),
+           d(k.resources.constant_data.bytes()), d(k.mlp),
+           d(k.h2d_bytes.bytes()), d(k.d2h_bytes.bytes())}};
 }
 
 }  // namespace
@@ -35,24 +51,14 @@ void put(std::string& key, std::int64_t v) {
 void append_key(std::string& key, std::int64_t v) { put(key, v); }
 
 void append_key(std::string& key, const KernelDesc& k) {
-  put(key, static_cast<std::int64_t>(k.name.size()));
-  key += k.name;
-  put(key, static_cast<std::int64_t>(k.num_blocks));
-  put(key, static_cast<std::int64_t>(k.threads_per_block));
-  put(key, k.mix.fp_insts);
-  put(key, k.mix.int_insts);
-  put(key, k.mix.sfu_insts);
-  put(key, k.mix.sync_insts);
-  put(key, k.mix.coalesced_mem_insts);
-  put(key, k.mix.uncoalesced_mem_insts);
-  put(key, k.mix.shared_accesses);
-  put(key, k.mix.const_accesses);
-  put(key, static_cast<std::int64_t>(k.resources.registers_per_thread));
-  put(key, k.resources.shared_mem_per_block);
-  put(key, k.resources.constant_data.bytes());
-  put(key, k.mlp);
-  put(key, k.h2d_bytes.bytes());
-  put(key, k.d2h_bytes.bytes());
+  const auto [name, numbers] = key_fields(k);
+  put(key, static_cast<std::int64_t>(name.size()));
+  key += name;
+  for (const std::uint64_t bits : numbers) put_bits(key, bits);
+}
+
+bool same_key(const KernelDesc& a, const KernelDesc& b) {
+  return key_fields(a) == key_fields(b);
 }
 
 // Completions carry instance ids; sorting (id, position) pairs maps them

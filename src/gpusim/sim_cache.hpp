@@ -85,6 +85,9 @@ PlanSignature plan_signature(const LaunchPlan& plan);
 void append_key(std::string& key, std::int64_t v);
 /// Append every field of `desc` to `key`, as plan_signature encodes it.
 void append_key(std::string& key, const KernelDesc& desc);
+/// Whether append_key encodes `a` and `b` identically (every field equal
+/// bit for bit), without encoding either.
+bool same_key(const KernelDesc& a, const KernelDesc& b);
 
 /// Thread-safe LRU map from PlanSignature to an arbitrary result type.
 template <typename Value>

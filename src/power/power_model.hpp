@@ -66,6 +66,7 @@ class GpuPowerModel {
   const common::LinearFit& fit() const { return fit_; }
   const ThermalFit& thermal() const { return thermal_; }
   Power idle_power() const { return idle_; }
+  Power transfer_power() const { return transfer_power_; }
 
   /// Eq. 10 decomposition of a predicted GPU power (for reporting).
   struct Decomposition {
@@ -81,5 +82,13 @@ class GpuPowerModel {
   Power transfer_power_ = Power::zero();
   gpusim::DeviceConfig dev_;
 };
+
+/// The model ModelTrainer fits for the default node (gpusim::FluidEngine{}:
+/// Tesla C1060 and its default energy figures) with its default meter noise
+/// and seed over workloads::rodinia_training_kernels(), pinned as constants
+/// bit for bit. The paper fits the model offline, once; this spares every
+/// daemon, CLI command and test on that node the 30 training runs.
+/// golden_test retrains and compares every coefficient (docs/MODELS.md).
+GpuPowerModel default_device_model();
 
 }  // namespace ewc::power

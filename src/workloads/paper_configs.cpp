@@ -268,6 +268,40 @@ std::vector<InstanceSpec> table1_specs() {
           montecarlo_500k()};
 }
 
+namespace {
+
+// Sorted by name: `ewcsim list` prints it in this order.
+constexpr CatalogueEntry kCatalogue[] = {
+    {"blackscholes_4096k", blackscholes_4096k},
+    {"compression_64m", compression_64m},
+    {"encryption_12k", encryption_12k},
+    {"encryption_6k", encryption_6k},
+    {"kmeans_256k", kmeans_256k},
+    {"montecarlo_500k", montecarlo_500k},
+    {"scenario1_encryption", scenario1_encryption},
+    {"scenario1_montecarlo", scenario1_montecarlo},
+    {"scenario2_blackscholes", scenario2_blackscholes},
+    {"scenario2_search", scenario2_search},
+    {"search_10k", search_10k},
+    {"sha256_64k", sha256_64k},
+    {"sorting_6k", sorting_6k},
+    {"t56_blackscholes", t56_blackscholes},
+    {"t56_search", t56_search},
+    {"t78_encryption", t78_encryption},
+    {"t78_montecarlo", t78_montecarlo},
+};
+
+}  // namespace
+
+std::span<const CatalogueEntry> workload_catalogue() { return kCatalogue; }
+
+std::optional<InstanceSpec> find_workload(std::string_view name) {
+  for (const CatalogueEntry& e : kCatalogue) {
+    if (e.name == name) return e.make();
+  }
+  return std::nullopt;
+}
+
 std::vector<gpusim::KernelInstance> gpu_instances(const InstanceSpec& spec,
                                                   int count, int first_id) {
   std::vector<gpusim::KernelInstance> out;

@@ -11,7 +11,10 @@
 // crossovers) then *emerges* from the simulators — nothing below fixes it.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cpusim/task.hpp"
@@ -69,9 +72,25 @@ InstanceSpec kmeans_256k();      ///< analytics: 256 K points, 16-dim, k=8
 InstanceSpec sha256_64k();       ///< integrity: 64 K x 4 KB messages
 InstanceSpec compression_64m();  ///< ingest: 64 MB RLE job
 
-/// The full enterprise catalogue: paper workloads + extensions, keyed by
-/// spec name (used by the CLI, the datacenter example and queue benches).
+/// The enterprise mix: the paper workloads + extensions, one spec each.
+/// The names `ewcsim` serves are workload_catalogue()'s, below.
 std::vector<InstanceSpec> enterprise_specs();
+
+// ---- the named catalogue (`ewcsim list`, --workload) ----
+
+/// One catalogue workload: the name `ewcsim` knows it by and the factory
+/// that calibrates it.
+struct CatalogueEntry {
+  std::string_view name;
+  InstanceSpec (*make)();
+};
+
+/// Every catalogue workload, sorted by name.
+std::span<const CatalogueEntry> workload_catalogue();
+
+/// The catalogue workload `name`, calibrated on this call (no other entry
+/// is), or nullopt when the catalogue has no such name.
+std::optional<InstanceSpec> find_workload(std::string_view name);
 
 // ---- helpers ----
 std::vector<gpusim::KernelInstance> gpu_instances(const InstanceSpec& spec,

@@ -11,9 +11,8 @@
 #include <vector>
 
 #include "consolidate/backend.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc::consolidate {
 namespace {
@@ -40,11 +39,10 @@ std::unique_ptr<Backend> make_backend(const gpusim::FluidEngine& engine,
 
 TEST(BackendStressTest, ManyProducersWithRacingFlushes) {
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
+  const power::GpuPowerModel model = power::default_device_model();
   // An odd threshold below the total so batches form both by threshold and
   // by racing flushes.
-  auto backend = make_backend(engine, training.model, /*threshold=*/7);
+  auto backend = make_backend(engine, model, /*threshold=*/7);
   const auto spec = workloads::encryption_12k();
 
   // Flushes race the producers the whole time.
@@ -103,9 +101,8 @@ TEST(BackendStressTest, ManyProducersWithRacingFlushes) {
 
 TEST(BackendStressTest, ShutdownUnderLoadFailsUnprocessedCleanly) {
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
-  auto backend = make_backend(engine, training.model, /*threshold=*/1000);
+  const power::GpuPowerModel model = power::default_device_model();
+  auto backend = make_backend(engine, model, /*threshold=*/1000);
   const auto spec = workloads::encryption_12k();
 
   // Park a handful of launches below the threshold, then close the channel

@@ -10,6 +10,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -26,9 +27,8 @@
 #include "gpusim/sim_cache.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -76,6 +76,44 @@ TEST(PlanSignature, IgnoresOwnersAndInstanceIds) {
   renumbered.instances[1].instance_id = 3;
   EXPECT_EQ(gpusim::plan_signature(plan).key,
             gpusim::plan_signature(renumbered).key);
+}
+
+// same_key must agree with the encoding on every field, signed zero
+// included: the close memo keys a run of launches once on it.
+TEST(PlanSignature, SameKeyIsEqualEncoding) {
+  const gpusim::KernelDesc base = workloads::encryption_12k().gpu;
+  std::vector<std::function<void(gpusim::KernelDesc&)>> edits = {
+      [](auto& k) { k.name += "x"; },
+      [](auto& k) { ++k.num_blocks; },
+      [](auto& k) { ++k.threads_per_block; },
+      [](auto& k) { k.mix.fp_insts += 1.0; },
+      [](auto& k) { k.mix.int_insts += 1.0; },
+      [](auto& k) { k.mix.sfu_insts += 1.0; },
+      [](auto& k) { k.mix.sync_insts += 1.0; },
+      [](auto& k) { k.mix.coalesced_mem_insts += 1.0; },
+      [](auto& k) { k.mix.uncoalesced_mem_insts += 1.0; },
+      [](auto& k) { k.mix.shared_accesses += 1.0; },
+      [](auto& k) { k.mix.const_accesses += 1.0; },
+      [](auto& k) { ++k.resources.registers_per_thread; },
+      [](auto& k) { ++k.resources.shared_mem_per_block; },
+      [](auto& k) { k.resources.constant_data = common::Bytes::from_bytes(1); },
+      [](auto& k) { k.mlp = -0.0; },  // == 0.0, but other bits
+      [](auto& k) { k.h2d_bytes = k.h2d_bytes + common::Bytes::from_bytes(1); },
+      [](auto& k) { k.d2h_bytes = k.d2h_bytes + common::Bytes::from_bytes(1); },
+      [](auto&) {},  // no change
+  };
+  auto encoded = [](const gpusim::KernelDesc& k) {
+    std::string key;
+    gpusim::append_key(key, k);
+    return key;
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    gpusim::KernelDesc edited = base;
+    edits[i](edited);
+    const bool same_encoding = encoded(base) == encoded(edited);
+    EXPECT_EQ(gpusim::same_key(base, edited), same_encoding) << "edit " << i;
+    EXPECT_EQ(same_encoding, i + 1 == edits.size()) << "edit " << i;
+  }
 }
 
 // ---------------- the run memo ----------------
@@ -162,9 +200,7 @@ class CachedDecisionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     engine_ = new gpusim::FluidEngine();
-    power::ModelTrainer trainer(*engine_);
-    model_ = new power::GpuPowerModel(
-        trainer.train(workloads::rodinia_training_kernels()).model);
+    model_ = new power::GpuPowerModel(power::default_device_model());
   }
   static void TearDownTestSuite() {
     delete model_;

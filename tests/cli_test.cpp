@@ -6,6 +6,8 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
@@ -213,6 +215,27 @@ TEST(Commands, ListShowsCatalogue) {
   EXPECT_EQ(run_command({"list"}, out, err), 0);
   EXPECT_NE(out.str().find("encryption_12k"), std::string::npos);
   EXPECT_NE(out.str().find("t78_montecarlo"), std::string::npos);
+}
+
+// Every command that resolves --workload names rejects an unknown one with
+// the same message and exit status; `serve` before it binds anything.
+TEST(Commands, UnknownWorkloadFailsWithTheCatalogueHint) {
+  const std::string want =
+      "error: unknown workload 'nope' (run `ewcsim list` for the "
+      "catalogue)\n";
+  const std::vector<std::vector<std::string>> commands = {
+      {"compare", "--workload", "nope=2"},
+      {"predict", "--workload", "nope"},
+      {"cache-stats", "--workload", "nope"},
+      {"serve", "--socket", "unix:/nonexistent-dir/ewcd.sock", "--workload",
+       "nope=1"},
+  };
+  for (const auto& argv : commands) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_command(argv, out, err), 2) << argv.front();
+    EXPECT_EQ(err.str(), want) << argv.front();
+    EXPECT_EQ(out.str(), "") << argv.front();
+  }
 }
 
 TEST(Commands, PredictRunsModels) {

@@ -23,9 +23,8 @@
 #include "consolidate/backend.hpp"
 #include "fault/injector.hpp"
 #include "obs/registry.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc::consolidate {
 namespace {
@@ -37,9 +36,7 @@ class CloseRuleTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     engine_ = new gpusim::FluidEngine();
-    power::ModelTrainer trainer(*engine_);
-    model_ = new power::GpuPowerModel(
-        trainer.train(workloads::rodinia_training_kernels()).model);
+    model_ = new power::GpuPowerModel(power::default_device_model());
   }
   static void TearDownTestSuite() {
     delete model_;

@@ -16,22 +16,19 @@
 #include "consolidate/frontend.hpp"
 #include "consolidate/runner.hpp"
 #include "cudart/runtime.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
 #include "workloads/registry.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc::consolidate {
 namespace {
 
-// Shared expensive fixtures: engine + trained power model.
+// Shared fixtures: engine + the pinned default-node power model.
 class ConsolidateTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     engine_ = new gpusim::FluidEngine();
-    power::ModelTrainer trainer(*engine_);
-    model_ = new power::GpuPowerModel(
-        trainer.train(workloads::rodinia_training_kernels()).model);
+    model_ = new power::GpuPowerModel(power::default_device_model());
   }
   static void TearDownTestSuite() {
     delete model_;

@@ -32,13 +32,12 @@
 #include "net/retry.hpp"
 #include "net/socket.hpp"
 #include "obs/registry.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "server/client.hpp"
 #include "server/protocol_wire.hpp"
 #include "server/server.hpp"
 #include "workloads/paper_configs.hpp"
 #include "workloads/registry.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -621,15 +620,13 @@ TEST(TcpConnectFaultTest, InjectedRefusalFailsOneDialThenRecovers) {
 
 // ---- reconnect + replay + breaker against a real daemon ----
 
-// Shared expensive fixture: engine + trained power model (same recipe as
+// Shared fixture: engine + the pinned default-node power model (as in
 // consolidate_test).
 class FaultDaemonTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     engine_ = new gpusim::FluidEngine();
-    power::ModelTrainer trainer(*engine_);
-    model_ = new power::GpuPowerModel(
-        trainer.train(workloads::rodinia_training_kernels()).model);
+    model_ = new power::GpuPowerModel(power::default_device_model());
   }
   static void TearDownTestSuite() {
     delete model_;

@@ -1,7 +1,7 @@
 // Golden-digest + differential harness for the FluidEngine rewrite
 // (ctest label: golden).
 //
-// Four layers of protection:
+// Five layers of protection:
 //   1. Checked-in FNV-1a digests of complete RunResults for the paper's
 //      figure/table configurations. ANY change to the simulator's numerics
 //      or event semantics — times, energies, per-SM counts, occupancy
@@ -23,6 +23,9 @@
 //      bit-identical totals, per-position finish times and predictions.
 //      Instance ids only label completions, which is what lets run and
 //      prediction memos key on id-free plan signatures.
+//   5. power::default_device_model(), the pinned model the daemon and the
+//      CLI use, must equal a fresh training on the default node bit for bit;
+//      a mismatch prints the replacement constants.
 //
 // Updating a digest is a deliberate act: rerun with EWC_GOLDEN_OUT=<file>
 // (or read the failure message), verify the numeric change is intended, and
@@ -30,6 +33,7 @@
 // EWC_GOLDEN_OUT dumps, so a build-flavour-dependent digest cannot land.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -681,9 +685,7 @@ void check_least_charge(const gpusim::DeviceConfig& dev,
 
 TEST(DecisionLedger, ChosenChargeIsTheLeastOverFixturesAndCorpus) {
   const gpusim::FluidEngine tesla;
-  const power::GpuPowerModel tesla_model =
-      power::ModelTrainer(tesla).train(workloads::rodinia_training_kernels())
-          .model;
+  const power::GpuPowerModel tesla_model = power::default_device_model();
   int index = 0;
   for (const auto& f : fixtures()) {
     const auto engine = f.engine();
@@ -699,6 +701,68 @@ TEST(DecisionLedger, ChosenChargeIsTheLeastOverFixturesAndCorpus) {
     check_least_charge(c.dev, tesla.energy_config(), tesla_model, c.plan, i,
                        "corpus plan " + std::to_string(i));
   }
+}
+
+// ---- the pinned default-device power model ---------------------------------
+
+/// Every number a GpuPowerModel predicts from, in a fixed order.
+std::vector<double> model_numbers(const power::GpuPowerModel& m) {
+  std::vector<double> v = m.fit().coefficients;
+  v.push_back(m.fit().intercept);
+  v.push_back(m.fit().r_squared);
+  v.push_back(m.idle_power().watts());
+  v.push_back(m.thermal().kelvin_per_dyn_watt);
+  v.push_back(m.thermal().watts_per_kelvin);
+  v.push_back(m.transfer_power().watts());
+  return v;
+}
+
+std::string hex_float(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// The body of power::default_device_model() that pins `m`.
+std::string pinned_source(const power::GpuPowerModel& m) {
+  std::ostringstream os;
+  os << "  fit.coefficients = {";
+  for (std::size_t i = 0; i < m.fit().coefficients.size(); ++i) {
+    os << (i ? ", " : "") << hex_float(m.fit().coefficients[i]);
+  }
+  os << "};\n  fit.intercept = " << hex_float(m.fit().intercept)
+     << ";\n  fit.r_squared = " << hex_float(m.fit().r_squared)
+     << ";\n  return GpuPowerModel(std::move(fit), Power::from_watts("
+     << hex_float(m.idle_power().watts()) << "),\n      ThermalFit{"
+     << hex_float(m.thermal().kelvin_per_dyn_watt) << ", "
+     << hex_float(m.thermal().watts_per_kelvin)
+     << "},\n      Power::from_watts(" << hex_float(m.transfer_power().watts())
+     << "), gpusim::tesla_c1060());\n";
+  return os.str();
+}
+
+// The daemon, the CLI and most tests use the pinned model instead of
+// training; it must be exactly what training on the default node gives, in
+// every build flavour (the CI golden job runs this in all three).
+TEST(PinnedDefaultModel, EqualsAFreshTrainingBitForBit) {
+  const gpusim::FluidEngine engine;
+  const power::GpuPowerModel trained =
+      power::ModelTrainer(engine)
+          .train(workloads::rodinia_training_kernels())
+          .model;
+  const std::vector<double> want = model_numbers(trained);
+  const std::vector<double> got =
+      model_numbers(power::default_device_model());
+  bool same = want.size() == got.size();
+  for (std::size_t i = 0; same && i < want.size(); ++i) {
+    same = std::bit_cast<std::uint64_t>(want[i]) ==
+           std::bit_cast<std::uint64_t>(got[i]);
+  }
+  EXPECT_TRUE(same)
+      << "power::default_device_model() differs from a fresh training on "
+         "the default node; if the change is intended, its body in "
+         "src/power/default_model.cpp becomes:\n"
+      << pinned_source(trained);
 }
 
 }  // namespace

@@ -11,9 +11,8 @@
 #include "gpusim/engine.hpp"
 #include "perf/consolidation_model.hpp"
 #include "power/meter.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -22,25 +21,23 @@ class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     engine_ = new gpusim::FluidEngine();
-    power::ModelTrainer trainer(*engine_);
-    training_ = new power::TrainingReport(
-        trainer.train(workloads::rodinia_training_kernels()));
-    runner_ = new consolidate::ExperimentRunner(*engine_, training_->model);
+    model_ = new power::GpuPowerModel(power::default_device_model());
+    runner_ = new consolidate::ExperimentRunner(*engine_, *model_);
   }
   static void TearDownTestSuite() {
     delete runner_;
-    delete training_;
+    delete model_;
     delete engine_;
     runner_ = nullptr;
-    training_ = nullptr;
+    model_ = nullptr;
     engine_ = nullptr;
   }
   static gpusim::FluidEngine* engine_;
-  static power::TrainingReport* training_;
+  static power::GpuPowerModel* model_;
   static consolidate::ExperimentRunner* runner_;
 };
 gpusim::FluidEngine* IntegrationTest::engine_ = nullptr;
-power::TrainingReport* IntegrationTest::training_ = nullptr;
+power::GpuPowerModel* IntegrationTest::model_ = nullptr;
 consolidate::ExperimentRunner* IntegrationTest::runner_ = nullptr;
 
 // ---- Figure 1 / Figure 7: homogeneous encryption ----
@@ -269,9 +266,9 @@ TEST_F(IntegrationTest, TrainedModelTransfersToPaperWorkloads) {
     const double measured =
         meter.average_power(run, power::MeterWindow::kKernelOnly).watts();
     const auto timing = perf_model.predict(plan);
-    const auto pw = training_->model.predict(engine_->device(), plan, timing);
+    const auto pw = model_->predict(engine_->device(), plan, timing);
     const double predicted =
-        training_->model.idle_power().watts() + pw.gpu_power.watts();
+        model_->idle_power().watts() + pw.gpu_power.watts();
     EXPECT_LT(common::relative_error(predicted, measured), 0.10) << spec.name;
   }
 }

@@ -7,10 +7,9 @@
 #include "cudart/runtime.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/metrics.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
 #include "workloads/registry.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -96,9 +95,7 @@ class MiscFrameworkTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     engine_ = new gpusim::FluidEngine();
-    power::ModelTrainer trainer(*engine_);
-    model_ = new power::GpuPowerModel(
-        trainer.train(workloads::rodinia_training_kernels()).model);
+    model_ = new power::GpuPowerModel(power::default_device_model());
   }
   static void TearDownTestSuite() {
     delete model_;

@@ -8,9 +8,8 @@
 #include "gpusim/simd.hpp"
 #include "perf/consolidation_model.hpp"
 #include "power/meter.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -242,9 +241,7 @@ TEST(PowerProperties, NoiseFreeMeterMatchesExactAverage) {
 
 TEST(FrameworkProperties, DynamicRunIsDeterministic) {
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto model =
-      trainer.train(workloads::rodinia_training_kernels()).model;
+  const power::GpuPowerModel model = power::default_device_model();
   consolidate::ExperimentRunner runner(engine, model);
   std::vector<consolidate::WorkloadMix> mix{
       {workloads::encryption_12k(), 3}, {workloads::sorting_6k(), 2}};
@@ -256,9 +253,7 @@ TEST(FrameworkProperties, DynamicRunIsDeterministic) {
 
 TEST(FrameworkProperties, SerialSetupScalesExactlyLinearly) {
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto model =
-      trainer.train(workloads::rodinia_training_kernels()).model;
+  const power::GpuPowerModel model = power::default_device_model();
   consolidate::ExperimentRunner runner(engine, model);
   const auto spec = workloads::search_10k();
   const auto one = runner.run_serial({{spec, 1}});

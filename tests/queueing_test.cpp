@@ -8,9 +8,8 @@
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "perf/hong_kim.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -100,9 +99,7 @@ class QueueSimTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     engine_ = new gpusim::FluidEngine();
-    power::ModelTrainer trainer(*engine_);
-    model_ = new power::GpuPowerModel(
-        trainer.train(workloads::rodinia_training_kernels()).model);
+    model_ = new power::GpuPowerModel(power::default_device_model());
   }
   static void TearDownTestSuite() {
     delete model_;

@@ -38,12 +38,11 @@
 #include "fault/injector.hpp"
 #include "gpusim/engine.hpp"
 #include "obs/registry.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "router/router.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -249,9 +248,7 @@ class RouterFleetTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     engine_ = new gpusim::FluidEngine();
-    power::ModelTrainer trainer(*engine_);
-    model_ = new power::GpuPowerModel(
-        trainer.train(workloads::rodinia_training_kernels()).model);
+    model_ = new power::GpuPowerModel(power::default_device_model());
   }
   static void TearDownTestSuite() {
     delete model_;

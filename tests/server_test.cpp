@@ -27,13 +27,12 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "obs/registry.hpp"
-#include "power/trainer.hpp"
+#include "power/power_model.hpp"
 #include "server/client.hpp"
 #include "server/protocol_wire.hpp"
 #include "server/remote_frontend.hpp"
 #include "server/server.hpp"
 #include "workloads/paper_configs.hpp"
-#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -59,8 +58,7 @@ std::string socket_path(const std::string& tag) {
 struct TestDaemon {
   explicit TestDaemon(const std::vector<consolidate::WorkloadMix>& mix,
                       int threshold, server::ServerOptions sopt) {
-    power::ModelTrainer trainer(engine);
-    auto training = trainer.train(workloads::rodinia_training_kernels());
+    const power::GpuPowerModel model = power::default_device_model();
 
     consolidate::BackendOptions options;
     options.batch_threshold = threshold;
@@ -71,7 +69,7 @@ struct TestDaemon {
     templates.add(std::move(t));
 
     backend = std::make_unique<consolidate::Backend>(
-        engine, training.model, std::move(templates), options);
+        engine, model, std::move(templates), options);
     for (const auto& m : mix) {
       backend->set_cpu_profile(m.spec.gpu.name, m.spec.cpu);
     }
@@ -134,9 +132,8 @@ TEST(ServerProcessTest, FourClientProcessesBitIdenticalToInProcess) {
 
   // Reference: the in-process dynamic framework run.
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
-  consolidate::ExperimentRunner runner(engine, training.model);
+  const power::GpuPowerModel model = power::default_device_model();
+  consolidate::ExperimentRunner runner(engine, model);
   std::vector<consolidate::BatchReport> ref_reports;
   std::map<std::string, CompletionReply> ref_completions;
   const auto ref = runner.run_dynamic(mix, &ref_reports, &ref_completions);
@@ -446,9 +443,8 @@ TEST(ServerTest, RemoteFrontendMatchesInProcessFrontendBitForBit) {
   const std::vector<consolidate::WorkloadMix> mix = {{spec, 2}};
 
   gpusim::FluidEngine engine;
-  power::ModelTrainer trainer(engine);
-  const auto training = trainer.train(workloads::rodinia_training_kernels());
-  consolidate::ExperimentRunner runner(engine, training.model);
+  const power::GpuPowerModel model = power::default_device_model();
+  consolidate::ExperimentRunner runner(engine, model);
   std::map<std::string, CompletionReply> ref;
   runner.run_dynamic(mix, nullptr, &ref);
 

@@ -2,13 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "cpusim/engine.hpp"
 #include "gpusim/engine.hpp"
+#include "gpusim/sim_cache.hpp"
 #include "perf/analytic.hpp"
 #include "workloads/aes.hpp"
 #include "workloads/blackscholes.hpp"
@@ -423,6 +429,55 @@ TEST(PaperConfigs, CalibrateGpuSecondsConverges) {
   AesParams p;
   auto k = calibrate_gpu_seconds(aes_kernel_desc(p), 5.0, dev);
   EXPECT_NEAR(model.predict(k).total_time.seconds(), 5.0, 0.05);
+}
+
+// ---------------- the named catalogue ----------------
+
+/// Every field of `s`, doubles by their bits.
+std::string spec_bits(const InstanceSpec& s) {
+  std::string key = s.name + "|" + s.cpu.name + "|";
+  gpusim::append_key(key, s.gpu);
+  for (const double v : {s.cpu.core_seconds, s.cpu.cache_sensitivity,
+                         s.paper_gpu_seconds, s.paper_cpu_seconds}) {
+    gpusim::append_key(key, std::bit_cast<std::int64_t>(v));
+  }
+  gpusim::append_key(key, s.cpu.threads);
+  gpusim::append_key(key, s.cpu.instance_id);
+  return key;
+}
+
+TEST(WorkloadCatalogue, EveryNameResolvesToItsFactorysSpecBitForBit) {
+  // The names `ewcsim` has always served, each with its factory.
+  const std::vector<std::pair<std::string, InstanceSpec (*)()>> want = {
+      {"blackscholes_4096k", blackscholes_4096k},
+      {"compression_64m", compression_64m},
+      {"encryption_12k", encryption_12k},
+      {"encryption_6k", encryption_6k},
+      {"kmeans_256k", kmeans_256k},
+      {"montecarlo_500k", montecarlo_500k},
+      {"scenario1_encryption", scenario1_encryption},
+      {"scenario1_montecarlo", scenario1_montecarlo},
+      {"scenario2_blackscholes", scenario2_blackscholes},
+      {"scenario2_search", scenario2_search},
+      {"search_10k", search_10k},
+      {"sha256_64k", sha256_64k},
+      {"sorting_6k", sorting_6k},
+      {"t56_blackscholes", t56_blackscholes},
+      {"t56_search", t56_search},
+      {"t78_encryption", t78_encryption},
+      {"t78_montecarlo", t78_montecarlo},
+  };
+  const auto catalogue = workload_catalogue();
+  ASSERT_EQ(catalogue.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& [name, factory] = want[i];
+    EXPECT_EQ(catalogue[i].name, name) << "catalogue is not sorted by name";
+    const std::optional<InstanceSpec> found = find_workload(name);
+    ASSERT_TRUE(found.has_value()) << name;
+    EXPECT_EQ(spec_bits(*found), spec_bits(factory())) << name;
+  }
+  EXPECT_FALSE(find_workload("nope").has_value());
+  EXPECT_FALSE(find_workload("encryption").has_value());  // a spec name
 }
 
 }  // namespace
