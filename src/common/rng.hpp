@@ -43,7 +43,10 @@ class Rng {
   }
 
   /// Multiplicative noise factor: 1 + N(0, rel_sigma), clamped positive.
+  /// A zero sigma is exactly 1.0 and draws nothing (std::normal_distribution
+  /// requires stddev > 0).
   double noise_factor(double rel_sigma) {
+    if (rel_sigma == 0.0) return 1.0;
     double f = gaussian(1.0, rel_sigma);
     return f > 0.05 ? f : 0.05;
   }

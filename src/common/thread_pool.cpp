@@ -5,28 +5,43 @@
 
 namespace ewc::common {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+ThreadPool::ThreadPool(std::size_t threads)
+    : cap_(threads != 0
+               ? threads
+               : std::max<std::size_t>(1, std::thread::hardware_concurrency())) {
+  workers_.reserve(cap_);
 }
 
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    stop_ = true;  // no worker starts after this, so workers_ is final
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
+std::size_t ThreadPool::threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return workers_.size();
+}
+
+void ThreadPool::wait_idle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] {
+    return queue_.empty() && idle_ == workers_.size();
+  });
+}
+
 void ThreadPool::enqueue(std::function<void()> job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Grow only when the queued jobs, this one included, outnumber the
+    // idle workers that will take them. Start the worker before queueing,
+    // so a failed start leaves the pool as it was.
+    if (!stop_ && workers_.size() < cap_ && queue_.size() + 1 > idle_) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
     queue_.push_back(std::move(job));
     ++submitted_;
   }
@@ -34,17 +49,22 @@ void ThreadPool::enqueue(std::function<void()> job) {
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
+    if (queue_.empty()) {
+      if (stop_) return;  // stop_ and drained
+      if (++idle_ == workers_.size()) idle_cv_.notify_all();
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++executed_;
+      --idle_;
+      continue;
     }
+    std::function<void()> job = std::move(queue_.front());
+    queue_.pop_front();
+    ++executed_;
+    lock.unlock();
     job();
+    job = nullptr;  // release the closure's captures before relocking
+    lock.lock();
   }
 }
 

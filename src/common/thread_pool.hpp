@@ -1,5 +1,5 @@
-// A small fixed-size thread pool shared by the decision engine, the queue
-// simulator and the bench sweep harnesses.
+// A small bounded thread pool shared by the decision engine, the queue
+// simulator, the bench sweep harnesses and the daemons' reactor pumps.
 //
 // Design constraints (in order):
 //  * deterministic results for callers — the pool only runs independent
@@ -9,7 +9,11 @@
 //    mutex and are joined in the destructor, never detached;
 //  * no work stealing, no task priorities: decision workloads are a handful
 //    of coarse closures, so a single mutex-protected FIFO is both simpler
-//    and faster than per-thread deques at this granularity.
+//    and faster than per-thread deques at this granularity;
+//  * workers on demand: a pool starts no thread until a job finds no idle
+//    worker to take it, then grows one worker per such job up to its size.
+//    A daemon that has not served a frame yet pays for no pump thread, and
+//    a pool fed one job at a time keeps one worker.
 #pragma once
 
 #include <condition_variable>
@@ -28,14 +32,24 @@ namespace ewc::common {
 
 class ThreadPool {
  public:
-  /// @param threads  worker count; 0 picks hardware_concurrency (min 1).
+  /// @param threads  most workers the pool starts; 0 picks
+  ///                  hardware_concurrency (min 1). None start until the
+  ///                  first job.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  /// The worker cap (not how many have started).
+  std::size_t size() const { return cap_; }
+
+  /// Workers started so far; never more than size().
+  std::size_t threads() const;
+
+  /// Block until the queue is empty and every started worker waits for
+  /// work.
+  void wait_idle();
 
   /// Enqueue a closure; the future carries its result (or exception).
   template <typename F>
@@ -76,10 +90,13 @@ class ThreadPool {
   void enqueue(std::function<void()> job);
   void worker_loop();
 
+  const std::size_t cap_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
+  std::size_t idle_ = 0;  ///< workers waiting in worker_loop
   bool stop_ = false;
   std::uint64_t submitted_ = 0;
   std::uint64_t executed_ = 0;

@@ -9,8 +9,6 @@ Sampler::Sampler(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 2)),
       born_(std::chrono::steady_clock::now()) {}
 
-Sampler::~Sampler() { stop(); }
-
 void Sampler::add_gauge(std::string name, std::function<double()> fn) {
   std::lock_guard lock(mu_);
   Series& s = series_[std::move(name)];
@@ -105,39 +103,6 @@ void Sampler::sample_now() {
   sample_at(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           born_)
                 .count());
-}
-
-void Sampler::start(double interval_seconds) {
-  {
-    std::lock_guard lock(thread_mu_);
-    if (running_) return;
-    running_ = true;
-    stop_ = false;
-  }
-  thread_ = std::thread([this, interval_seconds] {
-    std::unique_lock lock(thread_mu_);
-    while (!stop_) {
-      cv_.wait_for(lock,
-                   std::chrono::duration<double>(interval_seconds),
-                   [this] { return stop_; });
-      if (stop_) break;
-      lock.unlock();
-      sample_now();
-      lock.lock();
-    }
-  });
-}
-
-void Sampler::stop() {
-  {
-    std::lock_guard lock(thread_mu_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  std::lock_guard lock(thread_mu_);
-  running_ = false;
 }
 
 std::map<std::string, SeriesSnapshot> Sampler::snapshot() const {

@@ -17,21 +17,20 @@
 //                  snapshots (p95 of requests completed this tick, not
 //                  since boot).
 //
-// Cost model: one background thread ticks at the configured interval
-// (default 1 s); each tick holds the sampler mutex while evaluating
-// providers — hot paths never touch it. Readers (the kMetrics frame
-// handler) take the same mutex for a snapshot. Deterministic tests drive
-// sample_at() directly with explicit timestamps and never start the thread.
+// Cost model: the Sampler owns no thread. Its owner calls sample_now()
+// when a tick is due (ewcd and the router do it from their reactor's tick
+// through server::Telemetry::on_tick); each tick holds the sampler mutex
+// while evaluating providers — hot paths never touch it. Readers (the
+// kMetrics frame handler) take the same mutex for a snapshot.
+// Deterministic tests drive sample_at() directly with explicit timestamps.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -52,7 +51,6 @@ class Sampler {
  public:
   /// `capacity` points are kept per series (default two minutes at 1 Hz).
   explicit Sampler(std::size_t capacity = 120);
-  ~Sampler();
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
@@ -73,10 +71,6 @@ class Sampler {
   void sample_at(double t_seconds);
   /// One tick on the wall clock (seconds since the Sampler was built).
   void sample_now();
-
-  /// Start/stop the background tick thread. start() is idempotent.
-  void start(double interval_seconds);
-  void stop();
 
   /// Copy of every series ring, oldest point first.
   std::map<std::string, SeriesSnapshot> snapshot() const;
@@ -112,12 +106,6 @@ class Sampler {
   std::map<std::string, Series> series_;
   bool have_last_t_ = false;
   double last_t_ = 0.0;
-
-  std::thread thread_;
-  std::condition_variable cv_;
-  std::mutex thread_mu_;
-  bool running_ = false;
-  bool stop_ = false;
 };
 
 }  // namespace ewc::obs

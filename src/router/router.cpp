@@ -289,7 +289,6 @@ void Router::start_telemetry() {
                          return static_cast<double>(s.migrated_out.load());
                        }));
   }
-  sampler->start(options_.metrics_interval);
   telemetry_.sampler = std::move(sampler);
 }
 
@@ -309,7 +308,6 @@ void Router::wait() {
   }
   poller_cv_.notify_all();
   if (poller_.joinable()) poller_.join();
-  telemetry_.sampler.reset();
   {
     // Drop the poll connections outside poll_mu_-holding paths.
     std::lock_guard lock(poll_mu_);
@@ -954,6 +952,7 @@ void Router::on_close(const Reactor::ConnPtr& conn,
 
 void Router::on_tick() {
   const auto now = std::chrono::steady_clock::now();
+  telemetry_.on_tick(now);
   std::vector<CtxPtr> expired;
   {
     std::lock_guard lock(conns_mu_);

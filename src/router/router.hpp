@@ -149,11 +149,13 @@ struct RouterOptions {
   std::string standby_of;
   /// Consecutive sync-pull failures before a standby promotes itself.
   int standby_failures = 3;
-  /// Reactor pump workers (0 = min(16, max(4, hardware))).
+  /// Most reactor pump workers (0 = min(16, max(4, hardware))), started as
+  /// frames need them.
   int workers = 0;
-  /// Time-series sampler tick (seconds): every tick derives fleet-wide and
-  /// per-shard (shard.<i>.*) rps / p95 / watts / joules-per-request series
-  /// from the poller's shard view, served over kMetrics. 0 disables.
+  /// Time-series sampler tick (seconds), taken on the reactor's 50 ms tick:
+  /// every sample derives fleet-wide and per-shard (shard.<i>.*) rps / p95
+  /// / watts / joules-per-request series from the poller's shard view,
+  /// served over kMetrics. 0 disables.
   double metrics_interval = 1.0;
   /// Points kept per series (history window = interval * history).
   std::size_t metrics_history = 120;
@@ -280,8 +282,8 @@ class Router {
                      const std::string& msg);
   /// Fill telemetry_: kStats answers with the fleet fold after a fresh
   /// poll; with metrics_interval > 0, also register the fleet-wide and
-  /// shard.<i>.* derived series over the poller's view and start the
-  /// sampler thread.
+  /// shard.<i>.* derived series over the poller's view, sampled from
+  /// on_tick.
   void start_telemetry();
   /// The fleet fold's input: every shard's placement view and last poll.
   std::vector<ShardStats> shard_stats() const;

@@ -10,11 +10,13 @@
 //                    parses complete EWC1 frames, queues them per
 //                    connection, and fires the periodic tick.
 //   worker pool:     a bounded common::ThreadPool runs each connection's
-//                    "pump". The pump is serialized per connection (a
-//                    scheduled flag under the queue mutex), so handler
-//                    callbacks for one connection never run concurrently
-//                    and frames are processed in arrival order — the same
-//                    ordering contract the dedicated reader thread gave.
+//                    "pump"; its workers start as frames need them, so an
+//                    idle daemon runs none. The pump is serialized per
+//                    connection (a scheduled flag under the queue mutex), so
+//                    handler callbacks for one connection never run
+//                    concurrently and frames are processed in arrival order
+//                    — the same ordering contract the dedicated reader
+//                    thread gave.
 //                    One pump turn takes every queued task and frame.
 //   writes:          Conn::send stays blocking-style. Socket::send_exact
 //                    polls POLLOUT on EAGAIN, so the framed-send path (and
@@ -66,9 +68,11 @@ class Reactor {
   using ConnPtr = std::shared_ptr<Conn>;
 
   struct Options {
-    /// Pump worker threads; 0 = min(16, max(4, hardware_concurrency)).
+    /// Most pump worker threads, started on demand; 0 = min(16, max(4,
+    /// hardware_concurrency)).
     int workers = 0;
-    /// Tick period for on_tick (deadline sweeps) and accept-backoff resume.
+    /// Tick period for on_tick (deadline sweeps, telemetry samples) and
+    /// accept-backoff resume.
     common::Duration tick = common::Duration::from_millis(50.0);
     /// Per-frame blocking-send budget (a stuck peer cannot wedge a worker
     /// forever).

@@ -60,7 +60,6 @@ Server::Server(consolidate::Backend& backend, ServerOptions options)
 
 Server::~Server() {
   if (running_.load()) stop();
-  telemetry_.sampler.reset();  // joins the sampler tick thread
   reactor_.reset();  // joins the event loop + pump workers
   backend_replies_->close();
   if (demux_.joinable()) demux_.join();
@@ -170,7 +169,6 @@ void Server::start_telemetry() {
   // interval sensitivity.
   sampler->add_gauge("energy_joules", counter("backend.total_energy_joules"));
   sampler->add_gauge("requests", counter("server.replies"));
-  sampler->start(options_.metrics_interval);
   telemetry_.sampler = std::move(sampler);
 }
 
@@ -648,6 +646,7 @@ void Server::on_close(const Reactor::ConnPtr& conn, CloseReason reason,
 
 void Server::on_tick() {
   const auto now = std::chrono::steady_clock::now();
+  telemetry_.on_tick(now);
   std::vector<CtxPtr> snapshot;
   {
     std::lock_guard lock(conns_mu_);

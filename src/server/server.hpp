@@ -88,13 +88,14 @@ struct ServerOptions {
   /// evicted and a replay would re-execute — the window bounds daemon
   /// memory across many client lifetimes.
   common::Duration replay_grace = common::Duration::from_seconds(120.0);
-  /// Pump worker threads (0 = min(16, max(4, hardware))). Bounds protocol-
-  /// handler concurrency regardless of connection count.
+  /// Most pump worker threads (0 = min(16, max(4, hardware))), started as
+  /// frames need them. Bounds protocol-handler concurrency regardless of
+  /// connection count.
   int workers = 0;
-  /// Time-series sampler tick (seconds): every tick snapshots rps / p95 /
-  /// power_watts / joules-per-request / inflight into ring buffers served
-  /// by the kMetrics frame. 0 disables the sampler (kMetrics then answers
-  /// with an empty series map).
+  /// Time-series sampler tick (seconds), taken on the reactor's 50 ms tick:
+  /// every sample snapshots rps / p95 / power_watts / joules-per-request /
+  /// inflight into ring buffers served by the kMetrics frame. 0 disables
+  /// the sampler (kMetrics then answers with an empty series map).
   double metrics_interval = 1.0;
   /// Points kept per series (history window = interval * history).
   std::size_t metrics_history = 120;
@@ -212,7 +213,7 @@ class Server {
                              const net::Frame& frame);
   /// Fill telemetry_: the kStats body is the registry snapshot; with
   /// metrics_interval > 0, also register the daemon's derived series (rps,
-  /// p95, watts, J/request, inflight) and start the sampler thread.
+  /// p95, watts, J/request, inflight), sampled from on_tick.
   void start_telemetry();
 
   /// Routes every backend reply to the connection currently owning its
@@ -286,7 +287,7 @@ class Server {
   std::map<std::uint64_t, SessionState> sessions_;
   static constexpr std::size_t kCompletedCapPerSession = 1024;
 
-  /// The kStats/kMetrics endpoint, including the sampler's tick thread.
+  /// The kStats/kMetrics endpoint and its sampler.
   Telemetry telemetry_;
 
   std::atomic<bool> running_{false};

@@ -13,6 +13,18 @@ double inflight(const std::function<double(const std::string&)>& counter) {
                            counter("server.drain.failed_replies"));
 }
 
+void Telemetry::on_tick(std::chrono::steady_clock::time_point now) {
+  if (sampler == nullptr || now < next_sample) return;
+  sampler->sample_now();
+  // Keep the cadence, but after a stall (or on the first tick) restart it
+  // from now rather than sample on every tick to catch up.
+  const auto step =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(interval_seconds));
+  next_sample += step;
+  if (next_sample <= now) next_sample = now + step;
+}
+
 bool answer_telemetry(const Reactor::ConnPtr& conn, const net::Frame& frame,
                       const Telemetry& telemetry) {
   const auto uptime_micros = [&] {

@@ -22,7 +22,8 @@
 namespace ewc::server {
 
 /// One process's telemetry endpoint. Filled in by start() before the
-/// reactor serves frames; read-only afterwards.
+/// reactor serves frames; read-only afterwards, except for the sampler's
+/// schedule, which only on_tick touches.
 struct Telemetry {
   /// Origin of the replies' uptime.
   std::chrono::steady_clock::time_point started_at{};
@@ -34,6 +35,8 @@ struct Telemetry {
   /// The kMetrics time-series rings; null when the sampler is disabled.
   std::unique_ptr<obs::Sampler> sampler;
   double interval_seconds = 0.0;  ///< sampler tick, reported in kMetrics
+  /// When the sampler is next due; only on_tick reads or advances it.
+  std::chrono::steady_clock::time_point next_sample{};
   obs::Counter stats_requests, metrics_requests;
   /// Gauges the serving object reports itself (ewcd: server.max_clients
   /// and server.connections.live, which the router's placement reads),
@@ -41,6 +44,11 @@ struct Telemetry {
   /// server object rather than the process-wide registry, so two servers in
   /// one process each report their own. Unset: none.
   std::function<std::map<std::string, double>()> gauges;
+
+  /// Sample on the first call, then once interval_seconds has passed since
+  /// the last sample. Called from the reactor's tick (every 50 ms), so an
+  /// interval under one tick samples on every tick.
+  void on_tick(std::chrono::steady_clock::time_point now);
 };
 
 /// A shard's unanswered launches: server.admitted - server.replies -

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "gpusim/engine.hpp"
+#include "gpusim/device_config.hpp"
 #include "perf/analytic.hpp"
 #include "workloads/aes.hpp"
 #include "workloads/blackscholes.hpp"
@@ -211,19 +211,19 @@ InstanceSpec t78_montecarlo() {
 namespace {
 
 /// Uncalibrated spec: kernel and CPU profiles straight from the workload
-/// modules; the reference seconds are measured once on the default node.
+/// modules. `gpu_seconds` is the kernel's single-instance time on the
+/// default node, pinned rather than simulated at every lookup (a daemon
+/// never reads it); golden_test's PinnedReferenceSeconds re-runs each
+/// kernel and checks the constant bit for bit.
 InstanceSpec first_principles_spec(const std::string& name,
                                    gpusim::KernelDesc gpu,
-                                   cpusim::CpuTask cpu) {
+                                   cpusim::CpuTask cpu, double gpu_seconds) {
   InstanceSpec s;
   s.name = name;
   s.gpu = std::move(gpu);
   s.cpu = std::move(cpu);
   s.cpu.name = name;
-  gpusim::FluidEngine engine;
-  gpusim::LaunchPlan plan;
-  plan.instances.push_back(gpusim::KernelInstance{s.gpu, 0, ""});
-  s.paper_gpu_seconds = engine.run(plan).total_time.seconds();
+  s.paper_gpu_seconds = gpu_seconds;
   s.paper_cpu_seconds = s.cpu.core_seconds / s.cpu.threads;
   return s;
 }
@@ -235,7 +235,7 @@ InstanceSpec kmeans_256k() {
   p.num_points = 256 * 1024;
   p.iterations = 400;  // analytics jobs iterate to convergence
   return first_principles_spec("kmeans", kmeans_kernel_desc(p),
-                               kmeans_cpu_task(p));
+                               kmeans_cpu_task(p), 0x1.2c9ea5eb02affp-3);
 }
 
 InstanceSpec sha256_64k() {
@@ -243,7 +243,7 @@ InstanceSpec sha256_64k() {
   p.num_messages = 64 * 1024;
   p.message_bytes = 4096;
   return first_principles_spec("sha256", sha256_kernel_desc(p),
-                               sha256_cpu_task(p));
+                               sha256_cpu_task(p), 0x1.dda6dfe09d7d6p-4);
 }
 
 InstanceSpec compression_64m() {
@@ -253,7 +253,7 @@ InstanceSpec compression_64m() {
   auto k = compression_kernel_desc(p);
   k.mlp = 1.0;  // byte-granular dependent scanning cannot pipeline
   return first_principles_spec("compression", std::move(k),
-                               compression_cpu_task(p));
+                               compression_cpu_task(p), 0x1.76a289b7503p-5);
 }
 
 std::vector<InstanceSpec> enterprise_specs() {

@@ -67,7 +67,8 @@ std::vector<InstanceSpec> table1_specs();
 
 // ---- beyond-paper enterprise workloads (first-principles profiles, not
 // calibrated to any paper measurement; paper_*_seconds report the resulting
-// single-instance times for reference) ----
+// single-instance times on the default node for reference, the GPU one as a
+// pinned constant) ----
 InstanceSpec kmeans_256k();      ///< analytics: 256 K points, 16-dim, k=8
 InstanceSpec sha256_64k();       ///< integrity: 64 K x 4 KB messages
 InstanceSpec compression_64m();  ///< ingest: 64 MB RLE job

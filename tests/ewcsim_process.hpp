@@ -42,6 +42,77 @@ inline pid_t spawn_ewcsim(const std::vector<std::string>& args,
   return pid;
 }
 
+/// A spawned ewcsim whose stdout and stderr arrive on a pipe.
+struct PipedEwcsim {
+  pid_t pid = -1;  ///< <= 0 on failure
+  int out = -1;    ///< the pipe's read end; close it after reaping
+};
+
+/// Start `ewcsim <args...>` with stdout and stderr on a close-on-exec pipe,
+/// so later children do not hold it open.
+inline PipedEwcsim spawn_ewcsim_piped(const std::vector<std::string>& args) {
+  std::vector<std::string> full;
+  full.push_back(EWCSIM_PATH);
+  full.insert(full.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (auto& a : full) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  int fds[2];
+  if (::pipe2(fds, O_CLOEXEC) != 0) return {};
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(fds[1], 1);
+    ::dup2(fds[1], 2);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  if (pid < 0) {
+    ::close(fds[0]);
+    return {};
+  }
+  return {pid, fds[0]};
+}
+
+/// Read `fd` through the "... listening on <endpoint> ..." banner line and
+/// return the endpoint; "" if the stream ends first. It blocks on the pipe,
+/// so nothing sleeps or polls.
+inline std::string read_banner(int fd) {
+  const std::string key = "listening on ";
+  std::string line;
+  char c;
+  while (::read(fd, &c, 1) == 1) {
+    if (c != '\n') {
+      line += c;
+      continue;
+    }
+    const auto at = line.find(key);
+    if (at != std::string::npos) {
+      const auto start = at + key.size();
+      return line.substr(start, line.find(' ', start) - start);
+    }
+    line.clear();
+  }
+  return "";
+}
+
+/// The rest of `fd` up to end of stream.
+inline std::string read_all(int fd) {
+  std::string text;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;) text.append(buf, n);
+  return text;
+}
+
+/// The `Threads:` count in /proc/<pid>/status (-1 if unreadable).
+inline int thread_count(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
 /// Reap `pid`: its exit code, or minus the signal that killed it.
 inline int wait_exit_code(pid_t pid) {
   int status = 0;

@@ -41,6 +41,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -763,6 +764,31 @@ TEST(PinnedDefaultModel, EqualsAFreshTrainingBitForBit) {
          "the default node; if the change is intended, its body in "
          "src/power/default_model.cpp becomes:\n"
       << pinned_source(trained);
+}
+
+// ---- the pinned reference seconds of the first-principles workloads --------
+
+// kmeans_256k, sha256_64k and compression_64m report a single instance's GPU
+// time on the default node as a constant (`ewcsim list`,
+// bench_enterprise_mix); each must be exactly what a run gives.
+TEST(PinnedReferenceSeconds, EqualAFreshRunBitForBit) {
+  const gpusim::FluidEngine engine;
+  const std::pair<const char*, workloads::InstanceSpec> specs[] = {
+      {"kmeans_256k", workloads::kmeans_256k()},
+      {"sha256_64k", workloads::sha256_64k()},
+      {"compression_64m", workloads::compression_64m()}};
+  for (const auto& [factory, spec] : specs) {
+    gpusim::LaunchPlan plan;
+    plan.instances.push_back(gpusim::KernelInstance{spec.gpu, 0, ""});
+    const double run = engine.run(plan).total_time.seconds();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(run),
+              std::bit_cast<std::uint64_t>(spec.paper_gpu_seconds))
+        << factory << "()'s pinned GPU seconds differ from a fresh run on "
+           "the default node; if the change is intended, its "
+           "first_principles_spec argument in "
+           "src/workloads/paper_configs.cpp becomes "
+        << hex_float(run);
+  }
 }
 
 }  // namespace

@@ -296,6 +296,77 @@ TEST(ServerProcessTest, ClientFlushRunsTheRemainderUnderTheThreshold) {
   for (const auto& r : replies) EXPECT_EQ(r.at("ok"), "1") << out;
 }
 
+/// SIGTERM a piped daemon; expect a clean exit.
+void stop_piped(const PipedEwcsim& daemon) {
+  ::kill(daemon.pid, SIGTERM);
+  const std::string out = read_all(daemon.out);
+  EXPECT_EQ(wait_exit_code(daemon.pid), 0) << out;
+  ::close(daemon.out);
+}
+
+// ThreadSanitizer's runtime runs a thread of its own in every process.
+#if defined(__SANITIZE_THREAD__)
+constexpr int kRuntimeThreads = 1;
+#else
+constexpr int kRuntimeThreads = 0;
+#endif
+
+// Replacing a shard or a router costs its start-up, so before its first
+// client a daemon runs only the threads it cannot serve without: pump
+// workers start with the first frame, and the metrics sampler runs on the
+// reactor's tick.
+TEST(ServerProcessTest, DaemonsStartNoThreadBeforeTheirFirstClient) {
+  std::vector<PipedEwcsim> shards;
+  std::vector<std::string> endpoints;
+  for (const char* tag : {"threads_a", "threads_b"}) {
+    const std::string path = socket_path(tag);
+    ::unlink(path.c_str());
+    shards.push_back(spawn_ewcsim_piped(
+        {"serve", "--socket", path, "--workload", "encryption_6k=4"}));
+    endpoints.push_back(read_banner(shards.back().out));
+    EXPECT_FALSE(endpoints.back().empty()) << tag;
+    // main, backend, reactor and demux.
+    EXPECT_EQ(thread_count(shards.back().pid), 4 + kRuntimeThreads) << tag;
+  }
+  const std::string router_path = socket_path("threads_r");
+  ::unlink(router_path.c_str());
+  const PipedEwcsim router =
+      spawn_ewcsim_piped({"route", "--listen", router_path, "--shard",
+                          endpoints[0], "--shard", endpoints[1]});
+  EXPECT_FALSE(read_banner(router.out).empty());
+  // main, reactor and poller, and one poll connection's reader per shard
+  // once the poller has dialed it.
+  const int router_threads = thread_count(router.pid);
+  EXPECT_GE(router_threads, 3 + kRuntimeThreads);
+  EXPECT_LE(router_threads, 5 + kRuntimeThreads);
+  stop_piped(router);
+  for (const auto& shard : shards) stop_piped(shard);
+}
+
+// Serve and client both resolve the host name "localhost": in a static
+// ewcsim that goes through the installed glibc's NSS modules.
+TEST(ServerProcessTest, ServesTcpLocalhostAndAnswersAClient) {
+  const PipedEwcsim server = spawn_ewcsim_piped(
+      {"serve", "--socket", "tcp:localhost:0", "--workload",
+       "encryption_6k=1"});
+  const std::string endpoint = read_banner(server.out);
+  EXPECT_EQ(endpoint.rfind("tcp:localhost:", 0), 0u) << endpoint;
+  if (!endpoint.empty()) {
+    const std::string log =
+        ::testing::TempDir() + "ewcd_tcp_localhost_client.log";
+    EXPECT_EQ(wait_exit_code(spawn_ewcsim({"client", "--socket", endpoint,
+                                           "--workload", "encryption_6k=1",
+                                           "--flush"},
+                                          log)),
+              0);
+    const std::string out = read_file(log);
+    const auto replies = parse_records(out, "REPLY");
+    EXPECT_EQ(replies.size(), 1u) << out;
+    for (const auto& r : replies) EXPECT_EQ(r.at("ok"), "1") << out;
+  }
+  stop_piped(server);
+}
+
 // ---- in-process server: fault isolation and service properties ----
 
 TEST(ServerTest, ClientKilledMidBatchFailsOnlyItsReplies) {

@@ -359,6 +359,28 @@ TEST(TelemetryE2E, TopOnceServesJsonAndPrometheus) {
   EXPECT_EQ(wait_exit_code(load), 0)
       << read_file(dir + "/tele_top_load.log");
 
+  // The load ran for more than two intervals and nothing has asked for
+  // kMetrics yet, so every series point but the reply's own came from the
+  // reactor tick's sampling.
+  {
+    std::string err;
+    auto conn = server::ClientConnection::connect(
+        sock, "tick-probe", common::Duration::from_seconds(10.0), &err);
+    ASSERT_NE(conn, nullptr) << err;
+    const auto metrics = conn->metrics(/*include_prometheus=*/false,
+                                       common::Duration::from_seconds(10.0));
+    ASSERT_TRUE(metrics.has_value());
+    std::set<std::string> names;
+    for (const auto& [name, series] : metrics->series) {
+      names.insert(name);
+      EXPECT_GE(series.points.size(), 3u) << name;
+    }
+    EXPECT_EQ(names, (std::set<std::string>{
+                         "close_check_p50_seconds", "energy_joules",
+                         "fill_p50_seconds", "inflight", "joules_per_request",
+                         "p95_seconds", "power_watts", "requests", "rps"}));
+  }
+
   const pid_t top_json = spawn_ewcsim(
       {"top", "--socket", sock, "--once", "--json"},
       dir + "/tele_top_json.log");

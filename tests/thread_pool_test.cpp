@@ -1,9 +1,11 @@
 // Tests for common::ThreadPool: result/exception plumbing, parallel_for
-// coverage and nesting, and clean shutdown. These carry the "sanitize" ctest
+// coverage and nesting, workers started on demand, and clean shutdown. These carry the "sanitize" ctest
 // label so a -DEWC_SANITIZE=thread build can focus on them.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -104,6 +106,102 @@ TEST(ThreadPool, ManyConcurrentSubmittersStayConsistent) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(total.load(), 4 * 200);
+}
+
+/// A gate the tests' jobs block on until the test opens it.
+class Gate {
+ public:
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(ThreadPoolOnDemand, NoWorkerExistsBeforeTheFirstPost) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
+  EXPECT_EQ(pool.threads(), 0u);
+  pool.wait_idle();  // nothing to wait for
+  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+  EXPECT_EQ(pool.threads(), 1u);
+}
+
+TEST(ThreadPoolOnDemand, SequentialPostsReuseTheIdleWorker) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 50; ++i) {
+    pool.post([&ran] { ran.fetch_add(1); });
+    pool.wait_idle();
+  }
+  EXPECT_EQ(ran.load(), 50);
+  EXPECT_EQ(pool.threads(), 1u);
+}
+
+TEST(ThreadPoolOnDemand, ABurstOfBlockingJobsStopsGrowingAtTheCap) {
+  ThreadPool pool(3);
+  Gate gate;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 12; ++i) {
+    pool.post([&] {
+      gate.wait();
+      ran.fetch_add(1);
+    });
+    EXPECT_LE(pool.threads(), 3u);
+  }
+  // No worker was idle for any of the first three jobs.
+  EXPECT_EQ(pool.threads(), 3u);
+  gate.open();
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 12);
+  EXPECT_EQ(pool.threads(), 3u);
+}
+
+TEST(ThreadPoolOnDemand, ParallelForInsideTasksCompletesAtTheCap) {
+  // Both workers run a task that itself fans out: the helpers find no idle
+  // worker and no room to grow, and each caller runs its own loop.
+  ThreadPool pool(2);
+  Gate gate;
+  auto fan_out = [&] {
+    gate.wait();
+    std::atomic<std::size_t> sum{0};
+    pool.parallel_for(0, 64, [&](std::size_t i) { sum.fetch_add(i + 1); });
+    return sum.load();
+  };
+  auto a = pool.submit(fan_out);
+  auto b = pool.submit(fan_out);
+  EXPECT_EQ(pool.threads(), 2u);
+  gate.open();
+  EXPECT_EQ(a.get(), (64u * 65u) / 2u);
+  EXPECT_EQ(b.get(), (64u * 65u) / 2u);
+  EXPECT_EQ(pool.threads(), 2u);
+}
+
+TEST(ThreadPoolOnDemand, DestroyingAGrowingPoolJoinsCleanly) {
+  // Jobs that post more jobs keep the pool growing while the destructor
+  // runs; under -DEWC_SANITIZE=thread this is the teardown race probe.
+  std::atomic<int> ran{0};
+  for (int round = 0; round < 20; ++round) {
+    ThreadPool pool(4);
+    for (int i = 0; i < 4; ++i) {
+      pool.post([&pool, &ran] {
+        ran.fetch_add(1);
+        pool.post([&ran] { ran.fetch_add(1); });
+      });
+    }
+  }
+  EXPECT_EQ(ran.load(), 20 * 8);
 }
 
 }  // namespace
