@@ -3,8 +3,9 @@
 // The backend consolidates when pending kernels reach 10 x #GPUs, a number
 // the paper says "can be adjusted based on further observation". This bench
 // makes that observation: the same Poisson request trace is replayed through
-// the queue simulator at several thresholds, reporting request latency vs
-// energy — the knob's actual trade-off curve.
+// the queue simulator, which forms batches as the daemon does, at several
+// thresholds, reporting request latency vs energy — the knob's actual
+// trade-off curve.
 #include "bench/bench_common.hpp"
 
 #include "common/thread_pool.hpp"
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
       });
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
     const auto& r = results[i];
-    t.add_row({std::to_string(thresholds[i]), std::to_string(r.batches),
+    t.add_row({std::to_string(thresholds[i]), std::to_string(r.batch_sizes.size()),
                bench::fmt(r.mean_latency_seconds, 1),
                bench::fmt(r.p95_latency_seconds, 1),
                bench::fmt(r.makespan.seconds(), 1),

@@ -306,7 +306,7 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
 
   out << reqs.size() << " requests at " << rate << " req/s, threshold "
       << opt.batch_threshold << ":\n"
-      << "  batches:      " << r.batches << "\n"
+      << "  batches:      " << r.batch_sizes.size() << "\n"
       << "  makespan:     " << r.makespan.seconds() << " s\n"
       << "  mean latency: " << r.mean_latency_seconds << " s\n"
       << "  p95 latency:  " << r.p95_latency_seconds << " s\n"
@@ -447,17 +447,10 @@ int cmd_cache_stats(const std::vector<std::string>& args, std::ostream& out) {
 
   // A cache hit must be bit-identical to a fresh simulation, so the two
   // replays have to agree on every outcome exactly.
-  bool identical = cold.outcomes.size() == warm.outcomes.size() &&
-                   cold.batches == warm.batches &&
-                   cold.makespan.seconds() == warm.makespan.seconds() &&
-                   cold.energy.joules() == warm.energy.joules();
-  for (std::size_t i = 0; identical && i < cold.outcomes.size(); ++i) {
-    const auto& a = cold.outcomes[i];
-    const auto& b = warm.outcomes[i];
-    identical = a.user_id == b.user_id && a.workload == b.workload &&
-                a.arrival_seconds == b.arrival_seconds &&
-                a.finish_seconds == b.finish_seconds;
-  }
+  const bool identical = cold.outcomes == warm.outcomes &&
+                         cold.batch_sizes == warm.batch_sizes &&
+                         cold.makespan.seconds() == warm.makespan.seconds() &&
+                         cold.energy.joules() == warm.energy.joules();
 
   auto row = [](const gpusim::CacheStats& s) {
     std::ostringstream os;
@@ -535,30 +528,24 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   }
   const auto mix = parse_mix(flags);
   int total = 0;
-  for (const auto& m : mix) total += m.count;
+  std::vector<workloads::InstanceSpec> specs;
+  for (const auto& m : mix) {
+    total += m.count;
+    specs.push_back(m.spec);
+  }
 
   gpusim::FluidEngine engine;
   const power::GpuPowerModel model = power::default_device_model();
 
-  // Same backend recipe as ExperimentRunner::run_dynamic, so a mix served
-  // over the socket is bit-identical to the in-process experiment.
+  // Served as ExperimentRunner::run_dynamic serves it, so a mix served over
+  // the socket is bit-identical to the in-process experiment.
   consolidate::BackendOptions options;
   options.batch_threshold =
       flags.get_int_in("threshold", total, 1, 1 << 20);
   options.decision_deadline = common::Duration::from_seconds(
       flags.get_double_in("decision-deadline", 0.0, 0.0, 3600.0));
-  consolidate::TemplateRegistry templates =
-      consolidate::TemplateRegistry::paper_defaults();
-  {
-    consolidate::ConsolidationTemplate t;
-    t.name = "experiment_mix";
-    for (const auto& m : mix) t.kernels.insert(m.spec.gpu.name);
-    templates.add(std::move(t));
-  }
-  consolidate::Backend backend(engine, model, std::move(templates), options);
-  for (const auto& m : mix) {
-    backend.set_cpu_profile(m.spec.gpu.name, m.spec.cpu);
-  }
+  consolidate::Backend backend(engine, model, consolidate::served_mix(specs),
+                               options);
 
   server::ServerOptions sopt;
   sopt.socket_path = *socket_path;

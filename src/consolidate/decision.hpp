@@ -44,10 +44,10 @@ common::Power gpu_idle_adder(const gpusim::EnergyConfig& e);
 struct AlternativeEstimate {
   Alternative which = Alternative::kConsolidatedGpu;
   Duration time = Duration::zero();
-  /// What Backend::process_group adds to `backend.total_energy_joules` if
-  /// this alternative runs: its execution energy, plus the idle GPU's draw
-  /// through a CPU run, plus `system_idle_with_gpu` x the framework
-  /// overhead. The alternatives are compared by it.
+  /// What BatchFormer::process_group charges if this alternative runs: its
+  /// execution energy, plus the idle GPU's draw through a CPU run, plus
+  /// `system_idle_with_gpu` x the framework overhead. The alternatives are
+  /// compared by it.
   Energy charge = Energy::zero();
   bool feasible = true;
   std::string note;

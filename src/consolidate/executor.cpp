@@ -68,8 +68,7 @@ GroupExecution GroupExecutor::run(
       single.instances.resize(1);
       for (std::size_t i = 0; i < plan.instances.size(); ++i) {
         single.instances[0] = plan.instances[i];
-        const RequestContext ctx =
-            i < contexts.size() ? contexts[i] : RequestContext{};
+        const RequestContext& ctx = contexts[i];
         obs::SimClockScope sim_base(sim_anchor + overhead.seconds() +
                                     offset.seconds());
         obs::RequestScope req_scope(ctx.request_id);

@@ -1,9 +1,8 @@
 // The execute step of one candidate group (paper Section IV): run the group
 // on the alternative the decision engine chose — consolidated launches on
 // the GPU, the kernels one after another on the GPU, or the CPU — and say
-// what that took. The ewcd backend and the offline queue simulator both
-// execute through it, so a threshold sweep in simulated time measures the
-// daemon's own code path.
+// what that took. BatchFormer executes every group through it, for the
+// ewcd backend and the queue simulator alike.
 #pragma once
 
 #include <cstdint>
@@ -59,12 +58,12 @@ class GroupExecutor {
   /// path runs each instance alone, in plan order; the CPU path needs every
   /// position's profile. Simulated-time events are anchored at
   /// `sim_anchor` + `overhead` (+ the launches before them), and each serial
-  /// run executes under its position's `contexts` entry (none when empty).
+  /// run executes under its position's `contexts` entry.
   GroupExecution run(
       Alternative chosen, const gpusim::LaunchPlan& plan,
       const std::vector<std::optional<cpusim::CpuTask>>& profiles,
       int max_total_blocks, common::Duration overhead, double sim_anchor,
-      std::span<const RequestContext> contexts = {}) const;
+      std::span<const RequestContext> contexts) const;
 
  private:
   gpusim::RunOutcome gpu_run(const gpusim::LaunchPlan& plan) const;

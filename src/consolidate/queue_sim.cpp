@@ -4,168 +4,113 @@
 #include <stdexcept>
 
 #include "common/stats.hpp"
-#include "consolidate/plan_order.hpp"
+#include "consolidate/batch_former.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 
 namespace ewc::consolidate {
 
-QueueSimulator::QueueSimulator(
-    const gpusim::FluidEngine& engine, power::GpuPowerModel power_model,
-    std::map<std::string, workloads::InstanceSpec> catalogue,
-    QueueSimOptions options)
-    : engine_(engine),
-      decision_(engine.device(), std::move(power_model), cpusim::CpuConfig{},
-                FrameworkCosts{}, engine.energy_config()),
-      catalogue_(std::move(catalogue)),
-      options_(options),
-      run_memo_(options.enable_sim_cache
-                    ? std::make_unique<gpusim::RunMemo>(engine, kMemoCapacity)
-                    : nullptr),
-      executor_(engine, run_memo_.get(), cpusim::CpuConfig{}) {
-  if (options_.enable_sim_cache) {
-    decision_.enable_prediction_cache(kMemoCapacity);
+namespace {
+
+/// The former's groups on a simulated timeline: each starts once its batch
+/// is ready and the GPU is free; the node idles in between.
+struct SimulatedGpu final : BatchSink {
+  const std::vector<Request>& requests;
+  QueueSimResult& result;
+  double idle_watts = 0.0;
+  double ready = 0.0;  ///< when a batch closing now is ready to run
+  double free = 0.0;   ///< when the GPU is free again
+  double joules = 0.0;
+
+  SimulatedGpu(const std::vector<Request>& trace, QueueSimResult& out,
+               double idle)
+      : requests(trace), result(out), idle_watts(idle) {}
+
+  void closing(std::size_t launches) override {
+    result.batch_sizes.push_back(static_cast<int>(launches));
   }
-  decision_.set_pool(options_.pool);
-}
+  double group_start() override { return std::max(ready, free); }
+  void executed(BatchReport report, std::vector<LaunchRequest> launches,
+                std::vector<common::Duration> /*finish_times*/) override {
+    const double start = group_start();
+    const double finish = start + report.total_time.seconds();
+    joules += (start - free) * idle_watts + report.energy.joules();
+    free = finish;
+    if (obs::Tracer::enabled()) {
+      obs::SimClockScope sim_base(start);
+      obs::sim_span("queue_sim.group", 0.0, finish - start, 0,
+                    "\"requests\":" + std::to_string(launches.size()) +
+                        ",\"chosen\":\"" +
+                        alternative_name(report.executed) + "\"");
+    }
+    for (const LaunchRequest& launch : launches) {
+      const Request& req = requests[launch.request_id];
+      result.outcomes[launch.request_id] = {req.user_id, req.workload,
+                                            req.arrival_seconds, finish};
+    }
+  }
+  void failed(std::vector<LaunchRequest> /*requests*/,
+              const std::string& error) override {
+    throw std::runtime_error("QueueSimulator: " + error);
+  }
+};
+
+}  // namespace
 
 QueueSimResult QueueSimulator::run(
     const std::vector<Request>& requests) const {
-  for (std::size_t i = 1; i < requests.size(); ++i) {
-    if (requests[i].arrival_seconds < requests[i - 1].arrival_seconds) {
+  QueueSimResult result;
+  result.outcomes.resize(requests.size());
+  SimulatedGpu gpu(requests, result,
+                   engine_.energy_config().system_idle_with_gpu.watts());
+  std::vector<workloads::InstanceSpec> mix;
+  for (const auto& [name, spec] : catalogue_) mix.push_back(spec);
+  BackendOptions options;
+  options.batch_threshold = options_.batch_threshold;
+  BatchFormer former(engine_, power_model_, served_mix(mix), options, gpu,
+                     options_.enable_sim_cache);
+  former.set_pool(options_.pool);
+
+  // The batch timeout is a flush at the oldest pending arrival plus the
+  // timeout. The trace's end flushes the same way: the runtime cannot know
+  // no more requests are coming.
+  double deadline = 0.0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& req = requests[i];
+    if (i > 0 && req.arrival_seconds < requests[i - 1].arrival_seconds) {
       throw std::invalid_argument("QueueSimulator: trace not sorted");
     }
+    const auto it = catalogue_.find(req.workload);
+    if (it == catalogue_.end()) {
+      throw std::out_of_range("QueueSimulator: unknown workload '" +
+                              req.workload + "'");
+    }
+    if (former.pending() > 0 && req.arrival_seconds > deadline) {
+      gpu.ready = deadline;
+      former.flush();
+    }
+    if (former.pending() == 0) {
+      deadline = req.arrival_seconds + options_.batch_timeout.seconds();
+    }
+    LaunchRequest launch;
+    launch.owner = "user" + std::to_string(req.user_id);
+    launch.request_id = i;
+    launch.desc = it->second.gpu;
+    launch.staged_bytes =
+        static_cast<std::size_t>(it->second.gpu.h2d_bytes.bytes());
+    launch.api_messages = 4;  // argument batching holds args until launch
+    gpu.ready = req.arrival_seconds;
+    former.add(std::move(launch));
   }
+  gpu.ready = deadline;
+  former.flush();
 
-  QueueSimResult result;
-  const double idle_w =
-      engine_.energy_config().system_idle_with_gpu.watts();
-
-  // Per-batch counters bump through cached handles: one registry lookup
-  // here, then a lock-free atomic add per batch inside the loop.
-  auto& registry = obs::Registry::instance();
-  auto batches_ctr = registry.counter("queue_sim.batches");
-  auto requests_ctr = registry.counter("queue_sim.requests");
-  obs::Histogram* batch_hist = registry.histogram("queue_sim.batch_size");
-  obs::Histogram* latency_hist =
-      registry.histogram("queue_sim.request_latency_seconds");
-
-  std::size_t next = 0;
-  double t_free = 0.0;
-  double busy_and_gap_joules = 0.0;
-
-  // Per-batch working buffers, hoisted so a long trace replay allocates them
-  // once: after the first few batches every clear()/push_back cycle runs
-  // inside retained capacity (same SoA-era discipline as FluidEngine's
-  // arena; DecisionEngine's parallel evaluation depends on `plan` staying
-  // stable for the batch).
-  std::vector<Request> batch;
-  std::vector<const workloads::InstanceSpec*> specs;
-  std::vector<std::string> owners;
-  gpusim::LaunchPlan plan;
-  std::vector<std::optional<cpusim::CpuTask>> profiles;
-  std::vector<std::size_t> staged;
-  std::vector<int> messages;
-  const Optimizations optimizations;
-
-  while (next < requests.size()) {
-    // ---- form one batch ----
-    batch.clear();
-    batch.push_back(requests[next++]);
-    const double deadline =
-        batch.front().arrival_seconds + options_.batch_timeout.seconds();
-    while (static_cast<int>(batch.size()) < options_.batch_threshold &&
-           next < requests.size() &&
-           requests[next].arrival_seconds <= deadline) {
-      batch.push_back(requests[next++]);
-    }
-    const bool filled =
-        static_cast<int>(batch.size()) >= options_.batch_threshold;
-    // The batch triggers when it fills or when the timeout expires. An
-    // under-filled batch always waits out the timeout: the runtime cannot
-    // know the trace has drained, so a flush at the last arrival would
-    // let the final batch jump its own deadline.
-    double ready = filled ? batch.back().arrival_seconds : deadline;
-
-    // ---- build the launch plan + profiles, in the daemon's plan order ----
-    specs.clear();
-    owners.clear();
-    for (const Request& req : batch) {
-      auto it = catalogue_.find(req.workload);
-      if (it == catalogue_.end()) {
-        throw std::out_of_range("QueueSimulator: unknown workload '" +
-                                req.workload + "'");
-      }
-      specs.push_back(&it->second);
-      owners.push_back("user" + std::to_string(req.user_id));
-    }
-    const std::vector<std::size_t> order = plan_order(
-        batch.size(),
-        [&](std::size_t b) -> std::string_view { return specs[b]->gpu.name; },
-        [&](std::size_t b) -> std::string_view { return owners[b]; });
-    plan.instances.clear();
-    plan.reuse_constant_data = optimizations.constant_data_reuse;
-    profiles.clear();
-    staged.clear();
-    messages.clear();
-    for (const std::size_t b : order) {
-      const workloads::InstanceSpec& spec = *specs[b];
-      gpusim::KernelInstance inst;
-      inst.desc = spec.gpu;
-      inst.instance_id = static_cast<int>(plan.instances.size());
-      inst.owner = owners[b];
-      plan.instances.push_back(std::move(inst));
-      cpusim::CpuTask task = spec.cpu;
-      task.instance_id = plan.instances.back().instance_id;
-      profiles.emplace_back(std::move(task));
-      staged.push_back(static_cast<std::size_t>(spec.gpu.h2d_bytes.bytes()));
-      messages.push_back(4);  // argument batching holds args until launch
-    }
-
-    const auto overhead =
-        decision_.overhead(plan.instances, staged, messages, optimizations);
-    const auto decision = decision_.decide(plan, profiles, overhead);
-
-    // ---- execute ----
-    const double start = std::max(ready, t_free);
-
-    const GroupExecution exec = executor_.run(
-        decision.chosen, plan, profiles, GroupExecutor::kUnlimitedBlocks,
-        overhead, start);
-
-    const double gap = start - t_free;  // node idles between batches
-    const double finish = start + overhead.seconds() + exec.time.seconds();
-    busy_and_gap_joules += gap * idle_w + overhead.seconds() * idle_w +
-                           exec.energy.joules();
-
-    batches_ctr.inc();
-    requests_ctr.add(static_cast<double>(batch.size()));
-    batch_hist->record(static_cast<double>(batch.size()));
-    if (obs::Tracer::enabled()) {
-      obs::SimClockScope sim_base(start);
-      obs::sim_span("queue_sim.batch", 0.0, finish - start, 0,
-                    "\"requests\":" + std::to_string(batch.size()) +
-                        ",\"chosen\":\"" +
-                        alternative_name(decision.chosen) + "\"");
-    }
-
-    for (const auto& req : batch) {
-      RequestOutcome o;
-      o.user_id = req.user_id;
-      o.workload = req.workload;
-      o.arrival_seconds = req.arrival_seconds;
-      o.finish_seconds = finish;
-      result.outcomes.push_back(std::move(o));
-    }
-    t_free = finish;
-    result.batches += 1;
-  }
-
-  result.makespan = common::Duration::from_seconds(t_free);
-  result.energy = common::Energy::from_joules(busy_and_gap_joules);
-
+  result.makespan = common::Duration::from_seconds(gpu.free);
+  result.energy = common::Energy::from_joules(gpu.joules);
   std::vector<double> latencies;
   latencies.reserve(result.outcomes.size());
+  obs::Histogram* latency_hist =
+      obs::Registry::instance().histogram("queue_sim.request_latency_seconds");
   for (const auto& o : result.outcomes) {
     latencies.push_back(o.latency_seconds());
     latency_hist->record(o.latency_seconds());
@@ -173,8 +118,8 @@ QueueSimResult QueueSimulator::run(
   result.mean_latency_seconds = common::mean(latencies);
   result.p95_latency_seconds = common::percentile(latencies, 95.0);
 
-  if (run_memo_) result.run_cache_stats = run_memo_->stats();
-  result.predict_cache_stats = decision_.prediction_cache_stats();
+  result.run_cache_stats = former.run_cache_stats();
+  result.predict_cache_stats = former.predict_cache_stats();
   gpusim::CacheCounters("queue_sim.run_cache").publish(result.run_cache_stats);
   gpusim::CacheCounters("queue_sim.predict_cache")
       .publish(result.predict_cache_stats);

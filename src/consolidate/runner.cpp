@@ -89,18 +89,9 @@ SetupResult ExperimentRunner::run_dynamic(
   options.batch_threshold = total;  // one batch covering the experiment
 
   // Templates must cover the descriptors' kernel names.
-  TemplateRegistry templates = TemplateRegistry::paper_defaults();
-  {
-    ConsolidationTemplate t;
-    t.name = "experiment_mix";
-    for (const auto& m : mix) t.kernels.insert(m.spec.gpu.name);
-    templates.add(std::move(t));
-  }
-
-  Backend backend(engine_, power_model_, std::move(templates), options);
-  for (const auto& m : mix) {
-    backend.set_cpu_profile(m.spec.gpu.name, m.spec.cpu);
-  }
+  std::vector<workloads::InstanceSpec> specs;
+  for (const auto& m : mix) specs.push_back(m.spec);
+  Backend backend(engine_, power_model_, served_mix(specs), options);
 
   cudart::Runtime runtime(engine_, &registry);
 

@@ -8,19 +8,24 @@
 //
 // Every test feeds the backend channel from one thread and reads the
 // outcome after a flush, so batch formation depends only on the order of
-// the messages: no sleeps, no wall-clock timing. Carries the ctest label
-// "sanitize" so -DEWC_SANITIZE=thread builds run it under TSan.
+// the messages: no sleeps, no wall-clock timing. The queue simulator forms
+// batches through the same BatchFormer, so it must close a launch sequence
+// where the backend does. Carries the ctest label "sanitize" so
+// -DEWC_SANITIZE=thread builds run it under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "consolidate/backend.hpp"
+#include "consolidate/queue_sim.hpp"
 #include "fault/injector.hpp"
 #include "obs/registry.hpp"
 #include "power/power_model.hpp"
@@ -45,24 +50,14 @@ class CloseRuleTest : public ::testing::Test {
     engine_ = nullptr;
   }
 
-  /// A backend set up as `ewcsim serve` sets one up for `mix`: the paper's
-  /// templates plus one covering the whole mix, and every CPU profile.
+  /// A backend set up as `ewcsim serve` sets one up for `mix` (served_mix).
   static std::unique_ptr<Backend> make_backend(
       const std::vector<workloads::InstanceSpec>& mix,
       int threshold = kThreshold) {
     BackendOptions options;
     options.batch_threshold = threshold;
-    TemplateRegistry templates = TemplateRegistry::paper_defaults();
-    ConsolidationTemplate t;
-    t.name = "experiment_mix";
-    for (const auto& spec : mix) t.kernels.insert(spec.gpu.name);
-    templates.add(std::move(t));
-    auto backend = std::make_unique<Backend>(*engine_, *model_,
-                                             std::move(templates), options);
-    for (const auto& spec : mix) {
-      backend->set_cpu_profile(spec.gpu.name, spec.cpu);
-    }
-    return backend;
+    return std::make_unique<Backend>(*engine_, *model_, served_mix(mix),
+                                     options);
   }
 
   /// Queue `specs[i]` as launch `first_id + i`; the replies come back
@@ -407,6 +402,109 @@ TEST_F(CloseRuleTest, FlushAndShutdownCloseWhatIsPending) {
   EXPECT_EQ(collect(waiters).size(), waiters.size());
   EXPECT_EQ(sizes(*backend), (std::vector<int>{kThreshold, kHalf - 1, 2}));
   EXPECT_EQ(counts.delta(), (std::vector<double>{1, 0, 2, 0}));
+}
+
+/// How one driver formed a launch sequence: its batch sizes, in order, and
+/// the close counts (threshold, early, flush) it published.
+struct Formation {
+  std::vector<int> sizes;
+  std::vector<double> closes;
+};
+
+std::vector<double> close_counts() {
+  const std::vector<double> all = CloseCounts::read();
+  return {all[0], all[1], all[2]};
+}
+
+/// `stream` formed by the queue simulator and by a backend serving `mix`,
+/// each on a cleared registry. Launch i arrives at i ms; the batch timeout
+/// falls after the last arrival, so only the trace's end flushes, where the
+/// backend is flushed.
+std::pair<Formation, Formation> simulated_and_served(
+    const std::vector<workloads::InstanceSpec>& mix,
+    const std::vector<workloads::InstanceSpec>& stream,
+    const gpusim::FluidEngine& engine, const power::GpuPowerModel& model) {
+  std::map<std::string, workloads::InstanceSpec> catalogue;
+  for (const auto& spec : mix) catalogue.emplace(spec.name, spec);
+  std::vector<Request> trace;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    trace.push_back({1e-3 * static_cast<double>(i), stream[i].name,
+                     static_cast<int>(i)});
+  }
+  QueueSimOptions options;
+  options.batch_threshold = kThreshold;
+  options.batch_timeout = common::Duration::from_seconds(1.0);
+
+  obs::Registry::instance().clear();
+  Formation simulated;
+  simulated.sizes =
+      QueueSimulator(engine, model, catalogue, options).run(trace).batch_sizes;
+  simulated.closes = close_counts();
+
+  // The simulator's launches: the spec's h2d bytes staged in 4 API
+  // messages, owned by "user<i>".
+  obs::Registry::instance().clear();
+  BackendOptions backend_options;
+  backend_options.batch_threshold = kThreshold;
+  Backend backend(engine, model, served_mix(mix), backend_options);
+  std::vector<std::shared_ptr<ReplyChannel>> waiters;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    LaunchRequest req;
+    req.owner = "user" + std::to_string(i);
+    req.request_id = i;
+    req.desc = stream[i].gpu;
+    req.staged_bytes =
+        static_cast<std::size_t>(stream[i].gpu.h2d_bytes.bytes());
+    req.api_messages = 4;
+    req.reply = waiters.emplace_back(std::make_shared<ReplyChannel>());
+    EXPECT_TRUE(backend.channel().send(std::move(req)));
+  }
+  backend.flush();
+  for (const auto& w : waiters) {
+    EXPECT_TRUE(w->receive_for(common::Duration::from_seconds(60.0)));
+  }
+  Formation served;
+  for (const auto& r : backend.reports()) {
+    served.sizes.push_back(r.num_instances);
+  }
+  served.closes = close_counts();
+  backend.shutdown();
+  return {simulated, served};
+}
+
+TEST_F(CloseRuleTest, QueueSimulatorFormsTheBackendsBatches) {
+  // The launch sequences of KmeansStreamClosesAtHalfAfterTheFirstFullBatch,
+  // TwoToOneMixClosesWhereTheSameMixReferenceSays and, up to its flush,
+  // FlushAndShutdownCloseWhatIsPending. Every batch is one group here, so
+  // the backend's reports are its batches.
+  const auto kmeans = workloads::kmeans_256k();
+  const std::vector two_one_mix{workloads::encryption_6k(),
+                                workloads::sorting_6k()};
+  struct Case {
+    const char* name;
+    std::vector<workloads::InstanceSpec> mix;
+    std::vector<workloads::InstanceSpec> stream;
+    Formation expected;
+  };
+  for (const Case& c :
+       {Case{"kmeans",
+             {kmeans},
+             repeat(kmeans, 3 * kThreshold),
+             {{kThreshold, kHalf, kHalf, kHalf, kHalf}, {1, 4, 0}}},
+        Case{"2:1", two_one_mix, two_to_one(3 * kThreshold),
+             {{kThreshold, 11, 12, 9}, {1, 2, 1}}},
+        Case{"flush",
+             {kmeans},
+             repeat(kmeans, kThreshold + kHalf - 1),
+             {{kThreshold, kHalf - 1}, {1, 0, 1}}}}) {
+    SCOPED_TRACE(c.name);
+    const auto [simulated, served] =
+        simulated_and_served(c.mix, c.stream, *engine_, *model_);
+    EXPECT_EQ(served.sizes, c.expected.sizes);
+    EXPECT_EQ(served.closes, c.expected.closes);
+    EXPECT_EQ(simulated.sizes, served.sizes);
+    EXPECT_EQ(simulated.closes, served.closes);
+  }
 }
 
 TEST_F(CloseRuleTest, EarlyClosedGroupMatchesAFreshBackendsFlush) {

@@ -62,17 +62,10 @@ struct TestDaemon {
 
     consolidate::BackendOptions options;
     options.batch_threshold = threshold;
-    auto templates = consolidate::TemplateRegistry::paper_defaults();
-    consolidate::ConsolidationTemplate t;
-    t.name = "experiment_mix";
-    for (const auto& m : mix) t.kernels.insert(m.spec.gpu.name);
-    templates.add(std::move(t));
-
+    std::vector<workloads::InstanceSpec> specs;
+    for (const auto& m : mix) specs.push_back(m.spec);
     backend = std::make_unique<consolidate::Backend>(
-        engine, model, std::move(templates), options);
-    for (const auto& m : mix) {
-      backend->set_cpu_profile(m.spec.gpu.name, m.spec.cpu);
-    }
+        engine, model, consolidate::served_mix(specs), options);
     ::unlink(sopt.socket_path.c_str());
     server = std::make_unique<server::Server>(*backend, sopt);
     std::string error;
