@@ -497,7 +497,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
        "(default 120)",
        false, false},
       {"metrics-interval",
-       "time-series sampler tick, s (default 1; 0 disables kMetrics series)",
+       "time-series sampler tick, s (default 1; 0 disables the kStats series)",
        false, false},
       {"metrics-history", "points kept per series (default 120)", false,
        false},
@@ -638,7 +638,7 @@ int cmd_route(const std::vector<std::string>& args, std::ostream& out) {
        false, false},
       {"workers", "pump worker threads (default 0 = auto)", false, false},
       {"metrics-interval",
-       "time-series sampler tick, s (default 1; 0 disables kMetrics series)",
+       "time-series sampler tick, s (default 1; 0 disables the kStats series)",
        false, false},
       {"metrics-history", "points kept per series (default 120)", false,
        false},

@@ -1,4 +1,4 @@
-// `ewcsim top` — live fleet telemetry over the kMetrics frame.
+// `ewcsim top` — live fleet telemetry over the kStats frame's series part.
 //
 // Polls a daemon or router endpoint for its time-series rings (rps, p95
 // latency, median batch fill time, power draw, joules/request, inflight —
@@ -128,7 +128,7 @@ void render_row(std::ostream& out, const std::string& scope,
 }
 
 void render_frame(std::ostream& out, const std::string& endpoint,
-                  const server::MetricsReplyMsg& reply,
+                  const server::StatsReplyMsg& reply,
                   std::size_t spark_width) {
   out << "ewcsim top — " << endpoint << "  (uptime "
       << fmt(static_cast<double>(reply.uptime_micros) * 1e-6, 1)
@@ -155,7 +155,7 @@ void render_frame(std::ostream& out, const std::string& endpoint,
 /// ewcd-top/v1: the newest value per series plus the full rings, one JSON
 /// object, stable field order (series sorted by name).
 void render_json(std::ostream& out, const std::string& endpoint,
-                 const server::MetricsReplyMsg& reply) {
+                 const server::StatsReplyMsg& reply) {
   std::ostringstream os;
   os.precision(17);
   os << "{\"schema\":\"ewcd-top/v1\",\"endpoint\":\""
@@ -241,16 +241,19 @@ int cmd_top(const std::vector<std::string>& args, std::ostream& out) {
       conn = server::ClientConnection::connect(*socket_path, "ewcsim-top",
                                                connect_timeout, &error);
     }
-    std::optional<server::MetricsReplyMsg> reply;
+    std::optional<server::StatsReplyMsg> reply;
     if (conn != nullptr) {
-      reply = conn->metrics(/*include_prometheus=*/as_prometheus,
-                            reply_timeout);
+      server::StatsMsg request;
+      request.include_histograms = false;
+      request.include_series = true;
+      request.include_prometheus = as_prometheus;
+      reply = conn->stats(request, reply_timeout);
     }
     if (!reply.has_value()) {
       if (once || ++consecutive_failures >= 3) {
         throw ArgsError(
-            "no metrics reply (daemon too old for the METRICS frame, or "
-            "timed out)");
+            "no stats reply (daemon too old for the STATS frame, or timed "
+            "out)");
       }
     } else {
       consecutive_failures = 0;

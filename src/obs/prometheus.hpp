@@ -1,7 +1,7 @@
 // Prometheus text exposition (version 0.0.4) for the dotted metric
 // namespace.
 //
-// The kMetrics frame can answer with this format so a standard scraper (or
+// A kStats reply can carry this format so a standard scraper (or
 // `curl`-grade tooling in CI) reads the daemon without speaking EWC1
 // structures. Mapping rules:
 //

@@ -2,7 +2,7 @@
 //
 // Every layer publishes here under dotted names ("server.replies",
 // "backend.batch_size", ...; conventions in docs/OBSERVABILITY.md) and every
-// reporting surface — the kStats/kMetrics frames, `ewcsim cache-stats`, the
+// reporting surface — the kStats frame, `ewcsim cache-stats`, the
 // bench harnesses — reads one snapshot() instead of threading stats structs
 // through every layer. Counters are doubles: most are event counts, some
 // are gauges written with set().

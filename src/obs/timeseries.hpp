@@ -21,7 +21,8 @@
 // when a tick is due (ewcd and the router do it from their reactor's tick
 // through server::Telemetry::on_tick); each tick holds the sampler mutex
 // while evaluating providers — hot paths never touch it. Readers (the
-// kMetrics frame handler) take the same mutex for a snapshot.
+// kStats handler, for a series request) take the same mutex for a
+// snapshot.
 // Deterministic tests drive sample_at() directly with explicit timestamps.
 #pragma once
 

@@ -215,16 +215,15 @@ void Router::start_telemetry() {
     out.counters["router.standby"] = standby_mode_.load() ? 1.0 : 0.0;
     return out;
   };
-  telemetry_.refresh = [this] { poll_shards(); };
   telemetry_.stats_requests = registry.counter("router.stats_requests");
-  telemetry_.metrics_requests = registry.counter("router.metrics_requests");
   telemetry_.interval_seconds = options_.metrics_interval;
   if (options_.metrics_interval <= 0.0) return;
   auto sampler = std::make_unique<obs::Sampler>(options_.metrics_history);
   // Every provider reads the poller's shard view, so series are at most
-  // poll_interval stale; a kMetrics reply runs a fresh poll pass before
-  // sampling. Scope n is the whole fleet under plain names; scope i < n is
-  // shard i under its shard.<i>. prefix. Both sum over their shards.
+  // poll_interval stale; a kStats series request runs a fresh poll pass
+  // before sampling. Scope n is the whole fleet under plain names; scope
+  // i < n is shard i under its shard.<i>. prefix. Both sum over their
+  // shards.
   const std::size_t n = shards_.size();
   for (std::size_t scope = 0; scope <= n; ++scope) {
     const std::size_t first = scope == n ? 0 : scope;
@@ -441,7 +440,6 @@ void Router::on_frame(const Reactor::ConnPtr& conn, net::Frame frame) {
 
   switch (static_cast<MsgType>(frame.type)) {
     case MsgType::kStats:
-    case MsgType::kMetrics:
       server::answer_telemetry(conn, frame, telemetry_);
       return;
     case MsgType::kFlush:

@@ -155,7 +155,7 @@ struct RouterOptions {
   /// Time-series sampler tick (seconds), taken on the reactor's 50 ms tick:
   /// every sample derives fleet-wide and per-shard (shard.<i>.*) rps / p95
   /// / watts / joules-per-request series from the poller's shard view,
-  /// served over kMetrics. 0 disables.
+  /// served with a kStats series request. 0 disables.
   double metrics_interval = 1.0;
   /// Points kept per series (history window = interval * history).
   std::size_t metrics_history = 120;
@@ -310,7 +310,7 @@ class Router {
   void record_dial_success(Shard& shard);
 
   /// One synchronous poll pass over every shard (poller thread; also run
-  /// on demand before a kStats or kMetrics reply for a fresh view).
+  /// on demand before a kStats reply for a fresh view).
   void poll_shards();
   void poll_loop();
 
@@ -415,7 +415,7 @@ class Router {
   std::condition_variable poller_cv_;
   bool poller_stop_ = false;
 
-  /// The kStats/kMetrics endpoint; its sampler reads the polled shard
+  /// The kStats endpoint; its sampler reads the polled shard
   /// state.
   server::Telemetry telemetry_;
 

@@ -404,68 +404,49 @@ std::uint64_t ClientConnection::launch_async(
   return id;
 }
 
-bool ClientConnection::flush(common::Duration timeout) {
-  if (!breaker_allows()) return false;
-  auto waiter = std::make_shared<common::Channel<bool>>();
-  std::uint64_t token;
+template <class Request, class Reply>
+std::optional<Reply> ClientConnection::call(
+    MsgType type, MsgType reply_type, Request request,
+    std::vector<std::byte> (*encode)(const Request&),
+    std::optional<Reply> (*decode)(std::span<const std::byte>),
+    common::Duration timeout) {
+  if (!breaker_allows()) return std::nullopt;
+  auto done = std::make_shared<common::Channel<std::optional<Reply>>>();
   {
+    // Registered under mu_ with dead_ checked, as launch() does: fail_all
+    // either finds this entry or this call sees dead_.
     std::lock_guard lock(mu_);
-    if (dead_.load()) return false;
-    token = next_id_++;
-    flush_waiters_[token] = waiter;
+    if (dead_.load()) return std::nullopt;
+    request.token = next_id_++;
+    pending_[request.token] = {
+        reply_type,
+        [done, decode](std::optional<std::span<const std::byte>> payload) {
+          std::optional<Reply> reply;
+          if (payload.has_value()) reply = decode(*payload);
+          const bool ok = reply.has_value();
+          done->send(std::move(reply));
+          return ok;
+        }};
   }
-  bool ok = send(MsgType::kFlush, encode_flush({token}));
-  if (ok) {
-    const auto done = waiter->receive_for(timeout);
-    ok = done.has_value() && *done;
+  std::optional<Reply> reply;
+  if (send(type, encode(request))) {
+    if (auto got = done->receive_for(timeout)) reply = std::move(*got);
   }
   std::lock_guard lock(mu_);
-  flush_waiters_.erase(token);
-  return ok;
+  pending_.erase(request.token);
+  return reply;
+}
+
+bool ClientConnection::flush(common::Duration timeout) {
+  const auto done = call(MsgType::kFlush, MsgType::kFlushDone, FlushMsg{},
+                         encode_flush, decode_flush_done, timeout);
+  return done.has_value() && done->ok;
 }
 
 std::optional<StatsReplyMsg> ClientConnection::stats(
-    bool include_histograms, common::Duration timeout) {
-  if (!breaker_allows()) return std::nullopt;
-  auto waiter =
-      std::make_shared<common::Channel<std::optional<StatsReplyMsg>>>();
-  std::uint64_t token;
-  {
-    std::lock_guard lock(mu_);
-    if (dead_.load()) return std::nullopt;
-    token = next_id_++;
-    stats_waiters_[token] = waiter;
-  }
-  std::optional<StatsReplyMsg> reply;
-  if (send(MsgType::kStats, encode_stats({token, include_histograms}))) {
-    auto got = waiter->receive_for(timeout);
-    if (got.has_value()) reply = std::move(*got);
-  }
-  std::lock_guard lock(mu_);
-  stats_waiters_.erase(token);
-  return reply;
-}
-
-std::optional<MetricsReplyMsg> ClientConnection::metrics(
-    bool include_prometheus, common::Duration timeout) {
-  if (!breaker_allows()) return std::nullopt;
-  auto waiter =
-      std::make_shared<common::Channel<std::optional<MetricsReplyMsg>>>();
-  std::uint64_t token;
-  {
-    std::lock_guard lock(mu_);
-    if (dead_.load()) return std::nullopt;
-    token = next_id_++;
-    metrics_waiters_[token] = waiter;
-  }
-  std::optional<MetricsReplyMsg> reply;
-  if (send(MsgType::kMetrics, encode_metrics({token, include_prometheus}))) {
-    auto got = waiter->receive_for(timeout);
-    if (got.has_value()) reply = std::move(*got);
-  }
-  std::lock_guard lock(mu_);
-  metrics_waiters_.erase(token);
-  return reply;
+    StatsMsg request, common::Duration timeout) {
+  return call(MsgType::kStats, MsgType::kStatsReply, request, encode_stats,
+              decode_stats_reply, timeout);
 }
 
 bool ClientConnection::request_shutdown() {
@@ -475,133 +456,53 @@ bool ClientConnection::request_shutdown() {
 
 std::optional<MigrateExportReplyMsg> ClientConnection::migrate_export(
     std::uint64_t session, bool commit, common::Duration timeout) {
-  if (!breaker_allows()) return std::nullopt;
-  auto waiter = std::make_shared<
-      common::Channel<std::optional<MigrateExportReplyMsg>>>();
-  std::uint64_t token;
-  {
-    std::lock_guard lock(mu_);
-    if (dead_.load()) return std::nullopt;
-    token = next_id_++;
-    migrate_export_waiters_[token] = waiter;
-  }
-  std::optional<MigrateExportReplyMsg> reply;
-  if (send(MsgType::kMigrateExport,
-           encode_migrate_export({token, session, commit}))) {
-    auto got = waiter->receive_for(timeout);
-    if (got.has_value()) reply = std::move(*got);
-  }
-  std::lock_guard lock(mu_);
-  migrate_export_waiters_.erase(token);
-  return reply;
+  return call(MsgType::kMigrateExport, MsgType::kMigrateExportReply,
+              MigrateExportMsg{0, session, commit}, encode_migrate_export,
+              decode_migrate_export_reply, timeout);
 }
 
 std::optional<MigrateImportReplyMsg> ClientConnection::migrate_import(
     const SessionSnapshot& snapshot, common::Duration timeout) {
-  if (!breaker_allows()) return std::nullopt;
-  auto waiter = std::make_shared<
-      common::Channel<std::optional<MigrateImportReplyMsg>>>();
-  std::uint64_t token;
-  {
-    std::lock_guard lock(mu_);
-    if (dead_.load()) return std::nullopt;
-    token = next_id_++;
-    migrate_import_waiters_[token] = waiter;
-  }
-  std::optional<MigrateImportReplyMsg> reply;
-  MigrateImportMsg msg;
-  msg.token = token;
-  msg.snapshot = snapshot;
-  if (send(MsgType::kMigrateImport, encode_migrate_import(msg))) {
-    auto got = waiter->receive_for(timeout);
-    if (got.has_value()) reply = std::move(*got);
-  }
-  std::lock_guard lock(mu_);
-  migrate_import_waiters_.erase(token);
-  return reply;
+  return call(MsgType::kMigrateImport, MsgType::kMigrateImportReply,
+              MigrateImportMsg{0, snapshot}, encode_migrate_import,
+              decode_migrate_import_reply, timeout);
 }
 
 void ClientConnection::fail_all(const std::string& error) {
   std::map<std::uint64_t,
            std::shared_ptr<common::Channel<consolidate::CompletionReply>>>
       launches;
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<bool>>> flushes;
-  std::map<std::uint64_t,
-           std::shared_ptr<common::Channel<std::optional<StatsReplyMsg>>>>
-      stats;
-  std::map<std::uint64_t,
-           std::shared_ptr<common::Channel<std::optional<MetricsReplyMsg>>>>
-      metrics;
   std::map<std::uint64_t,
            std::function<void(const consolidate::CompletionReply&)>>
       callbacks;
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<
-                              std::optional<MigrateExportReplyMsg>>>>
-      exports;
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<
-                              std::optional<MigrateImportReplyMsg>>>>
-      imports;
   {
     std::lock_guard lock(mu_);
     death_reason_ = error;
     dead_.store(true);
     launches.swap(launch_waiters_);
-    flushes.swap(flush_waiters_);
-    stats.swap(stats_waiters_);
-    metrics.swap(metrics_waiters_);
-    exports.swap(migrate_export_waiters_);
-    imports.swap(migrate_import_waiters_);
     callbacks.swap(launch_callbacks_);
     inflight_launches_.clear();
   }
-  for (auto& [id, waiter] : launches) {
+  const auto failed = [&](std::uint64_t id) {
     consolidate::CompletionReply reply;
     reply.ok = false;
     reply.error = error;
     reply.request_id = id;
-    waiter->send(std::move(reply));
-  }
-  for (auto& [id, callback] : callbacks) {
-    consolidate::CompletionReply reply;
-    reply.ok = false;
-    reply.error = error;
-    reply.request_id = id;
-    callback(reply);
-  }
-  for (auto& [token, waiter] : flushes) waiter->send(false);
-  for (auto& [token, waiter] : stats) waiter->send(std::nullopt);
-  for (auto& [token, waiter] : metrics) waiter->send(std::nullopt);
-  for (auto& [token, waiter] : exports) waiter->send(std::nullopt);
-  for (auto& [token, waiter] : imports) waiter->send(std::nullopt);
+    return reply;
+  };
+  for (auto& [id, waiter] : launches) waiter->send(failed(id));
+  for (auto& [id, callback] : callbacks) callback(failed(id));
+  // dead_ is already set, so no token RPC can register after this swap.
+  fail_pending();
 }
 
-void ClientConnection::fail_connection_scoped() {
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<bool>>> flushes;
-  std::map<std::uint64_t,
-           std::shared_ptr<common::Channel<std::optional<StatsReplyMsg>>>>
-      stats;
-  std::map<std::uint64_t,
-           std::shared_ptr<common::Channel<std::optional<MetricsReplyMsg>>>>
-      metrics;
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<
-                              std::optional<MigrateExportReplyMsg>>>>
-      exports;
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<
-                              std::optional<MigrateImportReplyMsg>>>>
-      imports;
+void ClientConnection::fail_pending() {
+  std::map<std::uint64_t, Pending> pending;
   {
     std::lock_guard lock(mu_);
-    flushes.swap(flush_waiters_);
-    stats.swap(stats_waiters_);
-    metrics.swap(metrics_waiters_);
-    exports.swap(migrate_export_waiters_);
-    imports.swap(migrate_import_waiters_);
+    pending.swap(pending_);
   }
-  for (auto& [token, waiter] : flushes) waiter->send(false);
-  for (auto& [token, waiter] : stats) waiter->send(std::nullopt);
-  for (auto& [token, waiter] : metrics) waiter->send(std::nullopt);
-  for (auto& [token, waiter] : exports) waiter->send(std::nullopt);
-  for (auto& [token, waiter] : imports) waiter->send(std::nullopt);
+  for (auto& [token, p] : pending) p.deliver(std::nullopt);
 }
 
 bool ClientConnection::recover(const std::string& why) {
@@ -617,9 +518,9 @@ bool ClientConnection::recover(const std::string& why) {
     sock_.shutdown_rw();
   }
   // Launch waiters survive: their payloads replay onto the new connection
-  // and the server's dedup makes that idempotent. Flush/stats tokens are
+  // and the server's dedup makes that idempotent. Token RPCs are
   // connection-scoped — anything lost with the old stream fails now.
-  fail_connection_scoped();
+  fail_pending();
   // The disconnect that triggered recovery is one transport error. Each
   // full rotation below that finds NO answering endpoint adds one more —
   // per rotation, not per endpoint, so a dead primary in a two-entry list
@@ -741,89 +642,33 @@ void ClientConnection::reader_loop() {
         if (callback) callback(*reply);
         break;
       }
-      case MsgType::kFlushDone: {
-        const auto done = decode_flush_done(frame.payload);
-        if (!done.has_value()) {
-          if (recover("malformed flush_done")) continue;
-          return fail_all("malformed flush_done");
-        }
-        std::shared_ptr<common::Channel<bool>> waiter;
-        {
-          std::lock_guard lock(mu_);
-          auto it = flush_waiters_.find(done->token);
-          if (it != flush_waiters_.end()) waiter = it->second;
-        }
-        record_transport_success();
-        if (waiter) waiter->send(done->ok);
-        break;
-      }
-      case MsgType::kStatsReply: {
-        auto reply = decode_stats_reply(frame.payload);
-        if (!reply.has_value()) {
-          if (recover("malformed stats_reply")) continue;
-          return fail_all("malformed stats_reply");
-        }
-        std::shared_ptr<common::Channel<std::optional<StatsReplyMsg>>> waiter;
-        {
-          std::lock_guard lock(mu_);
-          auto it = stats_waiters_.find(reply->token);
-          if (it != stats_waiters_.end()) waiter = it->second;
-        }
-        record_transport_success();
-        if (waiter) waiter->send(std::move(reply));
-        break;
-      }
-      case MsgType::kMetricsReply: {
-        auto reply = decode_metrics_reply(frame.payload);
-        if (!reply.has_value()) {
-          if (recover("malformed metrics_reply")) continue;
-          return fail_all("malformed metrics_reply");
-        }
-        std::shared_ptr<common::Channel<std::optional<MetricsReplyMsg>>> waiter;
-        {
-          std::lock_guard lock(mu_);
-          auto it = metrics_waiters_.find(reply->token);
-          if (it != metrics_waiters_.end()) waiter = it->second;
-        }
-        record_transport_success();
-        if (waiter) waiter->send(std::move(reply));
-        break;
-      }
-      case MsgType::kMigrateExportReply: {
-        auto reply = decode_migrate_export_reply(frame.payload);
-        if (!reply.has_value()) {
-          if (recover("malformed migrate_export_reply")) continue;
-          return fail_all("malformed migrate_export_reply");
-        }
-        std::shared_ptr<
-            common::Channel<std::optional<MigrateExportReplyMsg>>>
-            waiter;
-        {
-          std::lock_guard lock(mu_);
-          auto it = migrate_export_waiters_.find(reply->token);
-          if (it != migrate_export_waiters_.end()) waiter = it->second;
-        }
-        record_transport_success();
-        if (waiter) waiter->send(std::move(reply));
-        break;
-      }
+      case MsgType::kFlushDone:
+      case MsgType::kStatsReply:
+      case MsgType::kMigrateExportReply:
       case MsgType::kMigrateImportReply: {
-        auto reply = decode_migrate_import_reply(frame.payload);
-        if (!reply.has_value()) {
-          if (recover("malformed migrate_import_reply")) continue;
-          return fail_all("malformed migrate_import_reply");
-        }
-        std::shared_ptr<
-            common::Channel<std::optional<MigrateImportReplyMsg>>>
-            waiter;
-        {
+        // Every token reply opens with its request's u64 token. Only the
+        // call that asked for this reply type gets the payload; a stray
+        // token (its caller timed out and moved on) is dropped.
+        const auto type = static_cast<MsgType>(frame.type);
+        net::Reader r(frame.payload);
+        const std::uint64_t token = r.u64();
+        std::optional<Pending> pending;
+        if (r.ok()) {
           std::lock_guard lock(mu_);
-          auto it = migrate_import_waiters_.find(reply->token);
-          if (it != migrate_import_waiters_.end()) waiter = it->second;
+          const auto it = pending_.find(token);
+          if (it != pending_.end() && it->second.reply_type == type) {
+            pending = std::move(it->second);
+            pending_.erase(it);
+          }
         }
-        record_transport_success();
-        if (waiter) waiter->send(std::move(reply));
-        break;
+        if (r.ok() && (!pending || pending->deliver(frame.payload))) {
+          record_transport_success();
+          break;
+        }
+        const std::string why =
+            std::string("malformed ") + msg_type_name(type);
+        if (recover(why)) continue;
+        return fail_all(why);
       }
       case MsgType::kError: {
         const auto msg = decode_error(frame.payload);

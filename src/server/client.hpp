@@ -125,13 +125,15 @@ class ClientConnection {
   /// timeout, transport failure, or a pre-stats daemon (which answers the
   /// kStats frame with kError).
   std::optional<StatsReplyMsg> stats(bool include_histograms,
-                                     common::Duration timeout);
+                                     common::Duration timeout) {
+    return stats(StatsMsg{0, include_histograms}, timeout);
+  }
 
-  /// Snapshot the daemon's time-series rings (and optionally the Prometheus
-  /// text exposition). nullopt on timeout, transport failure, or a
-  /// pre-metrics daemon (which answers the kMetrics frame with kError).
-  std::optional<MetricsReplyMsg> metrics(bool include_prometheus,
-                                         common::Duration timeout);
+  /// As above with every kStats part selectable: histograms, the sampler's
+  /// time-series rings, the Prometheus text. `request.token` is assigned
+  /// here.
+  std::optional<StatsReplyMsg> stats(StatsMsg request,
+                                     common::Duration timeout);
 
   /// Ask the daemon to drain and exit (admin path).
   bool request_shutdown();
@@ -184,9 +186,18 @@ class ClientConnection {
   bool recover(const std::string& why);
   /// Fail every waiter and mark the connection dead.
   void fail_all(const std::string& error);
-  /// Fail flush/stats waiters only: their tokens are connection-scoped and
-  /// a frame lost with the old connection will never be answered.
-  void fail_connection_scoped();
+  /// Fail the token RPCs only: their tokens are connection-scoped and a
+  /// frame lost with the old connection will never be answered.
+  void fail_pending();
+  /// One token RPC: give `request` a fresh token, send it as `type` and
+  /// wait for the `reply_type` frame that carries the token back. nullopt
+  /// on timeout, transport failure or a kError answer.
+  template <class Request, class Reply>
+  std::optional<Reply> call(
+      MsgType type, MsgType reply_type, Request request,
+      std::vector<std::byte> (*encode)(const Request&),
+      std::optional<Reply> (*decode)(std::span<const std::byte>),
+      common::Duration timeout);
   bool send(MsgType type, std::span<const std::byte> payload);
   /// Sleep in small chunks; false when shutdown interrupted the wait.
   bool interruptible_sleep(common::Duration d);
@@ -218,24 +229,16 @@ class ClientConnection {
   std::map<std::uint64_t,
            std::shared_ptr<common::Channel<consolidate::CompletionReply>>>
       launch_waiters_;
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<bool>>>
-      flush_waiters_;
-  /// Stats waiters receive nullopt when the connection dies (or when the
-  /// server predates kStats and answers with kError).
-  std::map<std::uint64_t,
-           std::shared_ptr<common::Channel<std::optional<StatsReplyMsg>>>>
-      stats_waiters_;
-  /// Same contract for kMetrics time-series snapshots.
-  std::map<std::uint64_t,
-           std::shared_ptr<common::Channel<std::optional<MetricsReplyMsg>>>>
-      metrics_waiters_;
-  /// And for the live-migration RPCs (token-scoped, like flush/stats).
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<
-                              std::optional<MigrateExportReplyMsg>>>>
-      migrate_export_waiters_;
-  std::map<std::uint64_t, std::shared_ptr<common::Channel<
-                              std::optional<MigrateImportReplyMsg>>>>
-      migrate_import_waiters_;
+  /// A token RPC awaiting its reply: the frame type that answers it, and
+  /// the hand-off to its caller. deliver(payload) decodes the reply, wakes
+  /// the caller and returns false when the payload does not decode;
+  /// deliver(nullopt) fails the call (connection death, or a server that
+  /// answers with kError).
+  struct Pending {
+    MsgType reply_type;
+    std::function<bool(std::optional<std::span<const std::byte>>)> deliver;
+  };
+  std::map<std::uint64_t, Pending> pending_;  ///< keyed by token
   /// Encoded kLaunch payloads awaiting an answer, for replay after a
   /// reconnect. Only populated when auto_reconnect is on.
   std::map<std::uint64_t, std::vector<std::byte>> inflight_launches_;

@@ -14,8 +14,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kError: return "error";
     case MsgType::kStats: return "stats";
     case MsgType::kStatsReply: return "stats_reply";
-    case MsgType::kMetrics: return "metrics";
-    case MsgType::kMetricsReply: return "metrics_reply";
     case MsgType::kMigrateExport: return "migrate_export";
     case MsgType::kMigrateExportReply: return "migrate_export_reply";
     case MsgType::kMigrateImport: return "migrate_import";
@@ -223,6 +221,10 @@ std::vector<std::byte> encode_stats(const StatsMsg& m) {
   net::Writer w;
   w.u64(m.token);
   w.u8(m.include_histograms ? 1 : 0);
+  if (m.include_series || m.include_prometheus) {
+    w.u8(m.include_series ? 1 : 0);
+    w.u8(m.include_prometheus ? 1 : 0);
+  }
   return w.take();
 }
 
@@ -231,6 +233,10 @@ std::optional<StatsMsg> decode_stats(std::span<const std::byte> payload) {
   StatsMsg m;
   m.token = r.u64();
   m.include_histograms = r.u8() != 0;
+  if (r.ok() && r.remaining() > 0) {
+    m.include_series = r.u8() != 0;
+    m.include_prometheus = r.u8() != 0;
+  }
   if (!r.done()) return std::nullopt;
   return m;
 }
@@ -254,6 +260,20 @@ std::vector<std::byte> encode_stats_reply(const StatsReplyMsg& m) {
     w.f64(h.sum);
     w.u32(static_cast<std::uint32_t>(h.counts.size()));
     for (std::uint64_t c : h.counts) w.u64(c);
+  }
+  if (m.interval_seconds != 0.0 || !m.series.empty() ||
+      !m.prometheus_text.empty()) {
+    w.f64(m.interval_seconds);
+    w.u32(static_cast<std::uint32_t>(m.series.size()));
+    for (const auto& [name, snap] : m.series) {
+      w.str(name);
+      w.u32(static_cast<std::uint32_t>(snap.points.size()));
+      for (const auto& p : snap.points) {
+        w.f64(p.t_seconds);
+        w.f64(p.value);
+      }
+    }
+    w.str(m.prometheus_text);
   }
   return w.take();
 }
@@ -293,72 +313,26 @@ std::optional<StatsReplyMsg> decode_stats_reply(
     for (std::uint32_t c = 0; c < ncounts; ++c) h.counts.push_back(r.u64());
     m.histograms.emplace(std::move(name), std::move(h));
   }
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-std::vector<std::byte> encode_metrics(const MetricsMsg& m) {
-  net::Writer w;
-  w.u64(m.token);
-  w.u8(m.include_prometheus ? 1 : 0);
-  return w.take();
-}
-
-std::optional<MetricsMsg> decode_metrics(std::span<const std::byte> payload) {
-  net::Reader r(payload);
-  MetricsMsg m;
-  m.token = r.u64();
-  m.include_prometheus = r.u8() != 0;
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-std::vector<std::byte> encode_metrics_reply(const MetricsReplyMsg& m) {
-  net::Writer w;
-  w.u64(m.token);
-  w.u64(m.uptime_micros);
-  w.f64(m.interval_seconds);
-  w.u32(static_cast<std::uint32_t>(m.series.size()));
-  for (const auto& [name, snap] : m.series) {
-    w.str(name);
-    w.u32(static_cast<std::uint32_t>(snap.points.size()));
-    for (const auto& p : snap.points) {
-      w.f64(p.t_seconds);
-      w.f64(p.value);
+  if (r.ok() && r.remaining() > 0) {
+    m.interval_seconds = r.f64();
+    const std::uint32_t nseries = r.u32();
+    if (!r.ok() || nseries > kMaxEntries) return std::nullopt;
+    for (std::uint32_t i = 0; i < nseries && r.ok(); ++i) {
+      std::string name = r.str();
+      const std::uint32_t npoints = r.u32();
+      if (!r.ok() || npoints > kMaxEntries) return std::nullopt;
+      obs::SeriesSnapshot snap;
+      snap.points.reserve(npoints);
+      for (std::uint32_t p = 0; p < npoints && r.ok(); ++p) {
+        obs::SeriesPoint pt;
+        pt.t_seconds = r.f64();
+        pt.value = r.f64();
+        snap.points.push_back(pt);
+      }
+      m.series.emplace(std::move(name), std::move(snap));
     }
+    m.prometheus_text = r.str();
   }
-  w.str(m.prometheus_text);
-  return w.take();
-}
-
-std::optional<MetricsReplyMsg> decode_metrics_reply(
-    std::span<const std::byte> payload) {
-  // Same bounded-decode discipline as decode_stats_reply: counts are
-  // checked before allocation so a malformed frame cannot ask for
-  // gigabytes.
-  constexpr std::uint32_t kMaxEntries = 1 << 20;
-  net::Reader r(payload);
-  MetricsReplyMsg m;
-  m.token = r.u64();
-  m.uptime_micros = r.u64();
-  m.interval_seconds = r.f64();
-  const std::uint32_t nseries = r.u32();
-  if (!r.ok() || nseries > kMaxEntries) return std::nullopt;
-  for (std::uint32_t i = 0; i < nseries && r.ok(); ++i) {
-    std::string name = r.str();
-    const std::uint32_t npoints = r.u32();
-    if (!r.ok() || npoints > kMaxEntries) return std::nullopt;
-    obs::SeriesSnapshot snap;
-    snap.points.reserve(npoints);
-    for (std::uint32_t p = 0; p < npoints && r.ok(); ++p) {
-      obs::SeriesPoint pt;
-      pt.t_seconds = r.f64();
-      pt.value = r.f64();
-      snap.points.push_back(pt);
-    }
-    m.series.emplace(std::move(name), std::move(snap));
-  }
-  m.prometheus_text = r.str();
   if (!r.done()) return std::nullopt;
   return m;
 }

@@ -38,12 +38,11 @@ enum class MsgType : std::uint16_t {
   kError = 8,       ///< server -> client: fatal protocol error, then close
   // Additive extension (still protocol version 1): a version-1 server that
   // predates it answers kStats with kError, which stats clients must accept.
-  kStats = 9,       ///< client -> server: snapshot counters (+ histograms)
+  kStats = 9,       ///< client -> server: snapshot counters (+ histograms,
+                    ///< series, Prometheus)
   kStatsReply = 10, ///< server -> client: the snapshot
-  // Additive extension (still protocol version 1), same contract as kStats:
-  // older servers answer with kError, which metrics clients must accept.
-  kMetrics = 11,      ///< client -> server: time-series rings (+ Prometheus)
-  kMetricsReply = 12, ///< server -> client: the series
+  // Types 11 and 12 are retired (the time-series rings ride kStatsReply);
+  // a server answers them like any other unexpected type.
   // Additive extension (still protocol version 1): live session migration.
   // The router exports a session's authoritative replay state from one
   // shard and imports it into another; a pre-migration server answers both
@@ -97,9 +96,16 @@ struct ErrorMsg {
   std::string message;
 };
 
+/// The two trailing flags are additive (still protocol version 1): they
+/// travel only when one is set, and a request that ends after
+/// include_histograms decodes with both false.
 struct StatsMsg {
   std::uint64_t token = 0;
   bool include_histograms = true;
+  /// Sample the time-series rings now and return them.
+  bool include_series = false;
+  /// Also render the Prometheus text exposition into the reply.
+  bool include_prometheus = false;
 };
 
 /// One coherent snapshot of the process's obs::Registry: its counters and
@@ -107,26 +113,18 @@ struct StatsMsg {
 /// with their full bucket geometry, so the client interpolates percentiles
 /// itself (and can merge snapshots from several daemons). The decoder
 /// rejects a geometry that fails HistogramParams::valid().
+///
+/// On request it also carries the sampler's rings (per-series point
+/// history, oldest first) and the Prometheus text exposition of the
+/// counters and newest sampled values. That trailing part is written only
+/// when it is not empty, so a reply without it decodes as interval 0, no
+/// series and no text; a daemon running without a sampler answers a series
+/// request that way.
 struct StatsReplyMsg {
   std::uint64_t token = 0;
   std::uint64_t uptime_micros = 0;
   std::map<std::string, double> counters;
   std::map<std::string, obs::HistogramSnapshot> histograms;
-};
-
-struct MetricsMsg {
-  std::uint64_t token = 0;
-  /// Also render the Prometheus text exposition into the reply.
-  bool include_prometheus = false;
-};
-
-/// The sampler's ring contents: per-series point history (oldest first)
-/// plus, on request, the Prometheus text exposition of the newest values
-/// and counters. A daemon running without a sampler answers with an empty
-/// series map.
-struct MetricsReplyMsg {
-  std::uint64_t token = 0;
-  std::uint64_t uptime_micros = 0;
   double interval_seconds = 0.0;  ///< sampler tick; 0 = sampler disabled
   std::map<std::string, obs::SeriesSnapshot> series;
   std::string prometheus_text;  ///< empty unless requested
@@ -248,13 +246,6 @@ std::optional<StatsMsg> decode_stats(std::span<const std::byte> payload);
 
 std::vector<std::byte> encode_stats_reply(const StatsReplyMsg& m);
 std::optional<StatsReplyMsg> decode_stats_reply(
-    std::span<const std::byte> payload);
-
-std::vector<std::byte> encode_metrics(const MetricsMsg& m);
-std::optional<MetricsMsg> decode_metrics(std::span<const std::byte> payload);
-
-std::vector<std::byte> encode_metrics_reply(const MetricsReplyMsg& m);
-std::optional<MetricsReplyMsg> decode_metrics_reply(
     std::span<const std::byte> payload);
 
 std::vector<std::byte> encode_migrate_export(const MigrateExportMsg& m);

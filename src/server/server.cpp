@@ -131,7 +131,6 @@ void Server::start_telemetry() {
   telemetry_.started_at = std::chrono::steady_clock::now();
   telemetry_.stats = [] { return obs::Registry::instance().snapshot(); };
   telemetry_.stats_requests = registry.counter("server.stats_requests");
-  telemetry_.metrics_requests = registry.counter("server.metrics_requests");
   telemetry_.interval_seconds = options_.metrics_interval;
   telemetry_.gauges = [this] {
     return std::map<std::string, double>{
@@ -248,7 +247,6 @@ void Server::on_frame(const Reactor::ConnPtr& conn, net::Frame frame) {
       notify_stop();
       break;
     case MsgType::kStats:
-    case MsgType::kMetrics:
       if (!answer_telemetry(conn, frame, telemetry_)) {
         counters().protocol_errors.inc();
       }

@@ -94,8 +94,8 @@ struct ServerOptions {
   int workers = 0;
   /// Time-series sampler tick (seconds), taken on the reactor's 50 ms tick:
   /// every sample snapshots rps / p95 / power_watts / joules-per-request /
-  /// inflight into ring buffers served by the kMetrics frame. 0 disables
-  /// the sampler (kMetrics then answers with an empty series map).
+  /// inflight into ring buffers served with a kStats series request. 0
+  /// disables the sampler (such a request then gets an empty series map).
   double metrics_interval = 1.0;
   /// Points kept per series (history window = interval * history).
   std::size_t metrics_history = 120;
@@ -287,7 +287,7 @@ class Server {
   std::map<std::uint64_t, SessionState> sessions_;
   static constexpr std::size_t kCompletedCapPerSession = 1024;
 
-  /// The kStats/kMetrics endpoint and its sampler.
+  /// The kStats endpoint and its sampler.
   Telemetry telemetry_;
 
   std::atomic<bool> running_{false};

@@ -1,11 +1,11 @@
-// The kStats / kMetrics answer path shared by ewcd and the router.
+// The kStats answer path shared by ewcd and the router.
 //
-// Both processes serve the two telemetry frames the same way: a kStats
-// reply is the process's stats snapshot (ewcd: the obs::Registry snapshot;
+// Both processes serve the one telemetry frame the same way: a kStats reply
+// is the process's stats snapshot (ewcd: the obs::Registry snapshot;
 // router: that snapshot folded with its polled shards, see
-// router::fold_fleet_stats), and a kMetrics reply carries the process's
-// sampler rings plus, on request, the Prometheus exposition of the registry
-// counters and the newest sampled values.
+// router::fold_fleet_stats) plus, on request, the process's sampler rings
+// and the Prometheus exposition of the registry counters and the newest
+// sampled values.
 #pragma once
 
 #include <chrono>
@@ -27,17 +27,16 @@ namespace ewc::server {
 struct Telemetry {
   /// Origin of the replies' uptime.
   std::chrono::steady_clock::time_point started_at{};
-  /// The kStats body.
+  /// The kStats body. It runs before a series request samples, so a
+  /// one-shot scrape reads values as of now (the router's stats() runs a
+  /// fresh shard poll).
   std::function<obs::RegistrySnapshot()> stats;
-  /// Runs before a kMetrics reply samples, so a one-shot scrape reads
-  /// values as of now (the router's fresh shard poll). May be empty.
-  std::function<void()> refresh;
-  /// The kMetrics time-series rings; null when the sampler is disabled.
+  /// The time-series rings; null when the sampler is disabled.
   std::unique_ptr<obs::Sampler> sampler;
-  double interval_seconds = 0.0;  ///< sampler tick, reported in kMetrics
+  double interval_seconds = 0.0;  ///< sampler tick, reported with the series
   /// When the sampler is next due; only on_tick reads or advances it.
   std::chrono::steady_clock::time_point next_sample{};
-  obs::Counter stats_requests, metrics_requests;
+  obs::Counter stats_requests;
   /// Gauges the serving object reports itself (ewcd: server.max_clients
   /// and server.connections.live, which the router's placement reads),
   /// served in kStats and in the Prometheus exposition. They belong to the
@@ -57,7 +56,7 @@ struct Telemetry {
 /// shard's polled kStats reply).
 double inflight(const std::function<double(const std::string&)>& counter);
 
-/// Answer one kStats or kMetrics frame from `telemetry`. A malformed
+/// Answer one kStats frame from `telemetry`. A malformed
 /// request is answered with kError and the connection is closed; returns
 /// false then.
 bool answer_telemetry(const Reactor::ConnPtr& conn, const net::Frame& frame,

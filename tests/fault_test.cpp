@@ -511,40 +511,143 @@ std::string scripted_path(const std::string& tag) {
   return ::testing::TempDir() + "ewcd_fault_" + tag + ".sock";
 }
 
-// Satellite regression: a stats() waiter whose connection dies must be
-// *failed*, not left to ride out its full timeout.
-TEST(ClientDemuxTest, PendingStatsFailsFastWhenServerCloses) {
-  const auto path = scripted_path("statsdie");
-  ScriptedServer server(path, [](net::Socket& sock) {
+/// A scripted server that swallows one request, then drops the connection
+/// unanswered.
+ScriptedServer::Behavior swallow_one_request_then_close() {
+  return [](net::Socket& sock) {
     net::Frame req;
     std::string err;
-    // Swallow the stats request, then drop the connection unanswered.
     (void)net::read_frame(sock, &req,
                           Deadline::after(Duration::from_seconds(10.0)), &err);
     sock.shutdown_rw();
+  };
+}
+
+// Regression: a token-RPC waiter (flush, stats, migrate_export,
+// migrate_import) whose connection dies must be *failed*, not left to ride
+// out its full timeout.
+TEST(ClientDemuxTest, PendingStatsFailsFastWhenServerCloses) {
+  using Rpc = std::function<bool(server::ClientConnection&, Duration)>;
+  const std::vector<std::pair<std::string, Rpc>> rpcs = {
+      {"flush",
+       [](server::ClientConnection& c, Duration t) { return c.flush(t); }},
+      {"stats",
+       [](server::ClientConnection& c, Duration t) {
+         server::StatsMsg request;
+         request.include_series = true;
+         request.include_prometheus = true;
+         return c.stats(request, t).has_value();
+       }},
+      {"export",
+       [](server::ClientConnection& c, Duration t) {
+         return c.migrate_export(42, /*commit=*/false, t).has_value();
+       }},
+      {"import",
+       [](server::ClientConnection& c, Duration t) {
+         server::SessionSnapshot snapshot;
+         snapshot.session = 42;
+         return c.migrate_import(snapshot, t).has_value();
+       }},
+  };
+  for (const auto& [name, rpc] : rpcs) {
+    SCOPED_TRACE(name);
+    const auto path = scripted_path("die_" + name);
+    ScriptedServer server(path, swallow_one_request_then_close());
+
+    std::string err;
+    auto conn = server::ClientConnection::connect(
+        path, "demux-test", Duration::from_seconds(5.0), &err);
+    ASSERT_NE(conn, nullptr) << err;
+
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(rpc(*conn, Duration::from_seconds(60.0)));
+    const auto elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    EXPECT_LT(elapsed, 10.0) << name << " waiter rode out its timeout";
+    // The connection is dead now; later calls fail immediately, not after
+    // a timeout (dead_ is checked under the same lock fail_all holds).
+    const auto t1 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(rpc(*conn, Duration::from_seconds(60.0)));
+    EXPECT_FALSE(conn->stats(false, Duration::from_seconds(60.0)).has_value());
+    EXPECT_FALSE(conn->flush(Duration::from_seconds(60.0)));
+    const auto elapsed2 = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t1)
+                              .count();
+    EXPECT_LT(elapsed2, 5.0);
+    EXPECT_FALSE(conn->alive());
+  }
+}
+
+// A reply is handed only to the call that asked for it: one under a
+// foreign token, and one of another reply type under the right token, are
+// both dropped, and the connection stays up for the real answer.
+TEST(ClientDemuxTest, StrayTokenReplyIsDroppedAndTheOwnReplyDelivered) {
+  const auto path = scripted_path("stray");
+  ScriptedServer server(path, [](net::Socket& sock) {
+    const auto deadline = Deadline::after(Duration::from_seconds(10.0));
+    net::Frame req;
+    std::string err;
+    if (net::read_frame(sock, &req, deadline, &err) != IoStatus::kOk) return;
+    const auto stats = server::decode_stats(req.payload);
+    if (!stats.has_value()) return;
+    const auto reply = [&](std::uint64_t token, const char* marker) {
+      server::StatsReplyMsg m;
+      m.token = token;
+      m.counters[marker] = 1.0;
+      (void)net::write_frame(
+          sock, static_cast<std::uint16_t>(server::MsgType::kStatsReply),
+          server::encode_stats_reply(m), deadline, &err);
+    };
+    reply(stats->token + 1000, "foreign");
+    (void)net::write_frame(
+        sock, static_cast<std::uint16_t>(server::MsgType::kFlushDone),
+        server::encode_flush_done({stats->token, true}), deadline, &err);
+    reply(stats->token, "own");
+    // Hold the connection until the client hangs up.
+    (void)net::read_frame(sock, &req, deadline, &err);
   });
 
   std::string err;
   auto conn = server::ClientConnection::connect(
-      path, "demux-test", Duration::from_seconds(5.0), &err);
+      path, "stray-test", Duration::from_seconds(5.0), &err);
   ASSERT_NE(conn, nullptr) << err;
+  const auto reply = conn->stats(false, Duration::from_seconds(10.0));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->counters.count("own"), 1u);
+  EXPECT_EQ(reply->counters.count("foreign"), 0u);
+  EXPECT_TRUE(conn->alive());
+}
 
+// A token reply cut off inside its u64 token does not decode: the reader
+// takes the fail path, so the waiting call fails fast and the connection
+// is marked dead.
+TEST(ClientDemuxTest, ReplyCutOffBeforeItsTokenEndsFailsTheConnection) {
+  const auto path = scripted_path("shorttoken");
+  ScriptedServer server(path, [](net::Socket& sock) {
+    const auto deadline = Deadline::after(Duration::from_seconds(10.0));
+    net::Frame req;
+    std::string err;
+    if (net::read_frame(sock, &req, deadline, &err) != IoStatus::kOk) return;
+    // The first five bytes of the request's own token.
+    const std::vector<std::byte> cut(req.payload.begin(),
+                                     req.payload.begin() + 5);
+    (void)net::write_frame(
+        sock, static_cast<std::uint16_t>(server::MsgType::kStatsReply), cut,
+        deadline, &err);
+    (void)net::read_frame(sock, &req, deadline, &err);
+  });
+
+  std::string err;
+  auto conn = server::ClientConnection::connect(
+      path, "shorttoken-test", Duration::from_seconds(5.0), &err);
+  ASSERT_NE(conn, nullptr) << err;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto reply = conn->stats(false, Duration::from_seconds(60.0));
-  const auto elapsed = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-  EXPECT_FALSE(reply.has_value());
-  EXPECT_LT(elapsed, 10.0) << "stats waiter rode out its timeout";
-  // The connection is dead now; later calls fail immediately, not after a
-  // timeout (dead_ is checked under the same lock fail_all holds).
-  const auto t1 = std::chrono::steady_clock::now();
   EXPECT_FALSE(conn->stats(false, Duration::from_seconds(60.0)).has_value());
-  EXPECT_FALSE(conn->flush(Duration::from_seconds(60.0)));
-  const auto elapsed2 = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t1)
-                            .count();
-  EXPECT_LT(elapsed2, 5.0);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            10.0);
   EXPECT_FALSE(conn->alive());
 }
 

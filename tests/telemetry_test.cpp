@@ -1,4 +1,4 @@
-// Fleet telemetry: the kMetrics/kMetricsReply codecs, the additive
+// Fleet telemetry: the kStats series part of the codecs, the additive
 // trace-context fields on kLaunch, the Sampler time-series rings, the
 // Prometheus text exposition — and three fork/exec end-to-end cases: a
 // two-shard fleet whose merged trace stitches ≥99% of requests into
@@ -22,6 +22,8 @@
 
 #include "consolidate/protocol.hpp"
 #include "ewcsim_process.hpp"
+#include "net/endpoint.hpp"
+#include "net/frame.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/prometheus.hpp"
@@ -76,20 +78,35 @@ TEST(TraceContextCodec, PreTraceLaunchDecodesAsNoContext) {
   EXPECT_EQ(decoded->parent_span_id, 0u);
 }
 
-TEST(MetricsCodec, RequestRoundTrips) {
-  server::MetricsMsg m;
+TEST(StatsSeriesCodec, RequestFlagsRoundTripAndAShortRequestIsHistogramsOnly) {
+  server::StatsMsg m;
   m.token = 99;
+  m.include_histograms = false;
+  m.include_series = true;
   m.include_prometheus = true;
-  const auto decoded = server::decode_metrics(server::encode_metrics(m));
+  const auto decoded = server::decode_stats(server::encode_stats(m));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->token, 99u);
+  EXPECT_FALSE(decoded->include_histograms);
+  EXPECT_TRUE(decoded->include_series);
   EXPECT_TRUE(decoded->include_prometheus);
+
+  // Without either flag the request is the pre-series encoding: token and
+  // include_histograms, nine bytes.
+  const auto plain = server::encode_stats({7, true});
+  EXPECT_EQ(plain.size(), 9u);
+  const auto short_req = server::decode_stats(plain);
+  ASSERT_TRUE(short_req.has_value());
+  EXPECT_TRUE(short_req->include_histograms);
+  EXPECT_FALSE(short_req->include_series);
+  EXPECT_FALSE(short_req->include_prometheus);
 }
 
-TEST(MetricsCodec, ReplyRoundTripsSeriesAndPrometheus) {
-  server::MetricsReplyMsg m;
+TEST(StatsSeriesCodec, ReplyRoundTripsSeriesAndPrometheus) {
+  server::StatsReplyMsg m;
   m.token = 7;
   m.uptime_micros = 1234567;
+  m.counters["server.replies"] = 3.0;
   m.interval_seconds = 0.5;
   m.prometheus_text = "# TYPE ewc_rps gauge\newc_rps 12.5\n";
   obs::SeriesSnapshot rps;
@@ -99,10 +116,11 @@ TEST(MetricsCodec, ReplyRoundTripsSeriesAndPrometheus) {
   shard.points = {{2.0, 6.25}};
   m.series["shard.1.rps"] = shard;
   const auto decoded =
-      server::decode_metrics_reply(server::encode_metrics_reply(m));
+      server::decode_stats_reply(server::encode_stats_reply(m));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->token, m.token);
   EXPECT_EQ(decoded->uptime_micros, m.uptime_micros);
+  EXPECT_EQ(decoded->counters, m.counters);
   EXPECT_DOUBLE_EQ(decoded->interval_seconds, m.interval_seconds);
   EXPECT_EQ(decoded->prometheus_text, m.prometheus_text);
   ASSERT_EQ(decoded->series.size(), 2u);
@@ -111,6 +129,39 @@ TEST(MetricsCodec, ReplyRoundTripsSeriesAndPrometheus) {
   EXPECT_DOUBLE_EQ(decoded->series.at("rps").points[1].value, 12.5);
   ASSERT_EQ(decoded->series.at("shard.1.rps").points.size(), 1u);
   EXPECT_DOUBLE_EQ(decoded->series.at("shard.1.rps").points[0].value, 6.25);
+}
+
+TEST(StatsSeriesCodec, RejectsSeriesAndPointCountsOverTheBound) {
+  // A reply whose series part claims more than 2^20 series, or a series
+  // claiming more than 2^20 points, is refused before any allocation.
+  const auto head = server::encode_stats_reply(server::StatsReplyMsg{});
+  auto with_tail = [&](auto&& write_tail) {
+    net::Writer w;
+    w.raw(head);
+    w.f64(1.0);
+    write_tail(w);
+    return w.take();
+  };
+  constexpr std::uint32_t kOver = (1u << 20) + 1;
+  EXPECT_FALSE(server::decode_stats_reply(
+                   with_tail([&](net::Writer& w) { w.u32(kOver); }))
+                   .has_value());
+  EXPECT_FALSE(server::decode_stats_reply(with_tail([&](net::Writer& w) {
+                 w.u32(1);
+                 w.str("rps");
+                 w.u32(kOver);
+               })).has_value());
+  // The same frame with an honest count decodes.
+  const auto honest = server::decode_stats_reply(with_tail([&](net::Writer& w) {
+    w.u32(1);
+    w.str("rps");
+    w.u32(1);
+    w.f64(0.0);
+    w.f64(2.0);
+    w.str("");
+  }));
+  ASSERT_TRUE(honest.has_value());
+  EXPECT_DOUBLE_EQ(honest->series.at("rps").points.at(0).value, 2.0);
 }
 
 // --------------------------------------------------------------- sampler
@@ -360,16 +411,23 @@ TEST(TelemetryE2E, TopOnceServesJsonAndPrometheus) {
       << read_file(dir + "/tele_top_load.log");
 
   // The load ran for more than two intervals and nothing has asked for
-  // kMetrics yet, so every series point but the reply's own came from the
-  // reactor tick's sampling.
+  // the series yet (loadgen's kStats requests carry no series flag), so
+  // every series point but the reply's own came from the reactor tick's
+  // sampling.
   {
     std::string err;
     auto conn = server::ClientConnection::connect(
         sock, "tick-probe", common::Duration::from_seconds(10.0), &err);
     ASSERT_NE(conn, nullptr) << err;
-    const auto metrics = conn->metrics(/*include_prometheus=*/false,
-                                       common::Duration::from_seconds(10.0));
+    server::StatsMsg request;
+    request.include_histograms = false;
+    request.include_series = true;
+    const auto metrics =
+        conn->stats(request, common::Duration::from_seconds(10.0));
     ASSERT_TRUE(metrics.has_value());
+    EXPECT_NEAR(metrics->interval_seconds, 0.2, 1e-9);
+    EXPECT_TRUE(metrics->histograms.empty());
+    EXPECT_TRUE(metrics->prometheus_text.empty());
     std::set<std::string> names;
     for (const auto& [name, series] : metrics->series) {
       names.insert(name);
@@ -417,20 +475,20 @@ TEST(TelemetryE2E, TopOnceServesJsonAndPrometheus) {
       << read_file(dir + "/tele_top_serve.log");
 }
 
-/// The sorted names `endpoint` serves: kStats counters and histograms,
-/// kMetrics series, and the Prometheus `# TYPE` families. Against a fleet
-/// it also checks that the plain-name energy is the sum of the shards',
-/// bit for bit.
+/// The sorted names `endpoint` serves in one kStats reply with every part
+/// requested: counters, histograms, series, and the Prometheus `# TYPE`
+/// families. Against a fleet it also checks that the plain-name energy is
+/// the sum of the shards', bit for bit.
 std::string served_names(const std::string& endpoint) {
   std::string err;
   auto conn = server::ClientConnection::connect(
       endpoint, "names-fixture", common::Duration::from_seconds(10.0), &err);
   if (conn == nullptr) return "connect failed: " + err + "\n";
-  const auto stats = conn->stats(/*include_histograms=*/true,
-                                 common::Duration::from_seconds(10.0));
-  const auto metrics = conn->metrics(/*include_prometheus=*/true,
-                                     common::Duration::from_seconds(10.0));
-  if (!stats.has_value() || !metrics.has_value()) return "no reply\n";
+  server::StatsMsg request;
+  request.include_series = true;
+  request.include_prometheus = true;
+  const auto stats = conn->stats(request, common::Duration::from_seconds(10.0));
+  if (!stats.has_value()) return "no reply\n";
   const auto& c = stats->counters;
   if (c.contains("shard.1.backend.total_energy_joules")) {
     EXPECT_GT(c.at("backend.total_energy_joules"), 0.0);
@@ -445,10 +503,10 @@ std::string served_names(const std::string& endpoint) {
   for (const auto& [name, value] : c) out << name << "\n";
   out << "[stats.histograms]\n";
   for (const auto& [name, h] : stats->histograms) out << name << "\n";
-  out << "[metrics.series]\n";
-  for (const auto& [name, series] : metrics->series) out << name << "\n";
+  out << "[stats.series]\n";
+  for (const auto& [name, series] : stats->series) out << name << "\n";
   out << "[prometheus.families]\n";
-  std::istringstream prom(metrics->prometheus_text);
+  std::istringstream prom(stats->prometheus_text);
   std::set<std::string> families;
   for (std::string line; std::getline(prom, line);) {
     if (line.rfind("# TYPE ", 0) != 0) continue;
@@ -487,7 +545,7 @@ void run_fixed_client(const std::string& endpoint) {
   EXPECT_EQ(wait_exit_code(client), 0) << read_file(log);
 }
 
-// The names a shard and a two-shard router serve over kStats / kMetrics are
+// The names a shard and a two-shard router serve over kStats are
 // an interface: dashboards, `ewcsim stats`, `ewcsim top` and the benchmark
 // harness read them. They are pinned in tests/data/telemetry_names.txt.
 TEST(TelemetryE2E, ServedNamesMatchFixture) {
@@ -522,6 +580,72 @@ TEST(TelemetryE2E, ServedNamesMatchFixture) {
   std::ofstream(actual_path) << actual;
   EXPECT_EQ(read_file(TELEMETRY_NAMES_FIXTURE), actual)
       << "served names changed; this run's list is in " << actual_path;
+}
+
+/// Hello on a raw socket to `endpoint`, then one frame of the retired type
+/// 11 (the old time-series request). Returns the kError message that comes
+/// back, or a description of whatever else happened.
+std::string answer_to_frame_11(const std::string& endpoint) {
+  using net::Deadline;
+  const auto deadline = Deadline::after(common::Duration::from_seconds(10.0));
+  std::string err;
+  auto sock = net::connect_endpoint(endpoint, deadline, &err);
+  if (!sock.has_value()) return "connect failed: " + err;
+  net::Frame frame;
+  if (net::write_frame(*sock,
+                       static_cast<std::uint16_t>(server::MsgType::kHello),
+                       server::encode_hello({}), deadline,
+                       &err) != net::IoStatus::kOk ||
+      net::read_frame(*sock, &frame, deadline, &err) != net::IoStatus::kOk ||
+      frame.type != static_cast<std::uint16_t>(server::MsgType::kHelloOk)) {
+    return "handshake failed: " + err;
+  }
+  net::Writer w;
+  w.u64(1);
+  w.u8(0);
+  if (net::write_frame(*sock, 11, w.take(), deadline, &err) !=
+          net::IoStatus::kOk ||
+      net::read_frame(*sock, &frame, deadline, &err) != net::IoStatus::kOk) {
+    return "no answer: " + err;
+  }
+  if (frame.type != static_cast<std::uint16_t>(server::MsgType::kError)) {
+    return "answered with type " + std::to_string(frame.type);
+  }
+  const auto msg = server::decode_error(frame.payload);
+  return msg.has_value() ? msg->message : "malformed kError";
+}
+
+double protocol_errors(const std::string& endpoint) {
+  std::string err;
+  auto conn = server::ClientConnection::connect(
+      endpoint, "frame-11-probe", common::Duration::from_seconds(10.0), &err);
+  if (conn == nullptr) return -1.0;
+  const auto stats =
+      conn->stats(/*include_histograms=*/false,
+                  common::Duration::from_seconds(10.0));
+  return stats.has_value() ? stats->counters.at("server.protocol_errors")
+                           : -1.0;
+}
+
+// Frame types 11/12 are retired: a shard treats 11 as any unknown type
+// (kError, one protocol error, close), and a router forwards it to the
+// shard like any other unintercepted frame, so the shard's kError comes
+// back through it.
+TEST(TelemetryE2E, RetiredFrameElevenIsAnUnexpectedType) {
+  const std::string dir = ::testing::TempDir();
+  const std::string shard = dir + "/frame11_shard.sock";
+  const std::string router = dir + "/frame11_router.sock";
+  const pid_t shard_pid = start_daemon(
+      {"serve", "--socket", shard, "--workload", "encryption_6k=4"}, shard);
+  EXPECT_EQ(answer_to_frame_11(shard), "unexpected message type 11");
+  EXPECT_EQ(protocol_errors(shard), 1.0);
+
+  const pid_t router_pid = start_daemon(
+      {"route", "--listen", router, "--shard", shard}, router);
+  EXPECT_EQ(answer_to_frame_11(router), "unexpected message type 11");
+  EXPECT_EQ(protocol_errors(shard), 2.0);
+  stop_daemon(router_pid, router);
+  stop_daemon(shard_pid, shard);
 }
 
 }  // namespace
