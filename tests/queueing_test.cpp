@@ -274,9 +274,11 @@ TEST_F(QueueSimTest, BusyGpuQueuesNextBatch) {
 
 TEST_F(QueueSimTest, TracedSerialBatchDrawsInstancesBackToBack) {
   // A scenario-1 batch (memory-bound Monte Carlo with encryption, 3:2)
-  // runs serially (see QueueCacheTest): its instances execute one after
-  // another, so each gpusim.run sim span must start where the previous one
-  // ends rather than all at the batch's start.
+  // runs as one part per kernel (see QueueCacheTest): the two encryption
+  // launches on the CPU, then the three Monte Carlo launches serially. The
+  // serial part's instances execute one after another, so each gpusim.run
+  // sim span must start where the previous one ends rather than all at the
+  // part's start.
   auto cat = catalogue();
   const auto mc = workloads::scenario1_montecarlo();
   const auto enc = workloads::scenario1_encryption();
@@ -300,14 +302,24 @@ TEST_F(QueueSimTest, TracedSerialBatchDrawsInstancesBackToBack) {
   sim.run(reqs);
   tracer.set_enabled(false);
   std::vector<obs::SpanEvent> runs;
+  std::vector<std::string> groups;
   for (auto& ev : tracer.collect()) {
     if (ev.clock == obs::Clock::kSim && ev.name == "gpusim.run") {
       runs.push_back(std::move(ev));
+    } else if (ev.name == "queue_sim.group") {
+      groups.push_back(ev.args);
     }
   }
   tracer.clear();
 
-  ASSERT_EQ(runs.size(), 5u);  // one run per instance: the serial path
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_NE(groups[0].find("\"requests\":2,\"chosen\":\"cpu\""),
+            std::string::npos)
+      << groups[0];
+  EXPECT_NE(groups[1].find("\"requests\":3,\"chosen\":\"individual-gpu\""),
+            std::string::npos)
+      << groups[1];
+  ASSERT_EQ(runs.size(), 3u);  // one run per instance: the serial path
   std::sort(runs.begin(), runs.end(),
             [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
               return a.ts_us < b.ts_us;
