@@ -14,8 +14,9 @@ namespace {
 
 // Every site with a hook in the tree. Keep sorted; known_sites() is part of
 // the scenario-validation contract and docs/ROBUSTNESS.md mirrors this list.
-constexpr std::array<std::string_view, 13> kKnownSites = {
+constexpr std::array<std::string_view, 14> kKnownSites = {
     "backend.batch",     // consolidate::Backend::process_batch entry
+    "backend.price",     // consolidate::BatchFormer pure pricing entry
     "decision.decide",   // consolidate::DecisionEngine::decide entry
     "net.accept",        // net::Listener::accept, after readiness (fd mint)
     "net.connect",       // net::connect_unix entry
